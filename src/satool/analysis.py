@@ -15,11 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocksparse import (
-    block_scores,
+    block_score_values,
     changed_block_ratio,
+    check_tau,
     cumulative_prefix_mask,
     mask_iou,
-    top_p_select,
+    top_p_select,  # noqa: F401  -- re-exported; perfbench's smoke test rebinds it here
 )
 from .errors import DomainError
 from .reuse import full_token_drift, mean_pool_drift
@@ -42,8 +43,10 @@ class PairSample:
     changed_ratio: float
 
 
-def _row_masks(q: np.ndarray, k: np.ndarray, p: float) -> np.ndarray:
-    return cumulative_prefix_mask(attention_probs(q, k), p)
+# Cap on the float64 N x N attention-probability elements handled at once:
+# token-level row masks are computed for as many whole steps as fit (at
+# least one), so the working set stays flat as the step count grows.
+PROB_CHUNK_ELEMENTS = 1 << 17
 
 
 def _mean_row_iou(masks_a: np.ndarray, masks_b: np.ndarray) -> float:
@@ -53,40 +56,48 @@ def _mean_row_iou(masks_a: np.ndarray, masks_b: np.ndarray) -> float:
     return float(ious.mean())
 
 
+def _token_ious(q: np.ndarray, k: np.ndarray, p: float) -> list[float]:
+    """Row-averaged token-mask IoU of each adjacent step pair of one head."""
+    chunk = max(1, PROB_CHUNK_ELEMENTS // (q.shape[1] * q.shape[1]))
+    ious: list[float] = []
+    prev = None
+    for start in range(0, q.shape[0], chunk):
+        window = slice(start, start + chunk)
+        rows = cumulative_prefix_mask(attention_probs(q[window], k[window]), p)
+        for cur in rows:
+            if prev is not None:
+                ious.append(_mean_row_iou(prev, cur))
+            prev = cur
+    return ious
+
+
 def adjacent_pair_samples(trace: DenoiseTrace, token_p: float = 0.95,
                           tau: float = 0.95) -> list[PairSample]:
     """Per-head adjacent-step stability samples over the whole trajectory."""
+    check_tau(tau)
     cfg = trace.config
     grid = cfg.grid
     samples: list[PairSample] = []
     for layer in range(cfg.layers):
         for head in range(cfg.heads):
-            prev = None
-            for step in range(cfg.steps):
-                q, k = trace.q(step, layer, head), trace.k(step, layer, head)
-                scores = block_scores(q, k, grid)
-                state = {
-                    "rows": _row_masks(q, k, token_p),
-                    "mask": top_p_select(scores, tau, step=step),
-                    "scores": scores.values,
-                    "q": q, "k": k,
-                    "q_mean": q.mean(axis=0), "k_mean": k.mean(axis=0),
-                }
-                if prev is not None:
-                    samples.append(PairSample(
-                        step=step - 1, layer=layer, head=head,
-                        full_drift=full_token_drift(prev["q"], q, prev["k"], k),
-                        pool_drift=mean_pool_drift(
-                            prev["q_mean"], state["q_mean"], prev["k_mean"], state["k_mean"]
-                        ),
-                        score_drift=float(np.abs(prev["scores"] - state["scores"]).mean()),
-                        token_iou=_mean_row_iou(prev["rows"], state["rows"]),
-                        block_iou=mask_iou(prev["mask"].retained, state["mask"].retained),
-                        changed_ratio=changed_block_ratio(
-                            prev["mask"].retained, state["mask"].retained
-                        ),
-                    ))
-                prev = state
+            q, k = trace.head_qk(layer, head)
+            q_mean, k_mean = q.mean(axis=1), k.mean(axis=1)
+            scores = block_score_values(q, k, grid)
+            masks = cumulative_prefix_mask(scores, tau)
+            token_ious = _token_ious(q, k, token_p)
+            for step in range(cfg.steps - 1):
+                nxt = step + 1
+                samples.append(PairSample(
+                    step=step, layer=layer, head=head,
+                    full_drift=full_token_drift(q[step], q[nxt], k[step], k[nxt]),
+                    pool_drift=mean_pool_drift(
+                        q_mean[step], q_mean[nxt], k_mean[step], k_mean[nxt]
+                    ),
+                    score_drift=float(np.abs(scores[step] - scores[nxt]).mean()),
+                    token_iou=token_ious[step],
+                    block_iou=mask_iou(masks[step], masks[nxt]),
+                    changed_ratio=changed_block_ratio(masks[step], masks[nxt]),
+                ))
     return samples
 
 

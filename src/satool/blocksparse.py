@@ -99,6 +99,27 @@ def full_mask(grid: BlockGrid, step: int | None = None, tau: float | None = None
     return BlockMask(np.ones(grid.total_blocks, dtype=bool), origin_step=step, origin_tau=tau)
 
 
+def block_score_values(q: np.ndarray, k: np.ndarray, grid: BlockGrid) -> np.ndarray:
+    """Normalized block scores for Q/K of shape (..., tokens, D); returns (..., M).
+
+    Leading axes are independent batches (steps, heads); each batch entry gets
+    exactly the values ``block_scores`` would give it alone.
+    """
+    if q.shape != k.shape or q.ndim < 2 or q.shape[-2] != grid.tokens:
+        raise ShapeMismatch(
+            f"expected Q and K of shape (..., {grid.tokens}, D), got {q.shape} and {k.shape}"
+        )
+    nb, bs = grid.blocks_per_side, grid.block_size
+    *lead, _, dim = q.shape
+    u = q.reshape(*lead, nb, bs, dim).mean(axis=-2)
+    v = k.reshape(*lead, nb, bs, dim).mean(axis=-2)
+    logits = (u @ np.swapaxes(v, -1, -2)) / math.sqrt(dim)
+    flat = logits.reshape(*lead, nb * nb)
+    flat = flat - flat.max(axis=-1, keepdims=True)
+    e = np.exp(flat)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def block_scores(q: np.ndarray, k: np.ndarray, grid: BlockGrid) -> BlockScores:
     """Score each block from mean-pooled query/key summaries.
 
@@ -106,45 +127,58 @@ def block_scores(q: np.ndarray, k: np.ndarray, grid: BlockGrid) -> BlockScores:
     ``u(B)`` and ``v(B)``; the score of block (i, j) is the softmax over all
     M blocks of ``u_i . v_j / sqrt(D)``.
     """
-    if q.shape != k.shape or q.ndim != 2 or q.shape[0] != grid.tokens:
+    if q.ndim != 2:
         raise ShapeMismatch(
             f"expected Q and K of shape ({grid.tokens}, D), got {q.shape} and {k.shape}"
         )
-    nb, bs = grid.blocks_per_side, grid.block_size
-    dim = q.shape[1]
-    u = q.reshape(nb, bs, dim).mean(axis=1)
-    v = k.reshape(nb, bs, dim).mean(axis=1)
-    logits = (u @ v.T) / math.sqrt(dim)
-    flat = logits.reshape(-1)
-    flat = flat - flat.max()
-    e = np.exp(flat)
-    return BlockScores(values=e / e.sum(), normalized=True)
+    return BlockScores(values=block_score_values(q, k, grid), normalized=True)
 
 
 def cumulative_prefix_mask(values: np.ndarray, threshold: float) -> np.ndarray:
     """Boolean mask of the minimal descending-value prefix with mass >= threshold.
 
     An entry is kept iff the cumulative mass strictly before it (in descending
-    order, ties broken by ascending index) is below the threshold.  Supports a
-    trailing 2-D batch axis layout (rows selected independently).
+    order, ties broken by ascending index) is below the threshold.  Rows along
+    the last axis are selected independently; leading axes are batch axes.
+    Values must be finite and nonnegative (probabilities or scores).
+
+    The descending value sequence does not depend on how ties are ordered, so
+    a plain sort gives the same cumulative sums as an index-stable argsort.
+    Mass before an entry never decreases along that sequence, so each row
+    keeps a prefix of ``count`` entries: every value above the cut value at
+    ``count`` plus, among the values equal to it, the lowest indices.
     """
     arr = np.asarray(values, dtype=np.float64)
-    squeeze = arr.ndim == 1
-    if squeeze:
-        arr = arr[None, :]
-    order = np.argsort(-arr, axis=1, kind="stable")
-    sorted_vals = np.take_along_axis(arr, order, axis=1)
-    before = np.cumsum(sorted_vals, axis=1) - sorted_vals
-    keep_sorted = before < threshold
-    keep = np.zeros_like(keep_sorted)
-    np.put_along_axis(keep, order, keep_sorted, axis=1)
-    return keep[0] if squeeze else keep
+    # The mass before the first entry is exactly 0, so only a threshold
+    # <= 0 (or NaN) keeps nothing.
+    if not threshold > 0 or arr.size == 0:
+        return np.zeros(arr.shape, dtype=bool)
+    desc = np.sort(arr, axis=-1)[..., ::-1]
+    before = np.cumsum(desc, axis=-1)
+    before -= desc
+    count = (before < threshold).sum(axis=-1, keepdims=True)
+    cut = np.take_along_axis(desc, count - 1, axis=-1)
+    keep = arr >= cut
+    over = (keep.sum(axis=-1, keepdims=True) > count)[..., 0]
+    if over.any():
+        # More entries tie at the cut than the prefix holds: keep the lowest indices.
+        sub, sub_cut = arr[over], cut[over]
+        above = sub > sub_cut
+        tied = sub == sub_cut
+        room = count[over] - above.sum(axis=-1, keepdims=True)
+        keep[over] = above | (tied & (np.cumsum(tied, axis=-1) <= room))
+    return keep
+
+
+def check_tau(tau: float) -> None:
+    """Reject a top-p threshold outside (0, 1]."""
+    if not (0.0 < tau <= 1.0):
+        raise DomainError(f"tau must lie in (0, 1], got {tau}")
 
 
 def top_p_select(scores: BlockScores, tau: float, step: int | None = None) -> BlockMask:
     """Retain the minimal set of highest-scored blocks whose mass reaches tau."""
-    if not (0.0 < tau <= 1.0):
-        raise DomainError(f"tau must lie in (0, 1], got {tau}")
+    check_tau(tau)
     scores.validate()
     if not scores.normalized:
         raise DomainError("top-p selection requires normalized scores")

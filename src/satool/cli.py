@@ -134,9 +134,8 @@ def cmd_gen_trace(out, layers, heads, tokens, head_dim, steps, block_size,
               help="Cumulative mass for per-row token masks.")
 @click.option("--tau", default=0.95, show_default=True, type=float,
               help="Top-p threshold for the block masks under comparison.")
-@click.option("--seed", default=0, show_default=True, type=int)
 @tool_command
-def cmd_analyze(trace_path, out, token_p, tau, seed):
+def cmd_analyze(trace_path, out, token_p, tau):
     """Adjacent-step mask stability report at prompt/layer/head granularity."""
     trace = read_trace(trace_path)
     cfg = trace.config
@@ -165,7 +164,7 @@ def cmd_analyze(trace_path, out, token_p, tau, seed):
         "bound_constants": two_step_bound_constants(samples),
         "pairs": len(samples),
     })
-    params = {"trace": str(trace_path), "token_p": token_p, "tau": tau, "seed": seed}
+    params = {"trace": str(trace_path), "token_p": token_p, "tau": tau}
     write_manifest(out_dir, "analyze", params, inputs=[Path(trace_path)],
                    outputs=[stability_path, scatter_path, summary_path])
     click.echo(str(stability_path))

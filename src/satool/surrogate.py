@@ -20,11 +20,14 @@ from .trace import DenoiseTrace, TraceConfig, _MODEL_STREAM
 
 
 def attention_probs(q: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Row-softmax of scaled dot products, with max subtraction for stability."""
-    logits = (q @ k.T) / math.sqrt(q.shape[1])
-    logits -= logits.max(axis=1, keepdims=True)
+    """Row-softmax of scaled dot products, with max subtraction for stability.
+
+    Q and K are (..., tokens, D); leading axes are independent batches.
+    """
+    logits = (q @ np.swapaxes(k, -1, -2)) / math.sqrt(q.shape[-1])
+    logits -= logits.max(axis=-1, keepdims=True)
     e = np.exp(logits)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def masked_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,

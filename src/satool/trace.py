@@ -10,6 +10,7 @@ temporal stability and score peakedness heterogeneous across heads.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass, field, replace
@@ -118,6 +119,14 @@ class DenoiseTrace:
     def v(self, step: int, layer: int, head: int) -> np.ndarray:
         return self.data[step, layer, head, 2].astype(np.float64)
 
+    def head_qk(self, layer: int, head: int) -> tuple[np.ndarray, np.ndarray]:
+        """One head's Q and K over all steps, each (steps, tokens, head_dim) float64.
+
+        Both come from a single float64 copy; ``q[step]`` equals ``self.q(step, ...)``.
+        """
+        qk = self.data[:, layer, head, :2].astype(np.float64)
+        return qk[:, 0], qk[:, 1]
+
     def check_step(self, step: int) -> None:
         if not (0 <= step < self.config.steps):
             raise DomainError(f"step {step} out of range [0, {self.config.steps})")
@@ -199,7 +208,8 @@ def read_trace(path: str | os.PathLike) -> DenoiseTrace:
     except ConfigError as exc:
         raise TraceFormatError(f"{path}: invalid header config: {exc}") from exc
     shape = (steps, layers, heads, 3, tokens, head_dim)
-    expected = int(np.prod(shape)) * 4
+    # Python ints: a numpy product of header counts wraps at 2**64.
+    expected = math.prod(shape) * 4
     payload = raw[_HEADER.size:]
     if len(payload) != expected:
         raise TraceFormatError(

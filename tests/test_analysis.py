@@ -1,16 +1,61 @@
 import numpy as np
 import pytest
 
+from satool import analysis
 from satool.analysis import (
+    PairSample,
     adjacent_pair_samples,
     spearman,
     split_samples,
     stability_rows,
     two_step_bound_constants,
 )
+from satool.blocksparse import (
+    block_scores,
+    changed_block_ratio,
+    cumulative_prefix_mask,
+    mask_iou,
+    top_p_select,
+)
 from satool.errors import DomainError
-from satool.reuse import fit_stability_constant
+from satool.reuse import fit_stability_constant, full_token_drift, mean_pool_drift
+from satool.surrogate import attention_probs
 from satool.trace import TraceConfig, generate_trace
+
+
+def per_step_pair_samples(trace, token_p=0.95, tau=0.95):
+    """Reference: walk each head step by step through the per-step public calls."""
+    cfg = trace.config
+    samples = []
+    for layer in range(cfg.layers):
+        for head in range(cfg.heads):
+            prev = None
+            for step in range(cfg.steps):
+                q, k = trace.q(step, layer, head), trace.k(step, layer, head)
+                scores = block_scores(q, k, cfg.grid)
+                state = {
+                    "rows": cumulative_prefix_mask(attention_probs(q, k), token_p),
+                    "mask": top_p_select(scores, tau, step=step),
+                    "scores": scores.values,
+                    "q": q, "k": k,
+                    "q_mean": q.mean(axis=0), "k_mean": k.mean(axis=0),
+                }
+                if prev is not None:
+                    samples.append(PairSample(
+                        step=step - 1, layer=layer, head=head,
+                        full_drift=full_token_drift(prev["q"], q, prev["k"], k),
+                        pool_drift=mean_pool_drift(
+                            prev["q_mean"], state["q_mean"], prev["k_mean"], state["k_mean"]
+                        ),
+                        score_drift=float(np.abs(prev["scores"] - state["scores"]).mean()),
+                        token_iou=analysis._mean_row_iou(prev["rows"], state["rows"]),
+                        block_iou=mask_iou(prev["mask"].retained, state["mask"].retained),
+                        changed_ratio=changed_block_ratio(
+                            prev["mask"].retained, state["mask"].retained
+                        ),
+                    ))
+                prev = state
+    return samples
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +93,34 @@ class TestPairSamples:
             [s.token_iou for s in short_samples],
         )
         assert rho <= -0.3
+
+
+class TestBatchedPassMatchesPerStep:
+    @pytest.mark.parametrize("config, token_p, tau", [
+        (TraceConfig(steps=7, seed=4), 0.95, 0.95),
+        (TraceConfig(layers=1, heads=2, tokens=48, head_dim=8, steps=5, block_size=16,
+                     scale_range=(3.0, 6.0), seed=9), 0.5, 1.0),
+        (TraceConfig(layers=2, heads=3, tokens=16, head_dim=4, steps=9, block_size=4,
+                     kappa_range=(1.0, 1.0), seed=2), 0.9, 0.7),
+    ])
+    def test_every_field_identical(self, config, token_p, tau):
+        trace = generate_trace(config)
+        expected = per_step_pair_samples(trace, token_p, tau)
+        assert adjacent_pair_samples(trace, token_p, tau) == expected
+
+    @pytest.mark.parametrize("chunk_steps", [1, 3])
+    def test_several_chunks_with_partial_last(self, monkeypatch, chunk_steps):
+        # 8 steps in chunks of 3 leaves a last chunk of 2; chunks of 1 split every step.
+        config = TraceConfig(layers=1, heads=2, tokens=32, head_dim=8, steps=8, block_size=8,
+                             seed=6)
+        trace = generate_trace(config)
+        expected = per_step_pair_samples(trace)
+        monkeypatch.setattr(analysis, "PROB_CHUNK_ELEMENTS", chunk_steps * 32 * 32 + 5)
+        assert adjacent_pair_samples(trace) == expected
+
+    def test_invalid_tau_rejected(self, short_trace):
+        with pytest.raises(DomainError):
+            adjacent_pair_samples(short_trace, tau=0.0)
 
 
 class TestStabilityRows:

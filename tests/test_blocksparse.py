@@ -2,13 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from satool.blocksparse import (
     BlockGrid,
     BlockMask,
     BlockScores,
+    block_score_values,
     block_scores,
     changed_block_ratio,
+    cumulative_prefix_mask,
     full_mask,
     mask_from_hex,
     mask_iou,
@@ -137,6 +142,117 @@ class TestTopPSelect:
                 assert kept.sum() >= tau - 1e-12
                 lowest = kept.min()
                 assert kept.sum() - lowest < tau
+
+
+def argsort_prefix_mask(values, threshold):
+    """Reference: stable argsort by descending value, prefix mass, scatter back."""
+    arr = np.asarray(values, dtype=np.float64)
+    squeeze = arr.ndim == 1
+    if squeeze:
+        arr = arr[None, :]
+    order = np.argsort(-arr, axis=1, kind="stable")
+    sorted_vals = np.take_along_axis(arr, order, axis=1)
+    before = np.cumsum(sorted_vals, axis=1) - sorted_vals
+    keep_sorted = before < threshold
+    keep = np.zeros_like(keep_sorted)
+    np.put_along_axis(keep, order, keep_sorted, axis=1)
+    return keep[0] if squeeze else keep
+
+
+def _normalized(values):
+    total = values.sum(axis=-1, keepdims=True)
+    return np.divide(values, total, out=np.zeros_like(values), where=total > 0)
+
+
+# Quantized to eighths (exact sums; many ties, all-zero rows) or continuous.
+_eighths = st.integers(0, 4).map(lambda n: n / 8.0)
+_unit = st.floats(0.0, 1.0, allow_subnormal=False)
+_thresholds = st.one_of(
+    st.sampled_from([-0.5, 0.0, 1.0, 1.5]),
+    st.floats(-0.1, 1.2),
+    _eighths,
+)
+
+
+def _matrices(elements):
+    shapes = st.tuples(st.integers(1, 6), st.integers(1, 24))
+    return shapes.flatmap(lambda shape: arrays(np.float64, shape, elements=elements))
+
+
+class TestCumulativePrefixMask:
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.one_of(_matrices(_eighths), _matrices(_unit)),
+           normalize=st.booleans(), threshold=_thresholds)
+    def test_matches_argsort_reference(self, values, normalize, threshold):
+        if normalize:
+            values = _normalized(values)
+        expected = argsort_prefix_mask(values, threshold)
+        got = cumulative_prefix_mask(values, threshold)
+        assert got.shape == values.shape and got.dtype == bool
+        np.testing.assert_array_equal(got, expected)
+        for row, row_expected in zip(values, expected):
+            np.testing.assert_array_equal(cumulative_prefix_mask(row, threshold), row_expected)
+
+    def test_batch_axes_and_empty_input(self, rng):
+        values = rng.integers(0, 3, size=(2, 3, 5, 7)) / 8.0
+        got = cumulative_prefix_mask(values, 0.5)
+        assert got.shape == values.shape
+        np.testing.assert_array_equal(
+            got.reshape(-1, 7), argsort_prefix_mask(values.reshape(-1, 7), 0.5)
+        )
+        assert cumulative_prefix_mask(np.zeros(0), 0.5).shape == (0,)
+        assert cumulative_prefix_mask(np.zeros((3, 0)), 0.5).shape == (3, 0)
+
+    def test_ties_at_cut_keep_lowest_indices(self):
+        row = np.array([1.0, 3.0, 3.0, 0.0, 3.0]) / 8.0
+        assert list(np.flatnonzero(cumulative_prefix_mask(row, 0.5))) == [1, 2]
+        assert list(np.flatnonzero(cumulative_prefix_mask(row, 0.75))) == [1, 2]
+        assert list(np.flatnonzero(cumulative_prefix_mask(row, 0.8))) == [1, 2, 4]
+        assert not cumulative_prefix_mask(row, 0.0).any()
+        assert cumulative_prefix_mask(np.zeros(4), 0.5).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=_matrices(_eighths), threshold=st.floats(0.0, 2.0))
+    def test_minimal_descending_prefix(self, values, threshold):
+        # Eighths sum exactly, so the mass checks below carry no rounding.
+        keep = cumulative_prefix_mask(values, threshold)
+        for row, kept in zip(values, keep):
+            if kept.any() and not kept.all():
+                assert row[kept].min() >= row[~kept].max()
+            mass = row[kept].sum()
+            assert mass >= threshold or kept.all()
+            if kept.any():
+                assert mass - row[kept].min() < threshold
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.one_of(_matrices(_eighths), _matrices(_unit)),
+           t1=_thresholds, t2=_thresholds)
+    def test_monotone_in_threshold(self, values, t1, t2):
+        lo, hi = sorted((t1, t2))
+        small = cumulative_prefix_mask(values, lo)
+        large = cumulative_prefix_mask(values, hi)
+        assert not (small & ~large).any()
+
+
+class TestBatchedBlockScores:
+    def test_batch_matches_per_entry(self, rng):
+        grid = BlockGrid(tokens=16, block_size=4)
+        q = rng.standard_normal((3, 2, 16, 5))
+        k = rng.standard_normal((3, 2, 16, 5))
+        batched = block_score_values(q, k, grid)
+        assert batched.shape == (3, 2, 16)
+        for i in range(3):
+            for j in range(2):
+                single = block_scores(np.ascontiguousarray(q[i, j]),
+                                      np.ascontiguousarray(k[i, j]), grid)
+                np.testing.assert_array_equal(batched[i, j], single.values)
+
+    def test_shape_checked(self):
+        grid = BlockGrid(tokens=8, block_size=4)
+        with pytest.raises(ShapeMismatch):
+            block_score_values(np.zeros((2, 8, 3)), np.zeros((2, 8, 4)), grid)
+        with pytest.raises(ShapeMismatch):
+            block_score_values(np.zeros((2, 6, 3)), np.zeros((2, 6, 3)), grid)
 
 
 class TestRealizedSparsity:

@@ -5,6 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from satool.cli import main
+from satool.trace import _HEADER, TRACE_MAGIC, TRACE_VERSION
 
 
 @pytest.fixture()
@@ -93,6 +94,26 @@ class TestAnalyze:
         result = runner.invoke(main, ["analyze", "--trace", str(bad), "--out", str(tmp_path / "r")])
         assert result.exit_code == 1
         assert "error:trace-format:" in result.output
+
+    def test_overflowing_header_fails_cleanly(self, tmp_path, runner):
+        # Header only; the payload size (2**16)**4 * 3 * 4 bytes exceeds 64 bits.
+        big = 2 ** 16
+        bad = tmp_path / "huge.satr"
+        bad.write_bytes(_HEADER.pack(TRACE_MAGIC, TRACE_VERSION, big, big, big, 1, big, 1,
+                                     1, 1, 1, 0.2, 0.9, 0.8, 2.0, 0))
+        result = runner.invoke(main, ["analyze", "--trace", str(bad), "--out", str(tmp_path / "r")])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "error:trace-format:" in result.output
+        assert "Traceback" not in result.output
+
+    def test_seed_option_removed(self, trace_dir, tmp_path, runner):
+        result = runner.invoke(main, [
+            "analyze", "--trace", str(trace_dir / "trace.satr"), "--out", str(tmp_path / "r"),
+            "--seed", "1",
+        ])
+        assert result.exit_code == 2
+        assert "No such option" in result.output
 
     def test_rerun_byte_identical(self, trace_dir, tmp_path, runner):
         outs = []

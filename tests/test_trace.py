@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from satool.errors import ConfigError, DomainError, ShapeMismatch, TraceFormatError
 from satool.surrogate import ForwardPipeline, SurrogateModel, masked_attention
 from satool.trace import (
+    _HEADER,
     TRACE_MAGIC,
+    TRACE_VERSION,
     TraceConfig,
     generate_trace,
     head_parameters,
@@ -122,6 +126,32 @@ class TestTraceFile:
         path.write_bytes(data[:-8])
         with pytest.raises(TraceFormatError):
             read_trace(path)
+
+    def test_rejects_payload_size_that_overflows_int64(self, tmp_path):
+        # 2**16 layers, heads, tokens and steps: an int64 product of the
+        # payload size wraps to 0 and would accept a header-only file.
+        big = 2 ** 16
+        path = tmp_path / "huge.satr"
+        path.write_bytes(_HEADER.pack(TRACE_MAGIC, TRACE_VERSION, big, big, big, 1, big, 1,
+                                      1, 1, 1, 0.2, 0.9, 0.8, 2.0, 0))
+        with pytest.raises(TraceFormatError, match="expected"):
+            read_trace(path)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(counts=st.lists(st.one_of(st.integers(0, 4), st.sampled_from([2 ** 16, 2 ** 32 - 1]),
+                                     st.integers(0, 2 ** 32 - 1)), min_size=9, max_size=9),
+           ranges=st.lists(st.floats(width=32), min_size=4, max_size=4),
+           payload=st.binary(max_size=64))
+    def test_fuzzed_header_reads_or_fails_cleanly(self, tmp_path, counts, ranges, payload):
+        path = tmp_path / "fuzz.satr"
+        path.write_bytes(_HEADER.pack(TRACE_MAGIC, TRACE_VERSION, *counts, *ranges, 7) + payload)
+        try:
+            trace = read_trace(path)
+        except TraceFormatError:
+            return
+        layers, heads, tokens, head_dim, steps = counts[:5]
+        assert trace.data.shape == (steps, layers, heads, 3, tokens, head_dim)
 
 
 class TestSurrogateModel:
