@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -191,23 +189,12 @@ def measure_head(pipeline: ForwardPipeline, layer: int, head: int, tau: float,
     )
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("SATOOL_THREADS", "1")
-    try:
-        count = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"SATOOL_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, count)
-
-
 def build_problem(pipeline: ForwardPipeline, taus, intervals: int, budget: float,
                   weights: BandWeights | None = None, seed: int = 0,
                   objective: str = "fft",
                   per_head_seeds: bool = False) -> CalibrationProblem:
     """Measure every (layer, head, candidate) and assemble the assignment problem.
 
-    Head measurements are independent given the read-only dense cache and fan
-    out over SATOOL_THREADS workers; results are identical to serial execution.
     With ``per_head_seeds`` each head is measured on its own reseeded trace
     (one trace per head assignment) instead of the shared one.
     """
@@ -222,32 +209,20 @@ def build_problem(pipeline: ForwardPipeline, taus, intervals: int, budget: float
     shape = (cfg.layers, cfg.heads, len(taus))
     sparsity = np.empty(shape)
     error = np.empty(shape)
-
-    def run_head(layer: int, head: int) -> tuple[int, int, list[OperatingPoint]]:
-        if per_head_seeds:
-            head_cfg = replace(cfg, seed=cfg.seed + 1 + layer * cfg.heads + head)
-            head_pipe = ForwardPipeline(generate_trace(head_cfg), pipeline.model)
-        else:
-            head_pipe = pipeline
-        head_pipe.precompute_dense(steps)
-        points = [
-            measure_head(head_pipe, layer, head, tau, steps, weights, partition, objective)
-            for tau in taus
-        ]
-        return layer, head, points
-
     pipeline.precompute_dense(steps)
-    pairs = [(l, h) for l in range(cfg.layers) for h in range(cfg.heads)]
-    workers = _worker_count()
-    if workers > 1 and not per_head_seeds:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda lh: run_head(*lh), pairs))
-    else:
-        results = [run_head(l, h) for l, h in pairs]
-    for layer, head, points in results:
-        for k, point in enumerate(points):
-            sparsity[layer, head, k] = point.sparsity
-            error[layer, head, k] = point.error
+    for layer in range(cfg.layers):
+        for head in range(cfg.heads):
+            if per_head_seeds:
+                head_cfg = replace(cfg, seed=cfg.seed + 1 + layer * cfg.heads + head)
+                head_pipe = ForwardPipeline(generate_trace(head_cfg), pipeline.model)
+                head_pipe.precompute_dense(steps)
+            else:
+                head_pipe = pipeline
+            for k, tau in enumerate(taus):
+                point = measure_head(head_pipe, layer, head, tau, steps, weights,
+                                     partition, objective)
+                sparsity[layer, head, k] = point.sparsity
+                error[layer, head, k] = point.error
     return CalibrationProblem(taus=np.array(taus), sparsity=sparsity, error=error, budget=float(budget))
 
 

@@ -257,10 +257,9 @@ def cmd_calibrate(trace_path, out, budget, taus, intervals, weights, objective,
 @click.option("--normalized-delta", is_flag=True,
               help="Compare delta against per-dimension drift (drift / 2D), a "
                    "non-default variant for cross-config comparability.")
-@click.option("--seed", default=0, show_default=True, type=int)
 @tool_command
 def cmd_run(trace_path, out, table_path, tau, delta, gate_lo, gate_hi, no_gate,
-            normalized_delta, seed):
+            normalized_delta):
     """Simulate the full denoising run with per-head temporal mask reuse."""
     try:
         delta_value = float(delta)
@@ -315,7 +314,7 @@ def cmd_run(trace_path, out, table_path, tau, delta, gate_lo, gate_hi, no_gate,
     params = {
         "trace": str(trace_path), "table": str(table_path) if table_path else None,
         "tau": tau, "delta": delta, "gate": None if no_gate else [gate_lo, gate_hi],
-        "normalized_delta": normalized_delta, "seed": seed,
+        "normalized_delta": normalized_delta,
     }
     inputs = [Path(trace_path)] + ([Path(table_path)] if table_path else [])
     write_manifest(out_dir, "run", params, inputs=inputs, outputs=[run_path, summary_path])

@@ -5,6 +5,12 @@ outputs are concatenated along the feature axis, summed over layers, and pushed
 through a single seeded linear projection followed by tanh.  Weights are scaled
 by 1/sqrt(fan-in), so the map is Lipschitz with an explicitly computable bound
 (spectral norm of the projection; tanh is 1-Lipschitz).
+
+The weight is stored head-major: each head's (tokens x head_dim) features own
+one contiguous block of columns.  The map is linear before the tanh, so a
+forward that changes a few heads adds ``W[:, head columns] @ (new - dense)``
+to the cached dense pre-activation; changing one head reads 1/heads of the
+weight.
 """
 
 from __future__ import annotations
@@ -67,24 +73,49 @@ def expand_block_mask(mask: BlockMask, grid: BlockGrid) -> np.ndarray:
 
 
 class SurrogateModel:
-    """Seeded linear-then-tanh projection to a 3-D velocity field."""
+    """Seeded linear-then-tanh projection to a 3-D velocity field.
+
+    ``weight`` is (velocity values, fan-in) with head-major columns: column
+    ``h * tokens * head_dim + t * head_dim + d`` multiplies feature
+    ``(t, h * head_dim + d)`` of the token-major features ``project`` takes.
+    """
 
     def __init__(self, weight: np.ndarray, bias: np.ndarray,
-                 velocity_shape: tuple[int, int, int]):
+                 velocity_shape: tuple[int, int, int], heads: int = 1):
         self.weight = weight
         self.bias = bias
         self.velocity_shape = tuple(velocity_shape)
+        self.heads = int(heads)
         if weight.shape[0] != bias.shape[0] or weight.shape[0] != int(np.prod(velocity_shape)):
             raise ShapeMismatch("projection rows must match the velocity field size")
+        if self.heads <= 0 or weight.shape[1] % self.heads:
+            raise ShapeMismatch(f"fan-in {weight.shape[1]} does not split into {heads} heads")
+        self.head_width = weight.shape[1] // self.heads
 
     @classmethod
     def from_config(cls, config: TraceConfig) -> "SurrogateModel":
+        """Draw the token-major seeded weight and store it head-major.
+
+        The stream is drawn one row at a time, which is bitwise the one-shot
+        ``standard_normal((out, fan_in))`` draw.  Each row is drawn into its
+        final place, divided by sqrt(fan-in) into a row buffer and copied
+        back permuted while it is still in cache, so only one weight-sized
+        array is ever allocated.
+        """
+        tokens, heads, head_dim = config.tokens, config.heads, config.head_dim
         fan_in = config.feature_count
         out = int(np.prod(config.velocity_shape))
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, _MODEL_STREAM]))
-        weight = rng.standard_normal((out, fan_in)) / math.sqrt(fan_in)
+        scale = math.sqrt(fan_in)
+        weight = np.empty((out, fan_in))
+        row = np.empty(fan_in)
+        row_head_major = row.reshape(tokens, heads, head_dim).swapaxes(0, 1)
+        for dest in weight:
+            rng.standard_normal(out=dest)
+            np.divide(dest, scale, out=row)
+            dest.reshape(heads, tokens, head_dim)[...] = row_head_major
         bias = rng.standard_normal(out)
-        return cls(weight=weight, bias=bias, velocity_shape=config.velocity_shape)
+        return cls(weight=weight, bias=bias, velocity_shape=config.velocity_shape, heads=heads)
 
     @property
     def fan_in(self) -> int:
@@ -93,16 +124,31 @@ class SurrogateModel:
     @property
     def bias_field(self) -> np.ndarray:
         """Output produced by an all-zero attention feature (V = 0 everywhere)."""
-        return np.tanh(self.bias).reshape(self.velocity_shape)
+        return self.field(self.bias)
 
-    def project(self, features: np.ndarray) -> np.ndarray:
-        """Map summed per-layer head features (tokens, heads*head_dim) to a field."""
-        flat = features.reshape(-1)
-        if flat.shape[0] != self.fan_in:
+    def head_columns(self, start: int, stop: int) -> np.ndarray:
+        """Weight columns of heads ``start .. stop - 1``: a view, contiguous per row."""
+        return self.weight[:, start * self.head_width:stop * self.head_width]
+
+    def field(self, preactivation: np.ndarray) -> np.ndarray:
+        """The velocity field for a pre-activation ``W f + b``."""
+        return np.tanh(preactivation).reshape(self.velocity_shape)
+
+    def project(self, features: np.ndarray,
+                preactivation: np.ndarray | None = None) -> np.ndarray:
+        """Map summed per-layer head features (tokens, heads*head_dim) to a field.
+
+        When ``preactivation`` is given, ``W f + b`` is also written into it.
+        """
+        if features.ndim != 2 or features.size != self.fan_in or features.shape[1] % self.heads:
             raise ShapeMismatch(
-                f"feature vector has {flat.shape[0]} entries, projection expects {self.fan_in}"
+                f"features of shape {features.shape} do not fit a projection of fan-in "
+                f"{self.fan_in} over {self.heads} heads"
             )
-        return np.tanh(self.weight @ flat + self.bias).reshape(self.velocity_shape)
+        head_major = features.reshape(features.shape[0], self.heads, -1).swapaxes(0, 1)
+        pre = np.matmul(self.weight, head_major.reshape(-1), out=preactivation)
+        pre += self.bias
+        return self.field(pre)
 
     def lipschitz_bound(self, iterations: int = 60) -> float:
         """Upper bound on the map's Lipschitz constant: ||W||_2 (tanh is 1-Lipschitz)."""
@@ -119,21 +165,25 @@ class SurrogateModel:
 class ForwardPipeline:
     """Dense/sparse forwards of a trace through the surrogate, with a dense cache.
 
-    Dense results are cached per step (write-once per key; concurrent writers
-    recompute identical values).  Sparse forwards start from the cached dense
-    features and replace only the sparsified heads, so sparsifying a single
-    head costs one masked attention plus the projection.
+    Dense results are cached per step: the field, the pre-activation
+    ``W f + b`` and every head's attention output.  Sparse and perturbed
+    forwards are exact increments on that cache: each changed head's output
+    differences are summed over layers and projected through the weight
+    columns of the changed heads only, then tanh is applied once.  Heads
+    whose mask keeps every block are skipped, so an all-full forward returns
+    the dense field bit for bit.
     """
 
     def __init__(self, trace: DenoiseTrace, model: SurrogateModel | None = None):
         self.trace = trace
         self.model = model if model is not None else SurrogateModel.from_config(trace.config)
-        if self.model.fan_in != trace.config.feature_count:
-            raise ShapeMismatch("surrogate fan-in does not match the trace config")
-        self.grid = trace.config.grid
+        c = trace.config
+        if self.model.fan_in != c.feature_count or self.model.heads != c.heads:
+            raise ShapeMismatch("surrogate fan-in or head count does not match the trace config")
+        self.grid = c.grid
         self.last_dense_cached = False
         self._fields: dict[int, np.ndarray] = {}
-        self._features: dict[int, np.ndarray] = {}
+        self._pre: dict[int, np.ndarray] = {}
         self._head_out: dict[tuple[int, int, int], np.ndarray] = {}
 
     def _check_head(self, layer: int, head: int) -> None:
@@ -143,18 +193,33 @@ class ForwardPipeline:
 
     def _compute_dense(self, step: int) -> None:
         c = self.trace.config
+        qkv = self.trace.data[step].astype(np.float64)
         features = np.zeros((c.tokens, c.heads * c.head_dim), dtype=np.float64)
         for layer in range(c.layers):
             for head in range(c.heads):
-                out = masked_attention(
-                    self.trace.q(step, layer, head),
-                    self.trace.k(step, layer, head),
-                    self.trace.v(step, layer, head),
-                )
+                out = masked_attention(*qkv[layer, head])
                 self._head_out[(step, layer, head)] = out
                 features[:, head * c.head_dim:(head + 1) * c.head_dim] += out
-        self._features[step] = features
-        self._fields[step] = self.model.project(features)
+        pre = np.empty_like(self.model.bias)
+        self._fields[step] = self.model.project(features, preactivation=pre)
+        self._pre[step] = pre
+
+    def _incremental_field(self, step: int, change: np.ndarray, heads: set[int]) -> np.ndarray:
+        """Dense pre-activation plus the output change of ``heads``, through tanh.
+
+        ``change`` is (heads, tokens, head_dim): each head's output change
+        summed over layers.  Only the weight columns spanning the changed
+        heads are read; with none changed this is the dense field bitwise.
+        """
+        pre = self._pre[step].copy()
+        if heads:
+            start, stop = min(heads), max(heads) + 1
+            pre += self.model.head_columns(start, stop) @ change[start:stop].reshape(-1)
+        return self.model.field(pre)
+
+    def _head_changes(self) -> np.ndarray:
+        c = self.trace.config
+        return np.zeros((c.heads, c.tokens, c.head_dim))
 
     def dense_forward(self, step: int) -> np.ndarray:
         self.trace.check_step(step)
@@ -181,11 +246,11 @@ class ForwardPipeline:
         """Forward with the listed heads masked; heads absent (or None) stay dense."""
         self.trace.check_step(step)
         self.dense_forward(step)
-        c = self.trace.config
-        features = self._features[step].copy()
+        change = self._head_changes()
+        changed: set[int] = set()
         for (layer, head), mask in masks.items():
             self._check_head(layer, head)
-            if mask is None:
+            if mask is None or (mask.size == self.grid.total_blocks and mask.retained.all()):
                 continue
             allow = expand_block_mask(mask, self.grid)
             out = masked_attention(
@@ -194,9 +259,9 @@ class ForwardPipeline:
                 self.trace.v(step, layer, head),
                 allow=allow,
             )
-            cols = slice(head * c.head_dim, (head + 1) * c.head_dim)
-            features[:, cols] += out - self._head_out[(step, layer, head)]
-        return self.model.project(features)
+            change[head] += out - self._head_out[(step, layer, head)]
+            changed.add(head)
+        return self._incremental_field(step, change, changed)
 
     def perturbed_forward(self, step: int,
                           deltas: Mapping[tuple[int, int], np.ndarray]) -> np.ndarray:
@@ -204,7 +269,7 @@ class ForwardPipeline:
         self.trace.check_step(step)
         self.dense_forward(step)
         c = self.trace.config
-        features = self._features[step].copy()
+        change = self._head_changes()
         for (layer, head), delta in deltas.items():
             self._check_head(layer, head)
             if delta.shape != (c.tokens, c.head_dim):
@@ -212,9 +277,8 @@ class ForwardPipeline:
                     f"perturbation for head ({layer}, {head}) must be "
                     f"({c.tokens}, {c.head_dim}), got {delta.shape}"
                 )
-            cols = slice(head * c.head_dim, (head + 1) * c.head_dim)
-            features[:, cols] += delta
-        return self.model.project(features)
+            change[head] += delta
+        return self._incremental_field(step, change, {head for _, head in deltas})
 
     def scores(self, step: int, layer: int, head: int) -> BlockScores:
         self.trace.check_step(step)

@@ -29,6 +29,11 @@ _HEAD_STREAM = 101
 _NOISE_STREAM = 202
 _MODEL_STREAM = 303
 
+# Largest surrogate projection (velocity values x fan-in) a config may name:
+# 2**28 float64 weights is 2 GiB.  Checked before anything is allocated, so a
+# header naming a huge field fails cleanly instead of exhausting memory.
+MAX_PROJECTION_ELEMENTS = 2 ** 28
+
 
 def _f32(x: float) -> float:
     # Range floats round-trip through the f32 header fields; normalize up front
@@ -71,6 +76,13 @@ class TraceConfig:
             raise ConfigError(f"scale range must satisfy 0 < lo <= hi, got {self.scale_range}")
         if len(self.velocity_shape) != 3 or any(v <= 0 for v in self.velocity_shape):
             raise ConfigError(f"velocity shape must be three positive counts, got {self.velocity_shape}")
+        weights = math.prod(self.velocity_shape) * self.feature_count
+        if weights > MAX_PROJECTION_ELEMENTS:
+            raise ConfigError(
+                f"surrogate projection needs {weights} weights "
+                f"(velocity values x tokens x heads x head_dim); the limit is "
+                f"{MAX_PROJECTION_ELEMENTS}"
+            )
         if not (0 <= self.seed < 2 ** 64):
             raise ConfigError("seed must fit in an unsigned 64-bit integer")
 
@@ -192,6 +204,14 @@ def read_trace(path: str | os.PathLike) -> DenoiseTrace:
     layers, heads, tokens, head_dim, steps, block_size, vt, vh, vw = fields[2:11]
     kmin, kmax, smin, smax = fields[11:15]
     seed = fields[15]
+    shape = (steps, layers, heads, 3, tokens, head_dim)
+    # Python ints: a numpy product of header counts wraps at 2**64.
+    expected = math.prod(shape) * 4
+    payload = raw[_HEADER.size:]
+    if len(payload) != expected:
+        raise TraceFormatError(
+            f"{path}: payload is {len(payload)} bytes, expected {expected}"
+        )
     try:
         config = TraceConfig(
             layers=layers,
@@ -207,14 +227,6 @@ def read_trace(path: str | os.PathLike) -> DenoiseTrace:
         )
     except ConfigError as exc:
         raise TraceFormatError(f"{path}: invalid header config: {exc}") from exc
-    shape = (steps, layers, heads, 3, tokens, head_dim)
-    # Python ints: a numpy product of header counts wraps at 2**64.
-    expected = math.prod(shape) * 4
-    payload = raw[_HEADER.size:]
-    if len(payload) != expected:
-        raise TraceFormatError(
-            f"{path}: payload is {len(payload)} bytes, expected {expected}"
-        )
     data = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
     kappa, scale = head_parameters(config)
     return DenoiseTrace(config=config, data=data, kappa=kappa, scale=scale)

@@ -269,15 +269,6 @@ class TestBuildProblem:
         with pytest.raises(DomainError):
             build_problem(measured_pipeline, [0.9, 0.9], intervals=2, budget=0.0)
 
-    def test_threaded_matches_serial(self, measured_pipeline, monkeypatch):
-        serial = build_problem(measured_pipeline, [0.9, 0.95], intervals=2,
-                               budget=0.0, seed=5)
-        monkeypatch.setenv("SATOOL_THREADS", "4")
-        threaded = build_problem(measured_pipeline, [0.9, 0.95], intervals=2,
-                                 budget=0.0, seed=5)
-        np.testing.assert_array_equal(serial.error, threaded.error)
-        np.testing.assert_array_equal(serial.sparsity, threaded.sparsity)
-
     def test_per_head_seeds_changes_measurements(self, measured_pipeline):
         shared = build_problem(measured_pipeline, [0.9], intervals=2, budget=0.0, seed=5)
         per_head = build_problem(measured_pipeline, [0.9], intervals=2, budget=0.0,

@@ -279,6 +279,21 @@ class TestRun:
         for fname in ("run.csv", "summary.json"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
+    def test_seed_option_removed(self, trace_dir, tmp_path, runner):
+        result = runner.invoke(main, [
+            "run", "--trace", str(trace_dir / "trace.satr"), "--out", str(tmp_path / "r"),
+            "--seed", "1",
+        ])
+        assert result.exit_code == 2
+        assert "No such option" in result.output
+
+    def test_manifest_has_no_seed(self, trace_dir, tmp_path, runner):
+        out = tmp_path / "rm"
+        assert runner.invoke(main, [
+            "run", "--trace", str(trace_dir / "trace.satr"), "--out", str(out),
+        ]).exit_code == 0
+        assert "seed" not in json.loads((out / "manifest.json").read_text())["config"]
+
     def test_malformed_table_rejected(self, trace_dir, tmp_path, runner):
         bad = tmp_path / "table.json"
         bad.write_text("{\"heads\": [{\"layer\": 0}]}")
@@ -288,6 +303,35 @@ class TestRun:
         ])
         assert result.exit_code == 1
         assert "error:domain:" in result.output
+
+
+class TestOversizedProjection:
+    @pytest.fixture()
+    def huge_field_trace(self, tmp_path):
+        # One tiny head with a valid 12-byte payload, but a 65535^3 velocity
+        # field: the surrogate weight alone would need 2 PB.
+        path = tmp_path / "huge_field.satr"
+        header = _HEADER.pack(TRACE_MAGIC, TRACE_VERSION, 1, 1, 1, 1, 1, 1,
+                              65535, 65535, 65535, 0.2, 0.9, 0.8, 2.0, 0)
+        path.write_bytes(header + np.zeros(3, dtype="<f4").tobytes())
+        return path
+
+    @pytest.mark.parametrize("command", ["calibrate", "run", "analyze", "perturb"])
+    def test_fails_cleanly_before_allocating(self, huge_field_trace, tmp_path, runner, command):
+        result = runner.invoke(main, [command, "--trace", str(huge_field_trace),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith("error:trace-format:")
+        assert "surrogate projection" in result.output
+        assert "Traceback" not in result.output
+        assert not (tmp_path / "out").exists()
+
+    def test_gen_trace_rejects_oversized_field(self, tmp_path, runner):
+        result = runner.invoke(main, gen_args(tmp_path / "big", velocity_shape="1024,1024,1024"))
+        assert result.exit_code == 1
+        assert result.output.startswith("error:config:")
+        assert "Traceback" not in result.output
 
 
 class TestPerturb:

@@ -1,0 +1,196 @@
+"""Head-major surrogate weight and the incremental sparse/perturbed forwards.
+
+The references below are the full-projection forwards: rebuild the dense
+token-major features from the per-head outputs, add each masked head's output
+change (or perturbation) in its columns, and project through the token-major
+weight recovered from the head-major layout.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from satool.blocksparse import BlockMask, full_mask
+from satool.errors import ShapeMismatch
+from satool.surrogate import ForwardPipeline, SurrogateModel, expand_block_mask, masked_attention
+from satool.trace import _MODEL_STREAM, TraceConfig, generate_trace
+
+# Three layers share every head index; 4x4 = 16 blocks per mask.
+CONFIG = TraceConfig(layers=3, heads=3, tokens=8, head_dim=2, steps=4, block_size=2,
+                     velocity_shape=(4, 2, 2), seed=21)
+BLOCKS = CONFIG.grid.total_blocks
+
+# tanh fields lie in (-1, 1); reassociating the fan-in sums moves them by a
+# few ulps of the O(1) pre-activation, so entries near zero need an atol.
+RTOL, ATOL = 1e-12, 1e-14
+
+
+@pytest.fixture(scope="module")
+def pipeline():
+    return ForwardPipeline(generate_trace(CONFIG))
+
+
+def token_major_weight(model: SurrogateModel, config: TraceConfig) -> np.ndarray:
+    out = model.weight.shape[0]
+    return (model.weight.reshape(out, config.heads, config.tokens, config.head_dim)
+            .transpose(0, 2, 1, 3).reshape(out, -1))
+
+
+def reference_from_features(pipe: ForwardPipeline, step: int, edit) -> np.ndarray:
+    c = pipe.trace.config
+    features = np.zeros((c.tokens, c.heads * c.head_dim))
+    for layer in range(c.layers):
+        for head in range(c.heads):
+            features[:, head * c.head_dim:(head + 1) * c.head_dim] += (
+                pipe.dense_head_output(step, layer, head)
+            )
+    edit(features)
+    weight = token_major_weight(pipe.model, c)
+    return np.tanh(weight @ features.reshape(-1) + pipe.model.bias).reshape(c.velocity_shape)
+
+
+def reference_sparse(pipe: ForwardPipeline, step: int, masks) -> np.ndarray:
+    c = pipe.trace.config
+
+    def edit(features):
+        for (layer, head), mask in masks.items():
+            if mask is None:
+                continue
+            out = masked_attention(
+                pipe.trace.q(step, layer, head), pipe.trace.k(step, layer, head),
+                pipe.trace.v(step, layer, head), allow=expand_block_mask(mask, pipe.grid),
+            )
+            cols = slice(head * c.head_dim, (head + 1) * c.head_dim)
+            features[:, cols] += out - pipe.dense_head_output(step, layer, head)
+
+    return reference_from_features(pipe, step, edit)
+
+
+def reference_perturbed(pipe: ForwardPipeline, step: int, deltas) -> np.ndarray:
+    c = pipe.trace.config
+
+    def edit(features):
+        for (layer, head), delta in deltas.items():
+            features[:, head * c.head_dim:(head + 1) * c.head_dim] += delta
+
+    return reference_from_features(pipe, step, edit)
+
+
+class TestHeadMajorWeight:
+    @pytest.mark.parametrize("config", [
+        CONFIG,
+        TraceConfig(layers=1, heads=5, tokens=6, head_dim=3, steps=1, block_size=3,
+                    velocity_shape=(3, 2, 2), seed=2 ** 40 + 9),
+    ])
+    def test_weight_is_the_token_major_draw_permuted(self, config):
+        model = SurrogateModel.from_config(config)
+        fan_in = config.feature_count
+        out = math.prod(config.velocity_shape)
+        rng = np.random.default_rng(np.random.SeedSequence([config.seed, _MODEL_STREAM]))
+        drawn = rng.standard_normal((out, fan_in)) / math.sqrt(fan_in)
+        bias = rng.standard_normal(out)
+        head_major = (drawn.reshape(out, config.tokens, config.heads, config.head_dim)
+                      .transpose(0, 2, 1, 3).reshape(out, fan_in))
+        np.testing.assert_array_equal(model.weight, head_major)
+        np.testing.assert_array_equal(model.bias, bias)
+        assert model.weight.flags.c_contiguous
+
+    def test_head_columns_are_a_view_of_those_heads(self, pipeline):
+        model = pipeline.model
+        width = CONFIG.tokens * CONFIG.head_dim
+        block = model.head_columns(1, 3)
+        assert block.shape == (model.weight.shape[0], 2 * width)
+        assert np.shares_memory(block, model.weight)
+        np.testing.assert_array_equal(block, model.weight[:, width:3 * width])
+
+    def test_project_matches_token_major_weight(self, pipeline, rng):
+        model = pipeline.model
+        weight = token_major_weight(model, CONFIG)
+        features = rng.standard_normal((CONFIG.tokens, CONFIG.heads * CONFIG.head_dim))
+        expected = np.tanh(weight @ features.reshape(-1) + model.bias)
+        pre = np.empty_like(model.bias)
+        field = model.project(features, preactivation=pre)
+        np.testing.assert_allclose(field.reshape(-1), expected, rtol=RTOL, atol=ATOL)
+        np.testing.assert_array_equal(np.tanh(pre).reshape(CONFIG.velocity_shape), field)
+
+    def test_project_rejects_wrong_feature_shape(self, pipeline):
+        with pytest.raises(ShapeMismatch):
+            pipeline.model.project(np.zeros(CONFIG.feature_count))
+        with pytest.raises(ShapeMismatch):
+            pipeline.model.project(np.zeros((CONFIG.tokens, CONFIG.heads * CONFIG.head_dim + 1)))
+
+    def test_pipeline_rejects_model_with_other_head_split(self):
+        trace = generate_trace(CONFIG)
+        model = SurrogateModel.from_config(CONFIG)
+        other = SurrogateModel(model.weight, model.bias, CONFIG.velocity_shape, heads=1)
+        with pytest.raises(ShapeMismatch):
+            ForwardPipeline(trace, other)
+
+
+def mask_strategy():
+    bits = st.lists(st.booleans(), min_size=BLOCKS, max_size=BLOCKS).map(
+        lambda b: BlockMask(np.array(b, dtype=bool))
+    )
+    return st.one_of(
+        st.just("absent"), st.none(), bits,
+        st.just(BlockMask(np.ones(BLOCKS, dtype=bool))),
+        st.just(BlockMask(np.zeros(BLOCKS, dtype=bool))),
+    )
+
+
+HEADS = [(layer, head) for layer in range(CONFIG.layers) for head in range(CONFIG.heads)]
+
+
+class TestIncrementalForward:
+    @settings(max_examples=60, deadline=None)
+    @given(step=st.integers(0, CONFIG.steps - 1),
+           choices=st.lists(mask_strategy(), min_size=len(HEADS), max_size=len(HEADS)))
+    def test_sparse_matches_full_projection(self, pipeline, step, choices):
+        masks = {key: mask for key, mask in zip(HEADS, choices) if not isinstance(mask, str)}
+        np.testing.assert_allclose(pipeline.sparse_forward(step, masks),
+                                   reference_sparse(pipeline, step, masks),
+                                   rtol=RTOL, atol=ATOL)
+
+    @settings(max_examples=60, deadline=None)
+    @given(step=st.integers(0, CONFIG.steps - 1),
+           keys=st.lists(st.sampled_from(HEADS), unique=True, max_size=len(HEADS)),
+           seed=st.integers(0, 2 ** 32 - 1),
+           amplitude=st.sampled_from([0.0, 1e-3, 1.0]))
+    def test_perturbed_matches_full_projection(self, pipeline, step, keys, seed, amplitude):
+        rng = np.random.default_rng(seed)
+        deltas = {key: amplitude * rng.standard_normal((CONFIG.tokens, CONFIG.head_dim))
+                  for key in keys}
+        before = {key: delta.copy() for key, delta in deltas.items()}
+        np.testing.assert_allclose(pipeline.perturbed_forward(step, deltas),
+                                   reference_perturbed(pipeline, step, deltas),
+                                   rtol=RTOL, atol=ATOL)
+        for key in keys:
+            np.testing.assert_array_equal(deltas[key], before[key])
+
+    def test_full_none_and_absent_masks_equal_dense_bitwise(self, pipeline):
+        masks = {key: (full_mask(CONFIG.grid) if i % 2 else None)
+                 for i, key in enumerate(HEADS[:-2])}
+        for step in range(CONFIG.steps):
+            field = pipeline.sparse_forward(step, masks)
+            np.testing.assert_array_equal(field, pipeline.dense_forward(step))
+            assert field is not pipeline.dense_forward(step)
+
+    def test_empty_mask_changes_field(self, pipeline):
+        empty = BlockMask(np.zeros(BLOCKS, dtype=bool))
+        field = pipeline.sparse_forward(1, {(0, 1): empty, (2, 1): empty})
+        assert float(np.abs(field - pipeline.dense_forward(1)).max()) > 0
+
+    def test_full_mask_of_wrong_size_rejected(self, pipeline):
+        with pytest.raises(ShapeMismatch):
+            pipeline.sparse_forward(0, {(0, 0): BlockMask(np.ones(BLOCKS + 1, dtype=bool))})
+
+    def test_dense_uses_one_float64_copy_per_step(self, pipeline):
+        # Dense head outputs equal attention on the per-head float64 copies.
+        for layer, head in HEADS:
+            expected = masked_attention(pipeline.trace.q(2, layer, head),
+                                        pipeline.trace.k(2, layer, head),
+                                        pipeline.trace.v(2, layer, head))
+            np.testing.assert_array_equal(pipeline.dense_head_output(2, layer, head), expected)

@@ -9,6 +9,7 @@ from satool.errors import ConfigError, DomainError, ShapeMismatch, TraceFormatEr
 from satool.surrogate import ForwardPipeline, SurrogateModel, masked_attention
 from satool.trace import (
     _HEADER,
+    MAX_PROJECTION_ELEMENTS,
     TRACE_MAGIC,
     TRACE_VERSION,
     TraceConfig,
@@ -26,6 +27,16 @@ def mean_adjacent_l1(trace):
 
 
 class TestConfig:
+    def test_projection_size_cap(self):
+        small = dict(layers=1, heads=1, tokens=1, head_dim=1, block_size=1)
+        at_cap = TraceConfig(**small, velocity_shape=(2 ** 10, 2 ** 9, 2 ** 9))
+        assert math.prod(at_cap.velocity_shape) * at_cap.feature_count == MAX_PROJECTION_ELEMENTS
+        with pytest.raises(ConfigError, match="surrogate projection"):
+            TraceConfig(**small, velocity_shape=(2 ** 10, 2 ** 9, 2 ** 9 + 1))
+        with pytest.raises(ConfigError, match="surrogate projection"):
+            TraceConfig(layers=1, heads=2 ** 16, tokens=2 ** 16, head_dim=1, block_size=1,
+                        velocity_shape=(1, 1, 1))
+
     def test_rejects_indivisible_tokens(self):
         with pytest.raises(ConfigError):
             TraceConfig(tokens=30, block_size=7)
