@@ -24,7 +24,7 @@ from .blocksparse import (
 )
 from .errors import DomainError
 from .reuse import full_token_drift, mean_pool_drift
-from .surrogate import attention_probs
+from .surrogate import PROB_CHUNK_ELEMENTS, attention_probs
 from .trace import DenoiseTrace
 
 
@@ -43,12 +43,6 @@ class PairSample:
     changed_ratio: float
 
 
-# Cap on the float64 N x N attention-probability elements handled at once:
-# token-level row masks are computed for as many whole steps as fit (at
-# least one), so the working set stays flat as the step count grows.
-PROB_CHUNK_ELEMENTS = 1 << 17
-
-
 def _mean_row_iou(masks_a: np.ndarray, masks_b: np.ndarray) -> float:
     inter = np.logical_and(masks_a, masks_b).sum(axis=1)
     union = np.logical_or(masks_a, masks_b).sum(axis=1)
@@ -57,7 +51,12 @@ def _mean_row_iou(masks_a: np.ndarray, masks_b: np.ndarray) -> float:
 
 
 def _token_ious(q: np.ndarray, k: np.ndarray, p: float) -> list[float]:
-    """Row-averaged token-mask IoU of each adjacent step pair of one head."""
+    """Row-averaged token-mask IoU of each adjacent step pair of one head.
+
+    Row masks are computed for as many whole steps as PROB_CHUNK_ELEMENTS
+    attention probabilities allow (at least one), so the working set stays
+    flat as the step count grows.
+    """
     chunk = max(1, PROB_CHUNK_ELEMENTS // (q.shape[1] * q.shape[1]))
     ious: list[float] = []
     prev = None

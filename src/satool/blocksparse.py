@@ -134,13 +134,15 @@ def block_scores(q: np.ndarray, k: np.ndarray, grid: BlockGrid) -> BlockScores:
     return BlockScores(values=block_score_values(q, k, grid), normalized=True)
 
 
-def cumulative_prefix_mask(values: np.ndarray, threshold: float) -> np.ndarray:
+def cumulative_prefix_mask(values: np.ndarray, threshold: float | np.ndarray) -> np.ndarray:
     """Boolean mask of the minimal descending-value prefix with mass >= threshold.
 
     An entry is kept iff the cumulative mass strictly before it (in descending
     order, ties broken by ascending index) is below the threshold.  Rows along
     the last axis are selected independently; leading axes are batch axes.
-    Values must be finite and nonnegative (probabilities or scores).
+    ``threshold`` is a scalar or an array broadcast against the leading axes
+    (one threshold per row).  Values must be finite and nonnegative
+    (probabilities or scores).
 
     The descending value sequence does not depend on how ties are ordered, so
     a plain sort gives the same cumulative sums as an index-stable argsort.
@@ -149,15 +151,18 @@ def cumulative_prefix_mask(values: np.ndarray, threshold: float) -> np.ndarray:
     ``count`` plus, among the values equal to it, the lowest indices.
     """
     arr = np.asarray(values, dtype=np.float64)
+    limit = np.asarray(threshold, dtype=np.float64)[..., None]
     # The mass before the first entry is exactly 0, so only a threshold
     # <= 0 (or NaN) keeps nothing.
-    if not threshold > 0 or arr.size == 0:
-        return np.zeros(arr.shape, dtype=bool)
+    if arr.size == 0 or not (limit > 0).any():
+        return np.zeros(np.broadcast_shapes(arr.shape, limit.shape), dtype=bool)
     desc = np.sort(arr, axis=-1)[..., ::-1]
     before = np.cumsum(desc, axis=-1)
     before -= desc
-    count = (before < threshold).sum(axis=-1, keepdims=True)
-    cut = np.take_along_axis(desc, count - 1, axis=-1)
+    count = (before < limit).sum(axis=-1, keepdims=True)
+    # A row with count 0 cuts at its largest value; the tie pass below then
+    # has no room for it and keeps nothing.
+    cut = np.take_along_axis(desc, np.maximum(count - 1, 0), axis=-1)
     keep = arr >= cut
     over = (keep.sum(axis=-1, keepdims=True) > count)[..., 0]
     if over.any():

@@ -120,9 +120,23 @@ class CalibrationTable:
         return tuple(s.index for s in self.selections)
 
     def tau_grid(self, layers: int, heads: int) -> np.ndarray:
+        """Per-head thresholds as a (layers, heads) array.
+
+        The selections must name every (layer, head) of that shape exactly
+        once; anything else raises ShapeMismatch.
+        """
         grid = np.empty((layers, heads))
+        seen = np.zeros((layers, heads), dtype=bool)
         for s in self.selections:
+            if not (0 <= s.layer < layers and 0 <= s.head < heads):
+                raise ShapeMismatch(f"table head ({s.layer}, {s.head}) outside {layers}x{heads}")
+            if seen[s.layer, s.head]:
+                raise ShapeMismatch(f"table lists head ({s.layer}, {s.head}) more than once")
+            seen[s.layer, s.head] = True
             grid[s.layer, s.head] = s.tau
+        if not seen.all():
+            layer, head = np.argwhere(~seen)[0].tolist()
+            raise ShapeMismatch(f"table has no entry for head ({layer}, {head})")
         return grid
 
     def to_json_dict(self) -> dict:
@@ -155,38 +169,43 @@ def table_from_json_dict(payload: dict) -> CalibrationTable:
     )
 
 
-def measure_head(pipeline: ForwardPipeline, layer: int, head: int, tau: float,
+def measure_head(pipeline: ForwardPipeline, layer: int, head: int, taus,
                  steps, weights: BandWeights | None = None,
                  partition: BandPartition | None = None,
-                 objective: str = "fft") -> OperatingPoint:
-    """Measure one head at one threshold over the sampled steps.
+                 objective: str = "fft") -> list[OperatingPoint]:
+    """Measure one head at each candidate threshold over the sampled steps.
 
-    Requires the dense outputs for every step to be cached already; each step
-    costs a single masked attention for this head plus one projection.
+    Requires the dense outputs for every step to be cached already.  Each
+    step scores the head's blocks once; every threshold selects from those
+    scores and costs one masked attention for this head plus one projection.
+    Returns one operating point per threshold, in ``taus`` order.
     """
+    taus = [float(t) for t in taus]
     steps = list(steps)
     pipeline.require_dense(steps)
     if objective not in ("fft", "mse"):
         raise DomainError(f"objective must be 'fft' or 'mse', got {objective!r}")
     if partition is None:
         partition = band_partition(pipeline.trace.config.velocity_shape)
-    errors = []
-    sparsities = []
+    errors: list[list[float]] = [[] for _ in taus]
+    sparsities: list[list[float]] = [[] for _ in taus]
     for step in steps:
-        mask = top_p_select(pipeline.scores(step, layer, head), tau, step=step)
+        scores = pipeline.scores(step, layer, head)
         dense = pipeline.dense_forward(step)
-        sparse = pipeline.sparse_forward(step, {(layer, head): mask})
-        residual = sparse - dense
-        if objective == "fft":
-            errors.append(weighted_error(band_energy_ratios(residual, dense, partition), weights))
-        else:
-            errors.append(float(np.mean(residual ** 2)))
-        sparsities.append(realized_sparsity(mask))
-    return OperatingPoint(
-        tau=float(tau),
-        sparsity=float(np.mean(sparsities)),
-        error=float(np.mean(errors)),
-    )
+        for j, tau in enumerate(taus):
+            mask = top_p_select(scores, tau, step=step)
+            residual = pipeline.sparse_forward(step, {(layer, head): mask}) - dense
+            if objective == "fft":
+                errors[j].append(
+                    weighted_error(band_energy_ratios(residual, dense, partition), weights)
+                )
+            else:
+                errors[j].append(float(np.mean(residual ** 2)))
+            sparsities[j].append(realized_sparsity(mask))
+    return [
+        OperatingPoint(tau=tau, sparsity=float(np.mean(s)), error=float(np.mean(e)))
+        for tau, s, e in zip(taus, sparsities, errors)
+    ]
 
 
 def build_problem(pipeline: ForwardPipeline, taus, intervals: int, budget: float,
@@ -218,11 +237,10 @@ def build_problem(pipeline: ForwardPipeline, taus, intervals: int, budget: float
                 head_pipe.precompute_dense(steps)
             else:
                 head_pipe = pipeline
-            for k, tau in enumerate(taus):
-                point = measure_head(head_pipe, layer, head, tau, steps, weights,
-                                     partition, objective)
-                sparsity[layer, head, k] = point.sparsity
-                error[layer, head, k] = point.error
+            points = measure_head(head_pipe, layer, head, taus, steps, weights,
+                                  partition, objective)
+            sparsity[layer, head] = [point.sparsity for point in points]
+            error[layer, head] = [point.error for point in points]
     return CalibrationProblem(taus=np.array(taus), sparsity=sparsity, error=error, budget=float(budget))
 
 

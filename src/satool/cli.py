@@ -25,7 +25,7 @@ from .calibration import (
     solve_budgeted_assignment,
     table_from_json_dict,
 )
-from .errors import DomainError, ShapeMismatch, ToolkitError
+from .errors import DomainError, ToolkitError
 from .reuse import DEFAULT_GATE, cache_footprint, simulate
 from .runio import write_csv, write_json, write_manifest
 from .spectral import BandWeights, perturbation_study
@@ -275,10 +275,6 @@ def cmd_run(trace_path, out, table_path, tau, delta, gate_lo, gate_hi, no_gate,
             table = table_from_json_dict(payload)
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"invalid calibration table {table_path}: {exc}") from exc
-        if len(table.selections) != cfg.layers * cfg.heads:
-            raise ShapeMismatch(
-                f"table covers {len(table.selections)} heads, trace has {cfg.layers * cfg.heads}"
-            )
         taus = table.tau_grid(cfg.layers, cfg.heads)
     else:
         taus = np.full((cfg.layers, cfg.heads), tau)
@@ -308,6 +304,7 @@ def cmd_run(trace_path, out, table_path, tau, delta, gate_lo, gate_hi, no_gate,
         "reuse_rate": result.reuse_rate,
         "mean_realized_sparsity": result.mean_sparsity,
         "mask_predictions": result.predictions,
+        "gate_forced": result.gate_forced,
         "mean_velocity_rel_l2": result.mean_velocity_rel_l2,
         "heads": head_rows,
     })

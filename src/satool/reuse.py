@@ -15,7 +15,13 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .blocksparse import BlockMask, changed_block_ratio, realized_sparsity, top_p_select
+from .blocksparse import (
+    BlockMask,
+    block_score_values,
+    check_tau,
+    cumulative_prefix_mask,
+    top_p_select,  # noqa: F401  -- re-exported; perfbench's smoke test rebinds it here
+)
 from .errors import ConfigError, DomainError, ShapeMismatch, StateError
 
 COLD_START = "cold_start"
@@ -210,6 +216,7 @@ class RunResult:
     mean_velocity_rel_l2: float
     cache: DriftCache
     taus: np.ndarray
+    gate_forced: int
 
 
 def simulate(pipeline, taus: np.ndarray, delta: float,
@@ -223,6 +230,12 @@ def simulate(pipeline, taus: np.ndarray, delta: float,
     whole layer to reuse or refresh.  ``normalized_delta`` compares the
     threshold against drift averaged per feature dimension (drift / (2 * D)),
     a non-default variant for cross-config comparability.
+
+    Each step makes one float64 copy of every head's Q and K; each layer then
+    takes one pass over its heads as arrays: pooled drift against the
+    anchors, one gate call, and block scores plus top-p selection for the
+    refreshing heads together.  Decisions, masks and drifts are bitwise those
+    of scoring and selecting each head on its own.
     """
     cfg = pipeline.trace.config
     taus = np.asarray(taus, dtype=np.float64)
@@ -230,75 +243,88 @@ def simulate(pipeline, taus: np.ndarray, delta: float,
         raise ShapeMismatch(
             f"per-head thresholds must have shape ({cfg.layers}, {cfg.heads}), got {taus.shape}"
         )
+    for tau in taus.flat:
+        check_tau(float(tau))
     if delta < 0:
         raise DomainError(f"reuse threshold must be >= 0, got {delta}")
     if gate is not None and not (0.0 <= gate[0] <= gate[1] <= 1.0):
         raise DomainError(f"gate bounds must satisfy 0 <= lo <= hi <= 1, got {gate}")
     scale = 1.0 / (2.0 * cfg.head_dim) if normalized_delta else 1.0
-    cache = DriftCache()
-    last_used: dict[tuple[int, int], BlockMask] = {}
+    grid = cfg.grid
+    blocks = grid.total_blocks
+    shape = (cfg.layers, cfg.heads)
+    # Anchor state per head: step (-1 while cold), pooled Q/K, retained blocks.
+    anchor_step = np.full(shape, -1)
+    anchor_pooled = np.zeros(shape + (2, cfg.head_dim))
+    anchor_keep = np.zeros(shape + (blocks,), dtype=bool)
+    anchor_mask: list[list[BlockMask | None]] = [[None] * cfg.heads for _ in range(cfg.layers)]
     records: list[StepRecord] = []
     predictions = 0
-    reuse_count = 0
+    gate_forced = 0
     velocity_errors: list[float] = []
     for step in range(cfg.steps):
-        step_masks: dict[tuple[int, int], BlockMask] = {}
+        qk = pipeline.trace.data[step, :, :, :2].astype(np.float64)
+        pooled = qk.mean(axis=-2)
         for layer in range(cfg.layers):
-            pooled = {}
-            proposals = []
-            for head in range(cfg.heads):
-                q_mean, k_mean = pipeline.pooled(step, layer, head)
-                pooled[head] = (q_mean, k_mean)
-                entry = cache.get((layer, head))
-                if entry is None:
-                    proposals.append((True, None))
-                else:
-                    drift = mean_pool_drift(entry.q_mean, q_mean, entry.k_mean, k_mean)
-                    proposals.append((drift * scale > delta, drift))
-            flags = [want for want, _ in proposals]
+            cold = anchor_step[layer] < 0
+            drift = np.abs(anchor_pooled[layer] - pooled[layer]).sum(axis=-1)
+            drift = drift[:, 0] + drift[:, 1]
+            proposed = cold | (drift * scale > delta)
+            refresh = proposed
             if gate is not None:
-                flags = layer_gate(flags, gate[0], gate[1])
-            for head in range(cfg.heads):
-                refresh, drift = flags[head], proposals[head][1]
-                entry = cache.get((layer, head))
-                if entry is None and not refresh:
-                    raise StateError(f"gate forced reuse on cold head ({layer}, {head})")
-                if refresh:
-                    mask = top_p_select(
-                        pipeline.scores(step, layer, head), float(taus[layer, head]), step=step
+                refresh = np.array(layer_gate(proposed, gate[0], gate[1]))
+                gate_forced += int((refresh != proposed).sum())
+            forced_cold = np.flatnonzero(cold & ~refresh)
+            if forced_cold.size:
+                raise StateError(f"gate forced reuse on cold head ({layer}, {forced_cold[0]})")
+            fresh = np.flatnonzero(refresh)
+            changed = np.zeros(cfg.heads)
+            if fresh.size:
+                scores = block_score_values(qk[layer, fresh, 0], qk[layer, fresh, 1], grid)
+                keep = cumulative_prefix_mask(scores, taus[layer, fresh])
+                changed[fresh] = np.logical_xor(anchor_keep[layer, fresh], keep).sum(axis=-1) / blocks
+                anchor_keep[layer, fresh] = keep
+                anchor_pooled[layer, fresh] = pooled[layer, fresh]
+                anchor_step[layer, fresh] = step
+                for row, head in enumerate(fresh.tolist()):
+                    anchor_mask[layer][head] = BlockMask(
+                        keep[row], origin_step=step, origin_tau=float(taus[layer, head])
                     )
-                    q_mean, k_mean = pooled[head]
-                    cache.store((layer, head), CacheEntry(step, q_mean, k_mean, mask))
-                    predictions += 1
-                    decision = COLD_START if entry is None else REFRESH
-                else:
-                    mask = entry.mask
-                    reuse_count += 1
-                    decision = REUSE
-                previous = last_used.get((layer, head))
-                changed = (
-                    changed_block_ratio(previous.retained, mask.retained)
-                    if previous is not None else None
-                )
-                last_used[(layer, head)] = mask
-                step_masks[(layer, head)] = mask
+                predictions += fresh.size
+            sparsity = 1.0 - anchor_keep[layer].sum(axis=-1) / blocks
+            for head, (is_cold, is_fresh, d, s, c) in enumerate(zip(
+                    cold.tolist(), refresh.tolist(), drift.tolist(), sparsity.tolist(),
+                    changed.tolist())):
                 records.append(StepRecord(
-                    step=step, layer=layer, head=head, decision=decision,
-                    drift=drift, sparsity=realized_sparsity(mask), changed_ratio=changed,
+                    step=step, layer=layer, head=head,
+                    decision=COLD_START if is_cold else REFRESH if is_fresh else REUSE,
+                    drift=None if is_cold else d, sparsity=s,
+                    changed_ratio=None if step == 0 else c,
                 ))
+        del qk  # the forward below makes its own float64 copies
         if velocity_error:
+            step_masks = {(layer, head): anchor_mask[layer][head]
+                          for layer in range(cfg.layers) for head in range(cfg.heads)}
             dense = pipeline.dense_forward(step)
             sparse = pipeline.sparse_forward(step, step_masks)
             denom = float(np.linalg.norm(dense))
             err = float(np.linalg.norm(sparse - dense))
             velocity_errors.append(err / denom if denom > 0 else err)
+    cache = DriftCache()
+    for layer in range(cfg.layers):
+        for head in range(cfg.heads):
+            q_mean, k_mean = anchor_pooled[layer, head]
+            cache.store((layer, head), CacheEntry(
+                int(anchor_step[layer, head]), q_mean, k_mean, anchor_mask[layer][head]
+            ))
     total = cfg.steps * cfg.layers * cfg.heads
     return RunResult(
         records=records,
         predictions=predictions,
-        reuse_rate=reuse_count / total,
+        reuse_rate=(total - predictions) / total,
         mean_sparsity=float(np.mean([r.sparsity for r in records])),
         mean_velocity_rel_l2=float(np.mean(velocity_errors)) if velocity_errors else math.nan,
         cache=cache,
         taus=taus,
+        gate_forced=gate_forced,
     )

@@ -36,40 +36,67 @@ def attention_probs(q: np.ndarray, k: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+# Cap on the float64 (tokens x tokens) logits one attention call handles:
+# batched callers split their heads into chunks of at most this many
+# elements (at least one head each), so temporaries stay flat as the head
+# count grows.  ``analysis`` uses the same cap for its token masks.
+PROB_CHUNK_ELEMENTS = 1 << 17
+
+
+def _head_chunks(count: int, tokens: int) -> list[slice]:
+    """Slices over ``count`` heads of ``tokens`` tokens, each within PROB_CHUNK_ELEMENTS."""
+    size = max(1, PROB_CHUNK_ELEMENTS // (tokens * tokens))
+    return [slice(start, start + size) for start in range(0, count, size)]
+
+
 def masked_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
                      allow: np.ndarray | None = None) -> np.ndarray:
     """Attention output with disallowed key positions excluded before softmax.
 
-    Rows whose allowed set is empty produce a zero output row.  With an
-    all-true (or absent) mask this reduces bit-for-bit to dense attention.
+    Q, K and V are (..., tokens, D) and ``allow`` is (..., tokens, tokens);
+    leading axes are independent heads, each computed bit for bit as it
+    would be alone.  Rows whose allowed set is empty produce a zero output
+    row: their logits are cleared before the softmax and their outputs
+    zeroed after it.  With an all-true (or absent) mask this reduces bit for
+    bit to dense attention.
     """
-    logits = (q @ k.T) / math.sqrt(q.shape[1])
-    if allow is None:
-        logits -= logits.max(axis=1, keepdims=True)
-        e = np.exp(logits)
-        return (e / e.sum(axis=1, keepdims=True)) @ v
-    if allow.shape != logits.shape:
-        raise ShapeMismatch(f"mask shape {allow.shape} does not match scores {logits.shape}")
-    logits = np.where(allow, logits, -np.inf)
-    alive = allow.any(axis=1)
-    out = np.zeros((q.shape[0], v.shape[1]), dtype=np.float64)
-    if alive.any():
-        sub = logits[alive]
-        sub -= sub.max(axis=1, keepdims=True)
-        e = np.exp(sub)
-        out[alive] = (e / e.sum(axis=1, keepdims=True)) @ v
+    # One logits-sized array, updated in place: a chunk's temporaries stay
+    # at one PROB_CHUNK_ELEMENTS buffer.
+    logits = q @ np.swapaxes(k, -1, -2)
+    logits /= math.sqrt(q.shape[-1])
+    if allow is not None:
+        if allow.shape != logits.shape:
+            raise ShapeMismatch(f"mask shape {allow.shape} does not match scores {logits.shape}")
+        np.copyto(logits, -np.inf, where=~allow)
+        dead = ~allow.any(axis=-1)
+        logits[dead] = 0.0
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    out = logits @ v
+    if allow is not None:
+        out[dead] = 0.0
     return out
 
 
-def expand_block_mask(mask: BlockMask, grid: BlockGrid) -> np.ndarray:
-    """Blow a block bitset up to a token-level (tokens x tokens) boolean mask."""
+def _check_mask_size(mask: BlockMask, grid: BlockGrid) -> None:
     if mask.size != grid.total_blocks:
         raise ShapeMismatch(
             f"mask has {mask.size} blocks but grid expects {grid.total_blocks}"
         )
+
+
+def _token_masks(retained: np.ndarray, grid: BlockGrid) -> np.ndarray:
+    """Blow (..., M) block bitsets up to token-level (..., tokens, tokens) masks."""
     nb, bs = grid.blocks_per_side, grid.block_size
-    tiles = mask.retained.reshape(nb, nb)
-    return np.repeat(np.repeat(tiles, bs, axis=0), bs, axis=1)
+    tiles = retained.reshape(*retained.shape[:-1], nb, nb)
+    return np.repeat(np.repeat(tiles, bs, axis=-2), bs, axis=-1)
+
+
+def expand_block_mask(mask: BlockMask, grid: BlockGrid) -> np.ndarray:
+    """Blow a block bitset up to a token-level (tokens x tokens) boolean mask."""
+    _check_mask_size(mask, grid)
+    return _token_masks(mask.retained, grid)
 
 
 class SurrogateModel:
@@ -166,12 +193,13 @@ class ForwardPipeline:
     """Dense/sparse forwards of a trace through the surrogate, with a dense cache.
 
     Dense results are cached per step: the field, the pre-activation
-    ``W f + b`` and every head's attention output.  Sparse and perturbed
-    forwards are exact increments on that cache: each changed head's output
-    differences are summed over layers and projected through the weight
-    columns of the changed heads only, then tanh is applied once.  Heads
-    whose mask keeps every block are skipped, so an all-full forward returns
-    the dense field bit for bit.
+    ``W f + b`` and every head's attention output.  All heads of a step go
+    through batched attention calls of at most PROB_CHUNK_ELEMENTS logits
+    each.  Sparse and perturbed forwards are exact increments on that cache:
+    each changed head's output differences are summed over layers and
+    projected through the weight columns of the changed heads only, then
+    tanh is applied once.  Heads whose mask keeps every block are skipped,
+    so an all-full forward returns the dense field bit for bit.
     """
 
     def __init__(self, trace: DenoiseTrace, model: SurrogateModel | None = None):
@@ -184,7 +212,7 @@ class ForwardPipeline:
         self.last_dense_cached = False
         self._fields: dict[int, np.ndarray] = {}
         self._pre: dict[int, np.ndarray] = {}
-        self._head_out: dict[tuple[int, int, int], np.ndarray] = {}
+        self._head_out: dict[int, np.ndarray] = {}
 
     def _check_head(self, layer: int, head: int) -> None:
         c = self.trace.config
@@ -192,14 +220,19 @@ class ForwardPipeline:
             raise ShapeMismatch(f"head ({layer}, {head}) outside {c.layers}x{c.heads}")
 
     def _compute_dense(self, step: int) -> None:
+        """Attention for all layers x heads of a step, in chunks, then one projection."""
         c = self.trace.config
         qkv = self.trace.data[step].astype(np.float64)
+        q, k, v = (qkv[:, :, i].reshape(-1, c.tokens, c.head_dim) for i in range(3))
+        out = np.empty((c.layers * c.heads, c.tokens, c.head_dim))
+        for window in _head_chunks(len(out), c.tokens):
+            out[window] = masked_attention(q[window], k[window], v[window], None)
+        out = out.reshape(c.layers, c.heads, c.tokens, c.head_dim)
+        self._head_out[step] = out
         features = np.zeros((c.tokens, c.heads * c.head_dim), dtype=np.float64)
-        for layer in range(c.layers):
-            for head in range(c.heads):
-                out = masked_attention(*qkv[layer, head])
-                self._head_out[(step, layer, head)] = out
-                features[:, head * c.head_dim:(head + 1) * c.head_dim] += out
+        by_head = features.reshape(c.tokens, c.heads, c.head_dim)
+        for layer_out in out:
+            by_head += layer_out.swapaxes(0, 1)
         pre = np.empty_like(self.model.bias)
         self._fields[step] = self.model.project(features, preactivation=pre)
         self._pre[step] = pre
@@ -238,30 +271,44 @@ class ForwardPipeline:
         return step in self._fields
 
     def dense_head_output(self, step: int, layer: int, head: int) -> np.ndarray:
-        if (step, layer, head) not in self._head_out:
+        self._check_head(layer, head)
+        if step not in self._head_out:
             self.dense_forward(step)
-        return self._head_out[(step, layer, head)]
+        return self._head_out[step][layer, head]
 
     def sparse_forward(self, step: int, masks: Mapping[tuple[int, int], BlockMask | None]) -> np.ndarray:
-        """Forward with the listed heads masked; heads absent (or None) stay dense."""
+        """Forward with the listed heads masked; heads absent (or None) stay dense.
+
+        Every head with a non-full mask runs through one batched attention
+        call per chunk; output changes are summed per head in ``masks`` order.
+        """
         self.trace.check_step(step)
         self.dense_forward(step)
-        change = self._head_changes()
-        changed: set[int] = set()
+        c = self.trace.config
+        keys: list[tuple[int, int]] = []
+        given: list[np.ndarray] = []
         for (layer, head), mask in masks.items():
             self._check_head(layer, head)
-            if mask is None or (mask.size == self.grid.total_blocks and mask.retained.all()):
-                continue
-            allow = expand_block_mask(mask, self.grid)
-            out = masked_attention(
-                self.trace.q(step, layer, head),
-                self.trace.k(step, layer, head),
-                self.trace.v(step, layer, head),
-                allow=allow,
-            )
-            change[head] += out - self._head_out[(step, layer, head)]
-            changed.add(head)
-        return self._incremental_field(step, change, changed)
+            if mask is not None:
+                _check_mask_size(mask, self.grid)
+                keys.append((layer, head))
+                given.append(mask.retained)
+        change = self._head_changes()
+        retained = np.array(given, dtype=bool).reshape(len(given), self.grid.total_blocks)
+        partial = ~retained.all(axis=-1)
+        if not partial.any():
+            return self._incremental_field(step, change, set())
+        retained = retained[partial]
+        layers, heads = np.array(keys)[partial].T
+        out = np.empty((len(heads), c.tokens, c.head_dim))
+        for window in _head_chunks(len(heads), c.tokens):
+            qkv = self.trace.data[step, layers[window], heads[window]].astype(np.float64)
+            allow = _token_masks(retained[window], self.grid)
+            out[window] = masked_attention(qkv[:, 0], qkv[:, 1], qkv[:, 2], allow)
+        out -= self._head_out[step][layers, heads]
+        for row, head in enumerate(heads.tolist()):
+            change[head] += out[row]
+        return self._incremental_field(step, change, set(heads.tolist()))
 
     def perturbed_forward(self, step: int,
                           deltas: Mapping[tuple[int, int], np.ndarray]) -> np.ndarray:

@@ -193,6 +193,18 @@ class TestCumulativePrefixMask:
         for row, row_expected in zip(values, expected):
             np.testing.assert_array_equal(cumulative_prefix_mask(row, threshold), row_expected)
 
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.one_of(_matrices(_eighths), _matrices(_unit)), data=st.data())
+    def test_per_row_thresholds_match_scalar_calls(self, values, data):
+        values = _normalized(values)
+        thresholds = np.array(data.draw(st.lists(
+            st.one_of(_thresholds, st.just(math.nan)),
+            min_size=len(values), max_size=len(values))))
+        got = cumulative_prefix_mask(values, thresholds)
+        for row, threshold, kept in zip(values, thresholds, got):
+            np.testing.assert_array_equal(kept, cumulative_prefix_mask(row, threshold))
+            np.testing.assert_array_equal(kept, argsort_prefix_mask(row, threshold))
+
     def test_batch_axes_and_empty_input(self, rng):
         values = rng.integers(0, 3, size=(2, 3, 5, 7)) / 8.0
         got = cumulative_prefix_mask(values, 0.5)

@@ -14,7 +14,7 @@ from satool.calibration import (
     solve_budgeted_assignment,
     table_from_json_dict,
 )
-from satool.errors import DomainError, InfeasibleBudget, StateError
+from satool.errors import DomainError, InfeasibleBudget, ShapeMismatch, StateError
 from satool.spectral import band_energy_ratios, band_partition, weighted_error
 from satool.surrogate import ForwardPipeline, masked_attention
 from satool.trace import TraceConfig, generate_trace
@@ -154,6 +154,32 @@ class TestSolver:
         )
 
 
+class TestTauGrid:
+    def table(self, entries):
+        return table_from_json_dict({
+            "budget": 0.0, "objective": 0.0, "achieved_sparsity": 0.0, "solver": "hand",
+            "optimal": True,
+            "heads": [{"layer": l, "head": h, "tau": t, "S": 0.0, "E": 0.0}
+                      for l, h, t in entries],
+        })
+
+    def test_grid_in_any_order(self):
+        grid = self.table([(1, 1, 0.7), (0, 0, 0.8), (1, 0, 0.9), (0, 1, 1.0)]).tau_grid(2, 2)
+        np.testing.assert_array_equal(grid, [[0.8, 1.0], [0.9, 0.7]])
+
+    @pytest.mark.parametrize("entries", [
+        [(0, 0, 0.8), (0, 1, 0.8), (1, 0, 0.8), (99, 1, 0.8)],
+        [(0, 0, 0.8), (0, 1, 0.8), (1, 0, 0.8), (-1, 1, 0.8)],
+        [(0, 0, 0.8), (0, 1, 0.8), (1, 0, 0.8), (1, -1, 0.8)],
+        [(0, 0, 0.8), (0, 1, 0.8), (1, 0, 0.8), (1, 0, 0.9)],
+        [(0, 0, 0.8), (0, 1, 0.8), (1, 0, 0.8)],
+        [(0, 0, 0.8), (0, 1, 0.8), (1, 0, 0.8), (1, 1, 0.8), (1, 1, 0.8)],
+    ], ids=["layer-99", "layer-negative", "head-negative", "duplicate", "missing", "extra"])
+    def test_rejects_tables_not_covering_each_head_once(self, entries):
+        with pytest.raises(ShapeMismatch):
+            self.table(entries).tau_grid(2, 2)
+
+
 class TestSharedBaseline:
     def test_homogeneous_heads_match_solver(self):
         err = np.tile(np.array([2.0, 1.0, 3.0]), (2, 2, 1))
@@ -190,23 +216,37 @@ class TestMeasureHead:
     def test_requires_dense_cache(self, measured_pipeline):
         fresh = ForwardPipeline(measured_pipeline.trace)
         with pytest.raises(StateError):
-            measure_head(fresh, 0, 0, 0.9, steps=[0, 1])
+            measure_head(fresh, 0, 0, [0.9], steps=[0, 1])
 
     def test_tau_one_gives_zero_error_and_full_retention(self, measured_pipeline):
         steps = [0, 5]
         measured_pipeline.precompute_dense(steps)
-        point = measure_head(measured_pipeline, 1, 2, 1.0, steps=steps)
+        [point] = measure_head(measured_pipeline, 1, 2, [1.0], steps=steps)
         assert point.error == 0.0
         assert point.sparsity == 0.0
 
     def test_sparsity_grows_as_tau_drops(self, measured_pipeline):
         steps = [0, 5, 9]
         measured_pipeline.precompute_dense(steps)
-        points = [
-            measure_head(measured_pipeline, 0, 1, tau, steps=steps)
-            for tau in (0.95, 0.9, 0.85)
-        ]
+        points = measure_head(measured_pipeline, 0, 1, (0.95, 0.9, 0.85), steps=steps)
         assert points[0].sparsity <= points[1].sparsity <= points[2].sparsity
+
+    def test_taus_share_one_scoring_per_step(self, measured_pipeline, monkeypatch):
+        steps = [0, 5, 9]
+        taus = (0.95, 0.9, 0.85, 1.0)
+        measured_pipeline.precompute_dense(steps)
+        singles = [measure_head(measured_pipeline, 2, 3, [tau], steps=steps)[0] for tau in taus]
+        scored = []
+        original = measured_pipeline.scores
+
+        def counting_scores(step, layer, head):
+            scored.append((step, layer, head))
+            return original(step, layer, head)
+
+        monkeypatch.setattr(measured_pipeline, "scores", counting_scores)
+        points = measure_head(measured_pipeline, 2, 3, taus, steps=steps)
+        assert points == singles
+        assert scored == [(step, 2, 3) for step in steps]
 
     def test_single_step_hand_pipeline(self):
         # Independent scalar recomputation of the whole measurement chain on a
@@ -218,7 +258,7 @@ class TestMeasureHead:
         pipe = ForwardPipeline(trace)
         pipe.precompute_dense([0])
         tau = 0.6
-        point = measure_head(pipe, 0, 0, tau, steps=[0])
+        [point] = measure_head(pipe, 0, 0, [tau], steps=[0])
 
         q, k, v = trace.q(0, 0, 0), trace.k(0, 0, 0), trace.v(0, 0, 0)
         grid = cfg.grid

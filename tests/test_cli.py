@@ -305,6 +305,81 @@ class TestRun:
         assert "error:domain:" in result.output
 
 
+def table_payload(heads):
+    return {"budget": 0.0, "objective": 0.0, "achieved_sparsity": 0.0,
+            "solver": "hand", "optimal": True,
+            "heads": [{"layer": layer, "head": head, "tau": tau, "S": 0.0, "E": 0.0}
+                      for layer, head, tau in heads]}
+
+
+def full_table(tau=0.9):
+    return [[layer, head, tau] for layer in range(2) for head in range(3)]
+
+
+class TestRunTable:
+    """``run --table`` must name each (layer, head) of the 2x3 trace exactly once."""
+
+    def run_table(self, trace_dir, tmp_path, runner, heads):
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps(table_payload(heads)))
+        return runner.invoke(main, [
+            "run", "--trace", str(trace_dir / "trace.satr"), "--out", str(tmp_path / "r"),
+            "--table", str(table), "--delta", "1",
+        ])
+
+    def test_complete_table_runs(self, trace_dir, tmp_path, runner):
+        heads = full_table()
+        heads[4][2] = 0.7
+        result = self.run_table(trace_dir, tmp_path, runner, heads)
+        assert result.exit_code == 0, result.output
+        summary = json.loads((tmp_path / "r" / "summary.json").read_text())
+        assert [h["tau"] for h in summary["heads"]] == [0.9, 0.9, 0.9, 0.9, 0.7, 0.9]
+
+    @pytest.mark.parametrize("edit", ["layer 99", "layer -1", "head 3", "duplicate", "missing"])
+    def test_bad_coverage_rejected(self, trace_dir, tmp_path, runner, edit):
+        heads = full_table()
+        if edit == "layer 99":
+            heads[5][0] = 99
+        elif edit == "layer -1":
+            heads[0][0] = -1
+        elif edit == "head 3":
+            heads[2][1] = 3
+        elif edit == "duplicate":
+            heads[1] = [0, 0, 0.8]
+        else:
+            del heads[3]
+        result = self.run_table(trace_dir, tmp_path, runner, heads)
+        assert result.exit_code == 1
+        assert "error:shape:" in result.output
+        assert "Traceback" not in result.output
+        assert not (tmp_path / "r" / "summary.json").exists()
+
+    @pytest.mark.parametrize("tau", [0.0, 1.5, -0.2])
+    def test_invalid_tau_rejected(self, trace_dir, tmp_path, runner, tau):
+        heads = full_table()
+        heads[2][2] = tau
+        result = self.run_table(trace_dir, tmp_path, runner, heads)
+        assert result.exit_code == 1
+        assert "error:domain:" in result.output
+        assert "Traceback" not in result.output
+
+
+class TestGateForcedSummary:
+    def test_forced_count_reported(self, trace_dir, tmp_path, runner):
+        counts = {}
+        for name, flags in (("gated", ["--gate-lo", "0.4", "--gate-hi", "0.6"]),
+                            ("ungated", ["--no-gate"])):
+            out = tmp_path / name
+            result = runner.invoke(main, [
+                "run", "--trace", str(trace_dir / "trace.satr"), "--out", str(out),
+                "--delta", "2.0", *flags,
+            ])
+            assert result.exit_code == 0, result.output
+            counts[name] = json.loads((out / "summary.json").read_text())["gate_forced"]
+        assert counts["ungated"] == 0
+        assert counts["gated"] > 0
+
+
 class TestOversizedProjection:
     @pytest.fixture()
     def huge_field_trace(self, tmp_path):

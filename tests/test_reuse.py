@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from satool.blocksparse import BlockMask
+from satool.blocksparse import BlockMask, changed_block_ratio, realized_sparsity, top_p_select
 from satool.errors import ConfigError, DomainError, ShapeMismatch, StateError
 from satool.reuse import (
     COLD_START,
+    DEFAULT_GATE,
     REFRESH,
     REUSE,
     CacheEntry,
@@ -15,6 +16,7 @@ from satool.reuse import (
     cache_footprint,
     fit_stability_constant,
     full_token_drift,
+    StepRecord,
     layer_gate,
     mean_pool_drift,
     simulate,
@@ -270,3 +272,158 @@ class TestSimulate:
     def test_taus_shape_checked(self, sim_pipeline):
         with pytest.raises(ShapeMismatch):
             simulate(sim_pipeline, np.full((2, 2), 0.9), 1.0)
+
+    @pytest.mark.parametrize("bad", [0.0, -0.5, 1.5, math.nan])
+    def test_invalid_tau_rejected(self, sim_pipeline, bad):
+        cfg = sim_pipeline.trace.config
+        taus = np.full((cfg.layers, cfg.heads), 0.9)
+        taus[cfg.layers - 1, cfg.heads - 1] = bad
+        with pytest.raises(DomainError):
+            simulate(sim_pipeline, taus, 1.0, velocity_error=False)
+
+
+def reference_simulate(pipeline, taus, delta, gate=DEFAULT_GATE, normalized_delta=False,
+                       velocity_error=True):
+    """The per-(layer, head) simulation loop: pool, score and select one head at a time.
+
+    Returns the fields of a RunResult plus the count of gate-overridden proposals.
+    """
+    cfg = pipeline.trace.config
+    scale = 1.0 / (2.0 * cfg.head_dim) if normalized_delta else 1.0
+    cache = DriftCache()
+    last_used = {}
+    records = []
+    predictions = reuse_count = forced = 0
+    velocity_errors = []
+    for step in range(cfg.steps):
+        step_masks = {}
+        for layer in range(cfg.layers):
+            pooled = {}
+            proposals = []
+            for head in range(cfg.heads):
+                q_mean, k_mean = pipeline.pooled(step, layer, head)
+                pooled[head] = (q_mean, k_mean)
+                entry = cache.get((layer, head))
+                if entry is None:
+                    proposals.append((True, None))
+                else:
+                    drift = mean_pool_drift(entry.q_mean, q_mean, entry.k_mean, k_mean)
+                    proposals.append((drift * scale > delta, drift))
+            flags = [want for want, _ in proposals]
+            if gate is not None:
+                gated = layer_gate(flags, gate[0], gate[1])
+                forced += sum(a != b for a, b in zip(flags, gated))
+                flags = gated
+            for head in range(cfg.heads):
+                refresh, drift = flags[head], proposals[head][1]
+                entry = cache.get((layer, head))
+                if entry is None and not refresh:
+                    raise StateError(f"gate forced reuse on cold head ({layer}, {head})")
+                if refresh:
+                    mask = top_p_select(
+                        pipeline.scores(step, layer, head), float(taus[layer, head]), step=step
+                    )
+                    q_mean, k_mean = pooled[head]
+                    cache.store((layer, head), CacheEntry(step, q_mean, k_mean, mask))
+                    predictions += 1
+                    decision = COLD_START if entry is None else REFRESH
+                else:
+                    mask = entry.mask
+                    reuse_count += 1
+                    decision = REUSE
+                previous = last_used.get((layer, head))
+                changed = (
+                    changed_block_ratio(previous.retained, mask.retained)
+                    if previous is not None else None
+                )
+                last_used[(layer, head)] = mask
+                step_masks[(layer, head)] = mask
+                records.append(StepRecord(
+                    step=step, layer=layer, head=head, decision=decision,
+                    drift=drift, sparsity=realized_sparsity(mask), changed_ratio=changed,
+                ))
+        if velocity_error:
+            dense = pipeline.dense_forward(step)
+            sparse = pipeline.sparse_forward(step, step_masks)
+            denom = float(np.linalg.norm(dense))
+            err = float(np.linalg.norm(sparse - dense))
+            velocity_errors.append(err / denom if denom > 0 else err)
+    total = cfg.steps * cfg.layers * cfg.heads
+    return dict(
+        records=records, predictions=predictions, reuse_rate=reuse_count / total,
+        mean_sparsity=float(np.mean([r.sparsity for r in records])),
+        mean_velocity_rel_l2=float(np.mean(velocity_errors)) if velocity_errors else math.nan,
+        cache=cache, gate_forced=forced,
+    )
+
+
+# Eight heads per layer so a layer can hold a mixed set of proposals.
+ORACLE_CONFIG = TraceConfig(layers=3, heads=8, tokens=16, head_dim=4, steps=12, block_size=4,
+                            kappa_range=(0.5, 0.999), velocity_shape=(4, 2, 2), seed=5)
+
+
+@pytest.fixture(scope="module")
+def oracle_pipeline():
+    return ForwardPipeline(generate_trace(ORACLE_CONFIG))
+
+
+def mixed_taus():
+    return np.array([0.6, 0.75, 0.9, 1.0, 0.85, 0.95, 0.7, 0.99] * ORACLE_CONFIG.layers).reshape(
+        ORACLE_CONFIG.layers, ORACLE_CONFIG.heads)
+
+
+class TestSimulateOracle:
+    @pytest.mark.parametrize("gate", [None, DEFAULT_GATE, (0.3, 0.6)], ids=["none", "default", "forcing"])
+    @pytest.mark.parametrize("delta, normalized", [
+        (0.0, False), (2.5, False), (math.inf, False), (2.5 / 8, True),
+    ], ids=["zero", "finite", "inf", "normalized"])
+    @pytest.mark.parametrize("taus", ["shared", "mixed"])
+    def test_matches_per_head_loop(self, oracle_pipeline, gate, delta, normalized, taus):
+        cfg = ORACLE_CONFIG
+        grid = mixed_taus() if taus == "mixed" else np.full((cfg.layers, cfg.heads), 0.9)
+        result = simulate(oracle_pipeline, grid, delta, gate=gate, normalized_delta=normalized)
+        expected = reference_simulate(oracle_pipeline, grid, delta, gate=gate,
+                                      normalized_delta=normalized)
+        assert result.records == expected["records"]
+        for name in ("predictions", "reuse_rate", "mean_sparsity", "mean_velocity_rel_l2",
+                     "gate_forced"):
+            assert getattr(result, name) == expected[name], name
+        assert result.cache.heads() == expected["cache"].heads()
+        for key in expected["cache"].heads():
+            got, want = result.cache.get(key), expected["cache"].get(key)
+            assert got.anchor_step == want.anchor_step
+            np.testing.assert_array_equal(got.q_mean, want.q_mean)
+            np.testing.assert_array_equal(got.k_mean, want.k_mean)
+            np.testing.assert_array_equal(got.mask.retained, want.mask.retained)
+            assert (got.mask.origin_step, got.mask.origin_tau) == \
+                (want.mask.origin_step, want.mask.origin_tau)
+
+    def test_cases_exercise_reuse_refresh_and_forcing(self, oracle_pipeline):
+        cfg = ORACLE_CONFIG
+        taus = mixed_taus()
+        ungated = simulate(oracle_pipeline, taus, 2.5, gate=None, velocity_error=False)
+        assert {r.decision for r in ungated.records} == {COLD_START, REFRESH, REUSE}
+        forced = simulate(oracle_pipeline, taus, 2.5, gate=(0.3, 0.6), velocity_error=False)
+        assert forced.gate_forced > 0
+        assert ungated.gate_forced == 0
+        assert 0 < forced.predictions < cfg.steps * cfg.layers * cfg.heads
+
+
+class TestGateForced:
+    def test_counts_overridden_proposals(self, oracle_pipeline):
+        # Replay each decision: the proposal is a refresh when the head is
+        # cold or its drift exceeds delta; the gate forced it when the
+        # final decision disagrees.
+        delta = 2.5
+        result = simulate(oracle_pipeline, mixed_taus(), delta, gate=(0.3, 0.6),
+                          velocity_error=False)
+        by_hand = 0
+        for record in result.records:
+            proposed = record.drift is None or record.drift > delta
+            by_hand += proposed != (record.decision != REUSE)
+        assert by_hand > 0
+        assert result.gate_forced == by_hand
+
+    def test_no_gate_forces_nothing(self, oracle_pipeline):
+        result = simulate(oracle_pipeline, mixed_taus(), 2.5, gate=None, velocity_error=False)
+        assert result.gate_forced == 0

@@ -1,4 +1,5 @@
-"""Head-major surrogate weight and the incremental sparse/perturbed forwards.
+"""Batched masked attention, the head-major surrogate weight and the incremental
+sparse/perturbed forwards.
 
 The references below are the full-projection forwards: rebuild the dense
 token-major features from the per-head outputs, add each masked head's output
@@ -13,9 +14,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from satool import surrogate
 from satool.blocksparse import BlockMask, full_mask
 from satool.errors import ShapeMismatch
-from satool.surrogate import ForwardPipeline, SurrogateModel, expand_block_mask, masked_attention
+from satool.surrogate import (
+    PROB_CHUNK_ELEMENTS,
+    ForwardPipeline,
+    SurrogateModel,
+    expand_block_mask,
+    masked_attention,
+)
 from satool.trace import _MODEL_STREAM, TraceConfig, generate_trace
 
 # Three layers share every head index; 4x4 = 16 blocks per mask.
@@ -194,3 +202,87 @@ class TestIncrementalForward:
                                         pipeline.trace.k(2, layer, head),
                                         pipeline.trace.v(2, layer, head))
             np.testing.assert_array_equal(pipeline.dense_head_output(2, layer, head), expected)
+
+
+def live_rows_reference(q, k, v, allow):
+    """One head's masked attention with the softmax and product over live rows only."""
+    logits = np.where(allow, (q @ k.T) / math.sqrt(q.shape[1]), -np.inf)
+    alive = allow.any(axis=1)
+    out = np.zeros((q.shape[0], v.shape[1]))
+    if alive.any():
+        sub = logits[alive]
+        sub -= sub.max(axis=1, keepdims=True)
+        e = np.exp(sub)
+        out[alive] = (e / e.sum(axis=1, keepdims=True)) @ v
+    return out
+
+
+@st.composite
+def attention_batches(draw):
+    """Q, K, V of shape (*lead, tokens, D) and block masks blown up to token level."""
+    lead = draw(st.sampled_from([(), (1,), (4,), (2, 3)]))
+    blocks_per_side, block = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    dim = draw(st.integers(1, 5))
+    tokens = blocks_per_side * block
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    q, k, v = (rng.normal(scale=3.0, size=lead + (tokens, dim)) for _ in range(3))
+    kind = draw(st.sampled_from(["random", "empty rows", "all empty", "full"]))
+    tiles = rng.random(lead + (blocks_per_side, blocks_per_side)) < rng.random()
+    if kind == "empty rows":
+        tiles[..., rng.random(blocks_per_side) < 0.5, :] = False
+    elif kind == "all empty":
+        tiles[...] = False
+    elif kind == "full":
+        tiles[...] = True
+    allow = np.repeat(np.repeat(tiles, block, axis=-2), block, axis=-1)
+    return q, k, v, allow
+
+
+class TestBatchedAttention:
+    @settings(max_examples=150, deadline=None)
+    @given(batch=attention_batches())
+    def test_batched_equals_per_head_loop_bitwise(self, batch):
+        q, k, v, allow = batch
+        masked, dense = masked_attention(q, k, v, allow), masked_attention(q, k, v)
+        for index in np.ndindex(q.shape[:-2]):
+            head = (q[index], k[index], v[index])
+            np.testing.assert_array_equal(masked[index], masked_attention(*head, allow[index]))
+            np.testing.assert_array_equal(dense[index], masked_attention(*head))
+            np.testing.assert_allclose(masked[index], live_rows_reference(*head, allow[index]),
+                                       rtol=1e-13, atol=1e-15)
+        dead = ~allow.any(axis=-1)
+        assert not masked[dead].any()
+        full = allow.all(axis=(-2, -1))
+        np.testing.assert_array_equal(masked[full], dense[full])
+
+    def test_batch_larger_than_chunk_cap(self, rng):
+        tokens, dim = 64, 4
+        heads = PROB_CHUNK_ELEMENTS // (tokens * tokens) + 3
+        q, k, v = (rng.standard_normal((heads, tokens, dim)) for _ in range(3))
+        allow = np.repeat(np.repeat(rng.random((heads, 8, 8)) < 0.4, 8, axis=1), 8, axis=2)
+        out = masked_attention(q, k, v, allow)
+        for i in range(heads):
+            np.testing.assert_array_equal(out[i], masked_attention(q[i], k[i], v[i], allow[i]))
+
+    def test_mask_shape_checked(self, rng):
+        q = rng.standard_normal((2, 4, 3))
+        with pytest.raises(ShapeMismatch):
+            masked_attention(q, q, q, np.ones((2, 4, 5), dtype=bool))
+
+    @pytest.mark.parametrize("heads_per_call", [1, 2, 4])
+    def test_forwards_do_not_depend_on_the_chunk_cap(self, pipeline, monkeypatch,
+                                                     heads_per_call):
+        # Nine heads per step in chunks of 1, 2 (partial last chunk) and 4.
+        steps = range(CONFIG.steps)
+        rng = np.random.default_rng(heads_per_call)
+        masks = {key: BlockMask(rng.random(BLOCKS) < 0.5) for key in HEADS}
+        expected = [(pipeline.dense_forward(s), pipeline.sparse_forward(s, masks)) for s in steps]
+        cap = heads_per_call * CONFIG.tokens ** 2 + CONFIG.tokens
+        monkeypatch.setattr(surrogate, "PROB_CHUNK_ELEMENTS", cap)
+        chunked = ForwardPipeline(pipeline.trace, pipeline.model)
+        for step, (dense, sparse) in zip(steps, expected):
+            np.testing.assert_array_equal(chunked.dense_forward(step), dense)
+            np.testing.assert_array_equal(chunked.sparse_forward(step, masks), sparse)
+            for layer, head in HEADS:
+                np.testing.assert_array_equal(chunked.dense_head_output(step, layer, head),
+                                              pipeline.dense_head_output(step, layer, head))
