@@ -70,8 +70,6 @@ class BlockMask:
     """Retained-block set over a grid, as a boolean bitset of length M."""
 
     retained: np.ndarray
-    origin_step: int | None = None
-    origin_tau: float | None = None
 
     @property
     def size(self) -> int:
@@ -95,8 +93,8 @@ def mask_from_hex(text: str, size: int) -> BlockMask:
     return BlockMask(retained=bits[:size].astype(bool))
 
 
-def full_mask(grid: BlockGrid, step: int | None = None, tau: float | None = None) -> BlockMask:
-    return BlockMask(np.ones(grid.total_blocks, dtype=bool), origin_step=step, origin_tau=tau)
+def full_mask(grid: BlockGrid) -> BlockMask:
+    return BlockMask(np.ones(grid.total_blocks, dtype=bool))
 
 
 def block_score_values(q: np.ndarray, k: np.ndarray, grid: BlockGrid) -> np.ndarray:
@@ -181,14 +179,14 @@ def check_tau(tau: float) -> None:
         raise DomainError(f"tau must lie in (0, 1], got {tau}")
 
 
-def top_p_select(scores: BlockScores, tau: float, step: int | None = None) -> BlockMask:
+def top_p_select(scores: BlockScores, tau: float) -> BlockMask:
     """Retain the minimal set of highest-scored blocks whose mass reaches tau."""
     check_tau(tau)
     scores.validate()
     if not scores.normalized:
         raise DomainError("top-p selection requires normalized scores")
     keep = cumulative_prefix_mask(scores.values, tau)
-    return BlockMask(retained=keep, origin_step=step, origin_tau=tau)
+    return BlockMask(retained=keep)
 
 
 def realized_sparsity(mask: BlockMask, grid: BlockGrid | None = None) -> float:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -153,19 +154,30 @@ class CalibrationTable:
         }
 
 
+def _field(record: dict, key: str, kind: type):
+    """``record[key]`` if it is a ``kind``; a bool counts only as a bool."""
+    value = record[key]
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise DomainError(f"calibration field {key!r} has invalid value {value!r}")
+    return value
+
+
 def table_from_json_dict(payload: dict) -> CalibrationTable:
+    """Rebuild a ``to_json_dict`` table; a mistyped field raises DomainError, nothing is coerced."""
     selections = [
-        HeadSelection(layer=int(h["layer"]), head=int(h["head"]), index=-1,
-                      tau=float(h["tau"]), sparsity=float(h["S"]), error=float(h["E"]))
-        for h in payload["heads"]
+        HeadSelection(layer=int(_field(h, "layer", Integral)),
+                      head=int(_field(h, "head", Integral)), index=-1,
+                      tau=float(_field(h, "tau", Real)), sparsity=float(_field(h, "S", Real)),
+                      error=float(_field(h, "E", Real)))
+        for h in _field(payload, "heads", list)
     ]
     return CalibrationTable(
         selections=selections,
-        objective=float(payload["objective"]),
-        achieved_sparsity=float(payload["achieved_sparsity"]),
-        budget=float(payload["budget"]),
-        solver=str(payload["solver"]),
-        optimal=bool(payload["optimal"]),
+        objective=float(_field(payload, "objective", Real)),
+        achieved_sparsity=float(_field(payload, "achieved_sparsity", Real)),
+        budget=float(_field(payload, "budget", Real)),
+        solver=_field(payload, "solver", str),
+        optimal=_field(payload, "optimal", bool),
     )
 
 
@@ -193,7 +205,7 @@ def measure_head(pipeline: ForwardPipeline, layer: int, head: int, taus,
         scores = pipeline.scores(step, layer, head)
         dense = pipeline.dense_forward(step)
         for j, tau in enumerate(taus):
-            mask = top_p_select(scores, tau, step=step)
+            mask = top_p_select(scores, tau)
             residual = pipeline.sparse_forward(step, {(layer, head): mask}) - dense
             if objective == "fft":
                 errors[j].append(
@@ -310,15 +322,15 @@ def brute_force_assignment(problem: CalibrationProblem, limit: int = 10_000_000)
 
 
 def _pareto_candidates(err_row: np.ndarray, spar_row: np.ndarray) -> list[int]:
-    """Indices worth keeping: drop points with higher error and no sparsity gain."""
-    order = sorted(range(err_row.size), key=lambda i: (err_row[i], -spar_row[i], i))
-    kept = []
-    best_s = -math.inf
-    for i in order:
-        if spar_row[i] > best_s:
-            kept.append(i)
-            best_s = spar_row[i]
-    return kept
+    """Indices the search branches on: every point no lower index dominates.
+
+    A lower index with no more error and no less sparsity never raises the
+    rounded objective, never lowers the rounded sparsity and wins the index
+    tie-break.  A point dominated only by higher indices stays: rounding can
+    absorb the difference in the totals and leave it the tie-break winner.
+    """
+    return [i for i in range(err_row.size)
+            if not any(err_row[j] <= err_row[i] and spar_row[j] >= spar_row[i] for j in range(i))]
 
 
 def _dual_multiplier(err: np.ndarray, spar: np.ndarray, per_head: list[list[int]],
@@ -469,7 +481,7 @@ def additive_surrogate_gap(pipeline: ForwardPipeline, head_taus, step: int,
     masks = {}
     singles = []
     for (layer, head), tau in head_taus:
-        mask = top_p_select(pipeline.scores(step, layer, head), float(tau), step=step)
+        mask = top_p_select(pipeline.scores(step, layer, head), float(tau))
         masks[(layer, head)] = mask
         singles.append(spectral_err(pipeline.sparse_forward(step, {(layer, head): mask})))
     joint = spectral_err(pipeline.sparse_forward(step, masks))

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -18,6 +17,7 @@ import click
 import numpy as np
 
 from .analysis import adjacent_pair_samples, spearman, stability_rows, two_step_bound_constants
+from .blocksparse import BlockMask
 from .calibration import (
     brute_force_assignment,
     build_problem,
@@ -265,8 +265,6 @@ def cmd_run(trace_path, out, table_path, tau, delta, gate_lo, gate_hi, no_gate,
         delta_value = float(delta)
     except ValueError as exc:
         raise DomainError(f"could not parse --delta from {delta!r}") from exc
-    if math.isnan(delta_value) or delta_value < 0:
-        raise DomainError(f"--delta must be >= 0 or inf, got {delta!r}")
     pipeline = _load_pipeline(trace_path)
     cfg = pipeline.trace.config
     if table_path is not None:
@@ -294,11 +292,11 @@ def cmd_run(trace_path, out, table_path, tau, delta, gate_lo, gate_hi, no_gate,
     head_rows = []
     for layer in range(cfg.layers):
         for head in range(cfg.heads):
-            entry = result.cache.get((layer, head))
+            mask = BlockMask(result.anchor_keep[layer, head])
             head_rows.append({
                 "layer": layer, "head": head, "tau": float(taus[layer, head]),
-                "anchor_step": entry.anchor_step,
-                "anchor_mask": {"m": entry.mask.size, "bits": entry.mask.to_hex()},
+                "anchor_step": int(result.anchor_step[layer, head]),
+                "anchor_mask": {"m": mask.size, "bits": mask.to_hex()},
             })
     write_json(summary_path, {
         "reuse_rate": result.reuse_rate,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .blocksparse import (
     cumulative_prefix_mask,
     top_p_select,  # noqa: F401  -- re-exported; perfbench's smoke test rebinds it here
 )
-from .errors import ConfigError, DomainError, ShapeMismatch, StateError
+from .errors import DomainError, ShapeMismatch, StateError
 
 COLD_START = "cold_start"
 REFRESH = "refresh"
@@ -50,94 +50,6 @@ def mean_pool_drift(qbar_a: np.ndarray, qbar_b: np.ndarray,
     return float(np.abs(qbar_a - qbar_b).sum() + np.abs(kbar_a - kbar_b).sum())
 
 
-@dataclass
-class CacheEntry:
-    anchor_step: int
-    q_mean: np.ndarray
-    k_mean: np.ndarray
-    mask: BlockMask
-
-    def copy(self) -> "CacheEntry":
-        return CacheEntry(
-            anchor_step=self.anchor_step,
-            q_mean=self.q_mean.copy(),
-            k_mean=self.k_mean.copy(),
-            mask=BlockMask(self.mask.retained.copy(), self.mask.origin_step, self.mask.origin_tau),
-        )
-
-
-class DriftCache:
-    """Per-head anchor store; one independent entry per head key."""
-
-    def __init__(self):
-        self._entries: dict = {}
-
-    def get(self, head) -> CacheEntry | None:
-        entry = self._entries.get(head)
-        if entry is not None and entry.mask is None:
-            raise StateError(f"corrupt cache for head {head}: anchor without mask")
-        return entry
-
-    def store(self, head, entry: CacheEntry) -> None:
-        self._entries[head] = entry
-
-    def heads(self):
-        return list(self._entries)
-
-    def snapshot(self, head) -> CacheEntry | None:
-        entry = self._entries.get(head)
-        return entry.copy() if entry is not None else None
-
-
-@dataclass(frozen=True)
-class ReuseConfig:
-    """Reuse threshold plus the layer-gate band (fraction-of-refreshing-heads bounds)."""
-
-    delta: float = 0.0
-    gate_lo: float = DEFAULT_GATE[0]
-    gate_hi: float = DEFAULT_GATE[1]
-
-    def __post_init__(self):
-        if self.delta < 0 or math.isnan(self.delta):
-            raise ConfigError(f"reuse threshold must be >= 0, got {self.delta}")
-        if not (0.0 <= self.gate_lo <= self.gate_hi <= 1.0):
-            raise ConfigError(
-                f"gate bounds must satisfy 0 <= lo <= hi <= 1, got ({self.gate_lo}, {self.gate_hi})"
-            )
-
-
-@dataclass
-class TmrOutcome:
-    mask: BlockMask
-    decision: str
-    drift: float | None
-
-
-def tmr_step(head, step: int, q: np.ndarray, k: np.ndarray, cache: DriftCache,
-             delta: float, predict_mask: Callable[[object, int], BlockMask]) -> TmrOutcome:
-    """One reuse-or-refresh decision for a head at a step.
-
-    Cold start (no anchor) and drift > delta both predict a fresh mask and set
-    the anchor to the current step; drift <= delta returns the cached anchor
-    mask and leaves the cache untouched.
-    """
-    if q.ndim != 2 or q.shape != k.shape:
-        raise ShapeMismatch("tmr_step expects Q and K of one (tokens, dim) shape")
-    q_mean = q.mean(axis=0)
-    k_mean = k.mean(axis=0)
-    entry = cache.get(head)
-    if entry is None:
-        mask = predict_mask(head, step)
-        cache.store(head, CacheEntry(step, q_mean, k_mean, mask))
-        return TmrOutcome(mask=mask, decision=COLD_START, drift=None)
-    drift = mean_pool_drift(entry.q_mean, q_mean, entry.k_mean, k_mean)
-    if drift > delta:
-        mask = predict_mask(head, step)
-        cache.store(head, CacheEntry(step, q_mean, k_mean, mask))
-        return TmrOutcome(mask=mask, decision=REFRESH, drift=drift)
-    return TmrOutcome(mask=entry.mask, decision=REUSE, drift=drift)
-
-
 def layer_gate(refresh_flags: Sequence[bool], gate_lo: float, gate_hi: float) -> list[bool]:
     """Force whole-layer reuse/refresh when the refreshing fraction leaves [lo, hi]."""
     if gate_lo > gate_hi:
@@ -151,23 +63,6 @@ def layer_gate(refresh_flags: Sequence[bool], gate_lo: float, gate_hi: float) ->
     if fraction > gate_hi:
         return [True] * len(flags)
     return flags
-
-
-def fit_stability_constant(samples: Iterable[tuple[float, float]]) -> float:
-    """Max ratio changed-block-ratio / drift over samples; the fitted bound constant.
-
-    Zero-drift samples must be excluded by the caller (they are required to
-    have a zero changed ratio and are asserted separately).
-    """
-    best = None
-    for drift, ratio in samples:
-        if drift <= 0:
-            raise DomainError("stability fit requires strictly positive drifts")
-        value = ratio / drift
-        best = value if best is None else max(best, value)
-    if best is None:
-        raise DomainError("stability fit requires a nonempty sample set")
-    return float(best)
 
 
 def cache_footprint(layers: int, heads: int, tokens: int, head_dim: int,
@@ -214,9 +109,13 @@ class RunResult:
     reuse_rate: float
     mean_sparsity: float
     mean_velocity_rel_l2: float
-    cache: DriftCache
     taus: np.ndarray
     gate_forced: int
+    # Final anchor per head: refresh step (L, H), pooled Q/K (L, H, 2, D)
+    # and retained blocks (L, H, M).
+    anchor_step: np.ndarray
+    anchor_pooled: np.ndarray
+    anchor_keep: np.ndarray
 
 
 def simulate(pipeline, taus: np.ndarray, delta: float,
@@ -245,7 +144,7 @@ def simulate(pipeline, taus: np.ndarray, delta: float,
         )
     for tau in taus.flat:
         check_tau(float(tau))
-    if delta < 0:
+    if not delta >= 0:
         raise DomainError(f"reuse threshold must be >= 0, got {delta}")
     if gate is not None and not (0.0 <= gate[0] <= gate[1] <= 1.0):
         raise DomainError(f"gate bounds must satisfy 0 <= lo <= hi <= 1, got {gate}")
@@ -257,7 +156,6 @@ def simulate(pipeline, taus: np.ndarray, delta: float,
     anchor_step = np.full(shape, -1)
     anchor_pooled = np.zeros(shape + (2, cfg.head_dim))
     anchor_keep = np.zeros(shape + (blocks,), dtype=bool)
-    anchor_mask: list[list[BlockMask | None]] = [[None] * cfg.heads for _ in range(cfg.layers)]
     records: list[StepRecord] = []
     predictions = 0
     gate_forced = 0
@@ -286,10 +184,6 @@ def simulate(pipeline, taus: np.ndarray, delta: float,
                 anchor_keep[layer, fresh] = keep
                 anchor_pooled[layer, fresh] = pooled[layer, fresh]
                 anchor_step[layer, fresh] = step
-                for row, head in enumerate(fresh.tolist()):
-                    anchor_mask[layer][head] = BlockMask(
-                        keep[row], origin_step=step, origin_tau=float(taus[layer, head])
-                    )
                 predictions += fresh.size
             sparsity = 1.0 - anchor_keep[layer].sum(axis=-1) / blocks
             for head, (is_cold, is_fresh, d, s, c) in enumerate(zip(
@@ -303,20 +197,13 @@ def simulate(pipeline, taus: np.ndarray, delta: float,
                 ))
         del qk  # the forward below makes its own float64 copies
         if velocity_error:
-            step_masks = {(layer, head): anchor_mask[layer][head]
+            step_masks = {(layer, head): BlockMask(anchor_keep[layer, head])
                           for layer in range(cfg.layers) for head in range(cfg.heads)}
             dense = pipeline.dense_forward(step)
             sparse = pipeline.sparse_forward(step, step_masks)
             denom = float(np.linalg.norm(dense))
             err = float(np.linalg.norm(sparse - dense))
             velocity_errors.append(err / denom if denom > 0 else err)
-    cache = DriftCache()
-    for layer in range(cfg.layers):
-        for head in range(cfg.heads):
-            q_mean, k_mean = anchor_pooled[layer, head]
-            cache.store((layer, head), CacheEntry(
-                int(anchor_step[layer, head]), q_mean, k_mean, anchor_mask[layer][head]
-            ))
     total = cfg.steps * cfg.layers * cfg.heads
     return RunResult(
         records=records,
@@ -324,7 +211,9 @@ def simulate(pipeline, taus: np.ndarray, delta: float,
         reuse_rate=(total - predictions) / total,
         mean_sparsity=float(np.mean([r.sparsity for r in records])),
         mean_velocity_rel_l2=float(np.mean(velocity_errors)) if velocity_errors else math.nan,
-        cache=cache,
         taus=taus,
         gate_forced=gate_forced,
+        anchor_step=anchor_step,
+        anchor_pooled=anchor_pooled,
+        anchor_keep=anchor_keep,
     )

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from satool.analysis import adjacent_pair_samples, spearman, split_samples
+from satool.analysis import adjacent_pair_samples, spearman, split_samples, two_step_bound_constants
 from satool.blocksparse import BlockScores, top_p_select
 from satool.calibration import (
     CalibrationProblem,
@@ -23,7 +23,7 @@ from satool.calibration import (
     solve_budgeted_assignment,
 )
 from satool.cli import main as cli_main
-from satool.reuse import fit_stability_constant, simulate
+from satool.reuse import simulate
 from satool.spectral import REGIONS, band_energy_ratios, band_partition, band_perturbation
 from satool.surrogate import ForwardPipeline
 from satool.trace import TraceConfig, generate_trace
@@ -110,9 +110,7 @@ def test_criterion_3_calibration_dominance(default_pipeline):
 def test_criterion_4_drift_bound_generalizes(default_samples):
     start = time.monotonic()
     calibration, held_out = split_samples(default_samples, 0.5, seed=7)
-    constant = fit_stability_constant(
-        [(s.full_drift, s.changed_ratio) for s in calibration if s.full_drift > 0]
-    )
+    constant = two_step_bound_constants(calibration)["mask_per_drift"]
     held_nonzero = [s for s in held_out if s.full_drift > 0]
     assert len(held_nonzero) >= 200
     violations = sum(1 for s in held_nonzero if s.changed_ratio > constant * s.full_drift)

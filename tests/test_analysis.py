@@ -18,7 +18,7 @@ from satool.blocksparse import (
     top_p_select,
 )
 from satool.errors import DomainError
-from satool.reuse import fit_stability_constant, full_token_drift, mean_pool_drift
+from satool.reuse import full_token_drift, mean_pool_drift
 from satool.surrogate import attention_probs
 from satool.trace import TraceConfig, generate_trace
 
@@ -35,7 +35,7 @@ def per_step_pair_samples(trace, token_p=0.95, tau=0.95):
                 scores = block_scores(q, k, cfg.grid)
                 state = {
                     "rows": cumulative_prefix_mask(attention_probs(q, k), token_p),
-                    "mask": top_p_select(scores, tau, step=step),
+                    "mask": top_p_select(scores, tau),
                     "scores": scores.values,
                     "q": q, "k": k,
                     "q_mean": q.mean(axis=0), "k_mean": k.mean(axis=0),
@@ -175,9 +175,7 @@ class TestSplitAndBounds:
 
     def test_fitted_constant_bounds_generalize(self, short_samples):
         cal, held = split_samples(short_samples, 0.5, seed=3)
-        constant = fit_stability_constant(
-            [(s.full_drift, s.changed_ratio) for s in cal if s.full_drift > 0]
-        )
+        constant = two_step_bound_constants(cal)["mask_per_drift"]
         violations = sum(
             1 for s in held if s.full_drift > 0 and s.changed_ratio > constant * s.full_drift
         )
@@ -195,3 +193,29 @@ class TestSplitAndBounds:
         assert constants["mask_per_drift"] <= (
             constants["score_per_drift"] * constants["mask_per_score"] + 1e-15
         )
+
+
+def drift_samples(pairs):
+    """Samples whose only meaningful fields are (full drift, changed-block ratio)."""
+    return [PairSample(step=0, layer=0, head=0, full_drift=drift, pool_drift=0.0,
+                       score_drift=0.0, token_iou=1.0, block_iou=1.0, changed_ratio=ratio)
+            for drift, ratio in pairs]
+
+
+class TestMaskPerDrift:
+    def test_max_ratio(self):
+        constants = two_step_bound_constants(drift_samples([(1.0, 0.1), (2.0, 0.5)]))
+        assert constants["mask_per_drift"] == pytest.approx(0.25)
+
+    def test_zero_ratios_give_zero(self):
+        constants = two_step_bound_constants(drift_samples([(1.0, 0.0), (2.0, 0.0)]))
+        assert constants["mask_per_drift"] == 0.0
+
+    def test_zero_drift_samples_ignored(self):
+        samples = drift_samples([(0.0, 0.9), (1.0, 0.1), (2.0, 0.5)])
+        assert two_step_bound_constants(samples)["mask_per_drift"] == pytest.approx(0.25)
+        assert two_step_bound_constants(samples[:1])["mask_per_drift"] == 0.0
+
+    def test_empty_rejected(self):
+        with pytest.raises(DomainError):
+            two_step_bound_constants([])

@@ -1,9 +1,16 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from satool.blocksparse import block_scores
 from satool.calibration import (
     CalibrationProblem,
+    CalibrationTable,
+    HeadSelection,
     additive_surrogate_gap,
     brute_force_assignment,
     build_problem,
@@ -152,6 +159,63 @@ class TestSolver:
         np.testing.assert_array_equal(
             back.tau_grid(2, 2), table.tau_grid(2, 2)
         )
+
+
+# Measured values drawn from a coarse grid (many ties) or anywhere in range.
+_errors = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.floats(0.0, 10.0))
+_sparsities = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def solver_instances(draw):
+    """At most 6 heads x 4 candidates, with a budget no larger than the maximum achievable."""
+    layers = draw(st.integers(1, 2))
+    heads = draw(st.integers(1, 6 // layers))
+    k = draw(st.integers(1, 4))
+    shape = (layers, heads, k)
+    err = draw(arrays(np.float64, shape, elements=_errors))
+    spar = draw(arrays(np.float64, shape, elements=_sparsities))
+    problem = CalibrationProblem(taus=np.linspace(0.95, 0.8, k), sparsity=spar, error=err,
+                                 budget=0.0)
+    problem.budget = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)) * \
+        problem.max_achievable()
+    return problem
+
+
+@st.composite
+def calibration_tables(draw):
+    """Tables naming every (layer, head) of a small grid once, in any order."""
+    layers, heads = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    reals = st.floats(allow_nan=False, allow_infinity=False)
+    keys = draw(st.permutations([(l, h) for l in range(layers) for h in range(heads)]))
+    selections = [
+        HeadSelection(layer=l, head=h, index=-1, tau=draw(st.floats(0.0, 1.0, exclude_min=True)),
+                      sparsity=draw(reals), error=draw(reals))
+        for l, h in keys
+    ]
+    table = CalibrationTable(selections=selections, objective=draw(reals),
+                             achieved_sparsity=draw(reals), budget=draw(reals),
+                             solver=draw(st.text()), optimal=draw(st.booleans()))
+    return table, layers, heads
+
+
+class TestProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(problem=solver_instances())
+    def test_solver_matches_brute_force(self, problem):
+        exact = solve_budgeted_assignment(problem)
+        oracle = brute_force_assignment(problem)
+        assert exact.objective == oracle.objective
+        assert exact.selection_indices() == oracle.selection_indices()
+        assert exact.achieved_sparsity == oracle.achieved_sparsity
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=calibration_tables())
+    def test_table_json_round_trip(self, case):
+        table, layers, heads = case
+        back = table_from_json_dict(json.loads(json.dumps(table.to_json_dict())))
+        assert back == table
+        np.testing.assert_array_equal(back.tau_grid(layers, heads), table.tau_grid(layers, heads))
 
 
 class TestTauGrid:

@@ -267,6 +267,15 @@ class TestRun:
         assert result.exit_code == 1
         assert "error:domain:" in result.output
 
+    def test_nan_delta_rejected(self, trace_dir, tmp_path, runner):
+        result = runner.invoke(main, [
+            "run", "--trace", str(trace_dir / "trace.satr"),
+            "--out", str(tmp_path / "x"), "--delta", "nan",
+        ])
+        assert result.exit_code == 1
+        assert "error:domain:" in result.output
+        assert not (tmp_path / "x" / "summary.json").exists()
+
     def test_rerun_byte_identical(self, trace_dir, tmp_path, runner):
         outs = []
         for name in ("ra", "rb"):
@@ -319,9 +328,9 @@ def full_table(tau=0.9):
 class TestRunTable:
     """``run --table`` must name each (layer, head) of the 2x3 trace exactly once."""
 
-    def run_table(self, trace_dir, tmp_path, runner, heads):
+    def run_table(self, trace_dir, tmp_path, runner, payload):
         table = tmp_path / "table.json"
-        table.write_text(json.dumps(table_payload(heads)))
+        table.write_text(json.dumps(payload))
         return runner.invoke(main, [
             "run", "--trace", str(trace_dir / "trace.satr"), "--out", str(tmp_path / "r"),
             "--table", str(table), "--delta", "1",
@@ -330,7 +339,7 @@ class TestRunTable:
     def test_complete_table_runs(self, trace_dir, tmp_path, runner):
         heads = full_table()
         heads[4][2] = 0.7
-        result = self.run_table(trace_dir, tmp_path, runner, heads)
+        result = self.run_table(trace_dir, tmp_path, runner, table_payload(heads))
         assert result.exit_code == 0, result.output
         summary = json.loads((tmp_path / "r" / "summary.json").read_text())
         assert [h["tau"] for h in summary["heads"]] == [0.9, 0.9, 0.9, 0.9, 0.7, 0.9]
@@ -348,7 +357,7 @@ class TestRunTable:
             heads[1] = [0, 0, 0.8]
         else:
             del heads[3]
-        result = self.run_table(trace_dir, tmp_path, runner, heads)
+        result = self.run_table(trace_dir, tmp_path, runner, table_payload(heads))
         assert result.exit_code == 1
         assert "error:shape:" in result.output
         assert "Traceback" not in result.output
@@ -358,10 +367,28 @@ class TestRunTable:
     def test_invalid_tau_rejected(self, trace_dir, tmp_path, runner, tau):
         heads = full_table()
         heads[2][2] = tau
-        result = self.run_table(trace_dir, tmp_path, runner, heads)
+        result = self.run_table(trace_dir, tmp_path, runner, table_payload(heads))
         assert result.exit_code == 1
         assert "error:domain:" in result.output
         assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("key, value", [
+        ("layer", 0.7), ("layer", "0"), ("layer", True), ("head", "1"), ("head", 1.0),
+        ("tau", "0.9"), ("tau", True), ("S", "0"), ("E", False),
+        ("budget", True), ("objective", "0"), ("achieved_sparsity", "0.5"),
+        ("solver", 1), ("optimal", "false"), ("optimal", 1), ("heads", {}),
+    ])
+    def test_mistyped_field_rejected(self, trace_dir, tmp_path, runner, key, value):
+        payload = table_payload(full_table())
+        if key in payload:
+            payload[key] = value
+        else:
+            payload["heads"][0][key] = value
+        result = self.run_table(trace_dir, tmp_path, runner, payload)
+        assert result.exit_code == 1
+        assert "error:domain:" in result.output
+        assert "Traceback" not in result.output
+        assert not (tmp_path / "r" / "summary.json").exists()
 
 
 class TestGateForcedSummary:

@@ -3,24 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from satool.blocksparse import BlockMask, changed_block_ratio, realized_sparsity, top_p_select
-from satool.errors import ConfigError, DomainError, ShapeMismatch, StateError
+from satool.blocksparse import changed_block_ratio, realized_sparsity, top_p_select
+from satool.errors import DomainError, ShapeMismatch, StateError
 from satool.reuse import (
     COLD_START,
     DEFAULT_GATE,
     REFRESH,
     REUSE,
-    CacheEntry,
-    DriftCache,
-    ReuseConfig,
     cache_footprint,
-    fit_stability_constant,
     full_token_drift,
     StepRecord,
     layer_gate,
     mean_pool_drift,
     simulate,
-    tmr_step,
 )
 from satool.surrogate import ForwardPipeline
 from satool.trace import TraceConfig, generate_trace
@@ -65,71 +60,6 @@ class TestDriftStatistics:
             mean_pool_drift(np.ones(3), np.ones(4), np.ones(3), np.ones(3))
 
 
-def constant_mask_predictor(size):
-    calls = []
-
-    def predict(head, step):
-        calls.append((head, step))
-        retained = np.zeros(size, dtype=bool)
-        retained[step % size] = True
-        return BlockMask(retained=retained, origin_step=step)
-
-    predict.calls = calls
-    return predict
-
-
-class TestTmrStep:
-    def test_cold_start_sets_anchor(self, rng):
-        cache = DriftCache()
-        predict = constant_mask_predictor(4)
-        q, k = rng.standard_normal((6, 3)), rng.standard_normal((6, 3))
-        outcome = tmr_step("h0", 0, q, k, cache, delta=1.0, predict_mask=predict)
-        assert outcome.decision == COLD_START
-        assert outcome.drift is None
-        assert cache.get("h0").anchor_step == 0
-        assert predict.calls == [("h0", 0)]
-
-    def test_zero_delta_refreshes_on_any_drift(self, rng):
-        cache = DriftCache()
-        predict = constant_mask_predictor(4)
-        q, k = rng.standard_normal((6, 3)), rng.standard_normal((6, 3))
-        tmr_step("h0", 0, q, k, cache, delta=0.0, predict_mask=predict)
-        outcome = tmr_step("h0", 1, q + 0.01, k, cache, delta=0.0, predict_mask=predict)
-        assert outcome.decision == REFRESH
-        assert cache.get("h0").anchor_step == 1
-
-    def test_reuse_leaves_cache_untouched(self, rng):
-        cache = DriftCache()
-        predict = constant_mask_predictor(4)
-        q, k = rng.standard_normal((6, 3)), rng.standard_normal((6, 3))
-        tmr_step("h0", 0, q, k, cache, delta=10.0, predict_mask=predict)
-        before = cache.snapshot("h0")
-        outcome = tmr_step("h0", 5, q + 1e-4, k, cache, delta=10.0, predict_mask=predict)
-        after = cache.snapshot("h0")
-        assert outcome.decision == REUSE
-        assert after.anchor_step == before.anchor_step == 0
-        np.testing.assert_array_equal(after.q_mean, before.q_mean)
-        np.testing.assert_array_equal(after.mask.retained, outcome.mask.retained)
-        assert len(predict.calls) == 1
-
-    def test_frozen_features_always_reuse(self, rng):
-        cache = DriftCache()
-        predict = constant_mask_predictor(4)
-        q, k = rng.standard_normal((6, 3)), rng.standard_normal((6, 3))
-        decisions = []
-        for step in range(10):
-            decisions.append(tmr_step("h", step, q, k, cache, 0.5, predict).decision)
-        assert decisions[0] == COLD_START
-        assert all(d == REUSE for d in decisions[1:])
-
-    def test_corrupt_cache_detected(self, rng):
-        cache = DriftCache()
-        cache.store("h", CacheEntry(0, np.zeros(3), np.zeros(3), None))
-        with pytest.raises(StateError):
-            tmr_step("h", 1, rng.standard_normal((6, 3)), rng.standard_normal((6, 3)),
-                     cache, 1.0, constant_mask_predictor(4))
-
-
 class TestLayerGate:
     def test_all_false_stays(self):
         assert layer_gate([False] * 4, 0.2, 0.8) == [False] * 4
@@ -151,31 +81,6 @@ class TestLayerGate:
             layer_gate([True], 0.9, 0.1)
         with pytest.raises(DomainError):
             layer_gate([], 0.1, 0.9)
-
-    def test_reuse_config_validation(self):
-        with pytest.raises(ConfigError):
-            ReuseConfig(delta=-1.0)
-        with pytest.raises(ConfigError):
-            ReuseConfig(delta=0.0, gate_lo=0.8, gate_hi=0.2)
-
-
-class TestFitStabilityConstant:
-    def test_zero_ratios_give_zero(self):
-        assert fit_stability_constant([(1.0, 0.0), (2.0, 0.0)]) == 0.0
-
-    def test_max_ratio(self):
-        assert fit_stability_constant([(1.0, 0.1), (2.0, 0.5)]) == pytest.approx(0.25)
-
-    def test_bound_holds_on_fit_samples(self, rng):
-        samples = [(float(rng.uniform(0.1, 5)), float(rng.uniform(0, 1))) for _ in range(50)]
-        c = fit_stability_constant(samples)
-        assert all(r <= c * d + 1e-12 for d, r in samples)
-
-    def test_rejects_zero_drift_and_empty(self):
-        with pytest.raises(DomainError):
-            fit_stability_constant([(0.0, 0.0)])
-        with pytest.raises(DomainError):
-            fit_stability_constant([])
 
 
 class TestCacheFootprint:
@@ -281,16 +186,31 @@ class TestSimulate:
         with pytest.raises(DomainError):
             simulate(sim_pipeline, taus, 1.0, velocity_error=False)
 
+    @pytest.mark.parametrize("delta", [-1.0, math.nan])
+    def test_invalid_delta_rejected(self, sim_pipeline, delta):
+        cfg = sim_pipeline.trace.config
+        with pytest.raises(DomainError):
+            simulate(sim_pipeline, np.full((cfg.layers, cfg.heads), 0.9), delta,
+                     velocity_error=False)
+
+    @pytest.mark.parametrize("gate", [(0.9, 0.1), (-0.1, 0.5), (0.5, 1.5)])
+    def test_invalid_gate_rejected(self, sim_pipeline, gate):
+        cfg = sim_pipeline.trace.config
+        with pytest.raises(DomainError):
+            simulate(sim_pipeline, np.full((cfg.layers, cfg.heads), 0.9), 1.0, gate=gate,
+                     velocity_error=False)
+
 
 def reference_simulate(pipeline, taus, delta, gate=DEFAULT_GATE, normalized_delta=False,
                        velocity_error=True):
     """The per-(layer, head) simulation loop: pool, score and select one head at a time.
 
+    Anchors live in a plain dict, (layer, head) -> (step, q_mean, k_mean, mask).
     Returns the fields of a RunResult plus the count of gate-overridden proposals.
     """
     cfg = pipeline.trace.config
     scale = 1.0 / (2.0 * cfg.head_dim) if normalized_delta else 1.0
-    cache = DriftCache()
+    cache = {}
     last_used = {}
     records = []
     predictions = reuse_count = forced = 0
@@ -307,7 +227,8 @@ def reference_simulate(pipeline, taus, delta, gate=DEFAULT_GATE, normalized_delt
                 if entry is None:
                     proposals.append((True, None))
                 else:
-                    drift = mean_pool_drift(entry.q_mean, q_mean, entry.k_mean, k_mean)
+                    _, anchor_q, anchor_k, _ = entry
+                    drift = mean_pool_drift(anchor_q, q_mean, anchor_k, k_mean)
                     proposals.append((drift * scale > delta, drift))
             flags = [want for want, _ in proposals]
             if gate is not None:
@@ -321,14 +242,14 @@ def reference_simulate(pipeline, taus, delta, gate=DEFAULT_GATE, normalized_delt
                     raise StateError(f"gate forced reuse on cold head ({layer}, {head})")
                 if refresh:
                     mask = top_p_select(
-                        pipeline.scores(step, layer, head), float(taus[layer, head]), step=step
+                        pipeline.scores(step, layer, head), float(taus[layer, head])
                     )
                     q_mean, k_mean = pooled[head]
-                    cache.store((layer, head), CacheEntry(step, q_mean, k_mean, mask))
+                    cache[(layer, head)] = (step, q_mean, k_mean, mask)
                     predictions += 1
                     decision = COLD_START if entry is None else REFRESH
                 else:
-                    mask = entry.mask
+                    mask = entry[3]
                     reuse_count += 1
                     decision = REUSE
                 previous = last_used.get((layer, head))
@@ -388,15 +309,16 @@ class TestSimulateOracle:
         for name in ("predictions", "reuse_rate", "mean_sparsity", "mean_velocity_rel_l2",
                      "gate_forced"):
             assert getattr(result, name) == expected[name], name
-        assert result.cache.heads() == expected["cache"].heads()
-        for key in expected["cache"].heads():
-            got, want = result.cache.get(key), expected["cache"].get(key)
-            assert got.anchor_step == want.anchor_step
-            np.testing.assert_array_equal(got.q_mean, want.q_mean)
-            np.testing.assert_array_equal(got.k_mean, want.k_mean)
-            np.testing.assert_array_equal(got.mask.retained, want.mask.retained)
-            assert (got.mask.origin_step, got.mask.origin_tau) == \
-                (want.mask.origin_step, want.mask.origin_tau)
+        assert (result.anchor_step.shape, result.anchor_pooled.shape, result.anchor_keep.shape) == (
+            (cfg.layers, cfg.heads), (cfg.layers, cfg.heads, 2, cfg.head_dim),
+            (cfg.layers, cfg.heads, cfg.grid.total_blocks))
+        assert sorted(expected["cache"]) == [
+            (layer, head) for layer in range(cfg.layers) for head in range(cfg.heads)]
+        for (layer, head), (step, q_mean, k_mean, mask) in expected["cache"].items():
+            assert result.anchor_step[layer, head] == step
+            np.testing.assert_array_equal(result.anchor_pooled[layer, head, 0], q_mean)
+            np.testing.assert_array_equal(result.anchor_pooled[layer, head, 1], k_mean)
+            np.testing.assert_array_equal(result.anchor_keep[layer, head], mask.retained)
 
     def test_cases_exercise_reuse_refresh_and_forcing(self, oracle_pipeline):
         cfg = ORACLE_CONFIG
