@@ -51,17 +51,21 @@ class BlockGrid:
 
 @dataclass
 class BlockScores:
-    """Nonnegative per-block importance; ``normalized`` means they sum to one."""
+    """Nonnegative per-block importance; ``normalized`` means they sum to one.
+
+    ``values`` is (..., M): leading axes are independent heads, each checked
+    on its own.
+    """
 
     values: np.ndarray
     normalized: bool = True
 
     def validate(self) -> None:
-        if self.values.ndim != 1:
-            raise ShapeMismatch("block scores must be a flat vector")
+        if self.values.ndim < 1:
+            raise ShapeMismatch("block scores need a block axis")
         if np.any(self.values < 0):
             raise DomainError("block scores must be nonnegative")
-        if self.normalized and abs(float(self.values.sum()) - 1.0) > SCORE_SUM_TOL:
+        if self.normalized and np.any(np.abs(self.values.sum(axis=-1) - 1.0) > SCORE_SUM_TOL):
             raise DomainError("scores flagged normalized but do not sum to 1")
 
 

@@ -18,7 +18,8 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .blocksparse import realized_sparsity, top_p_select
+from .blocksparse import (BlockScores, block_score_values, check_tau, cumulative_prefix_mask,
+                          top_p_select)
 from .errors import ConfigError, DomainError, InfeasibleBudget, ShapeMismatch
 from .spectral import BandPartition, BandWeights, band_energy_ratios, band_partition, weighted_error
 from .surrogate import ForwardPipeline
@@ -50,19 +51,33 @@ def sample_timesteps(total_steps: int, intervals: int, seed: int) -> list[int]:
 
 @dataclass(frozen=True)
 class OperatingPoint:
-    """One candidate threshold with its measured mean sparsity and mean error."""
+    """One candidate threshold: mean sparsity, mean error, kept blocks summed over steps."""
 
     tau: float
     sparsity: float
     error: float
+    kept_blocks: int
+
+
+# Measured sparsity is 1 - kept / denominator, up to the rounding of a mean.
+_COUNT_TOL = 1e-12
 
 
 @dataclass
 class CalibrationProblem:
+    """Measured operating points of every (layer, head, candidate).
+
+    ``kept_blocks`` holds the integer kept-block counts behind ``sparsity``,
+    summed over the sampled steps, and ``block_denominator`` is blocks per
+    head times sampled steps; both are None for problems not measured.
+    """
+
     taus: np.ndarray          # (K,)
     sparsity: np.ndarray      # (layers, heads, K)
     error: np.ndarray         # (layers, heads, K)
     budget: float
+    kept_blocks: np.ndarray | None = None     # (layers, heads, K) integers
+    block_denominator: int | None = None
 
     def __post_init__(self):
         self.taus = np.asarray(self.taus, dtype=np.float64)
@@ -76,6 +91,24 @@ class CalibrationProblem:
             raise ShapeMismatch("candidate axis must match the threshold list")
         if not (np.isfinite(self.sparsity).all() and np.isfinite(self.error).all()):
             raise DomainError("measured tensors must be finite")
+        if (self.kept_blocks is None) != (self.block_denominator is None):
+            raise ConfigError("kept-block counts and their denominator go together")
+        if self.kept_blocks is not None:
+            self._check_counts()
+
+    def _check_counts(self) -> None:
+        kept, denom = np.asarray(self.kept_blocks), self.block_denominator
+        if kept.shape != self.sparsity.shape:
+            raise ShapeMismatch("kept-block counts must share the (L, H, K) shape")
+        if not np.issubdtype(kept.dtype, np.integer):
+            raise DomainError("kept-block counts must be integers")
+        if not isinstance(denom, Integral) or isinstance(denom, bool) or denom <= 0:
+            raise DomainError(f"block denominator must be a positive integer, got {denom!r}")
+        if kept.min() < 0 or kept.max() > denom:
+            raise DomainError(f"kept-block counts must lie in [0, {denom}]")
+        if np.abs(1.0 - kept / denom - self.sparsity).max() > _COUNT_TOL:
+            raise DomainError("kept-block counts disagree with the measured sparsity")
+        self.kept_blocks = kept
 
     @property
     def layers(self) -> int:
@@ -116,6 +149,10 @@ class CalibrationTable:
     budget: float
     solver: str
     optimal: bool
+    # Kept blocks of the selected thresholds over all heads and sampled
+    # steps, and the blocks those steps offer; None for unmeasured problems.
+    blocks_kept: int | None = None
+    blocks_total: int | None = None
 
     def selection_indices(self) -> tuple[int, ...]:
         return tuple(s.index for s in self.selections)
@@ -141,7 +178,7 @@ class CalibrationTable:
         return grid
 
     def to_json_dict(self) -> dict:
-        return {
+        payload = {
             "budget": self.budget,
             "objective": self.objective,
             "achieved_sparsity": self.achieved_sparsity,
@@ -152,6 +189,10 @@ class CalibrationTable:
                 for s in self.selections
             ],
         }
+        if self.blocks_kept is not None:
+            payload["blocks_kept"] = self.blocks_kept
+            payload["blocks_total"] = self.blocks_total
+        return payload
 
 
 def _field(record: dict, key: str, kind: type):
@@ -163,7 +204,11 @@ def _field(record: dict, key: str, kind: type):
 
 
 def table_from_json_dict(payload: dict) -> CalibrationTable:
-    """Rebuild a ``to_json_dict`` table; a mistyped field raises DomainError, nothing is coerced."""
+    """Rebuild a ``to_json_dict`` table; a mistyped field raises DomainError, nothing is coerced.
+
+    The block totals are a record of the measurement; ``run`` does not need
+    them, so they are not read back.
+    """
     selections = [
         HeadSelection(layer=int(_field(h, "layer", Integral)),
                       head=int(_field(h, "head", Integral)), index=-1,
@@ -181,42 +226,79 @@ def table_from_json_dict(payload: dict) -> CalibrationTable:
     )
 
 
+def _measure_step(pipeline: ForwardPipeline, step: int, layers: np.ndarray, heads: np.ndarray,
+                  taus: np.ndarray, weights: BandWeights | None, partition: BandPartition,
+                  objective: str) -> tuple[np.ndarray, np.ndarray]:
+    """Kept-block counts and errors of every listed head at every threshold, at one step.
+
+    ``layers`` and ``heads`` list n heads; both results are (n, K).  One
+    scoring call covers every head and one prefix-mask call selects every
+    (head, threshold) row.  A row that keeps every block has error exactly
+    0; the others share one batched residual pass and one spectral pass.
+    """
+    trace, grid = pipeline.trace, pipeline.grid
+    n, k, blocks = len(heads), len(taus), grid.total_blocks
+    scores = BlockScores(block_score_values(trace.q(step, layers, heads),
+                                            trace.k(step, layers, heads), grid))
+    scores.validate()
+    keep = cumulative_prefix_mask(np.broadcast_to(scores.values[:, None], (n, k, blocks)), taus)
+    keep = keep.reshape(n * k, blocks)
+    kept = keep.sum(axis=-1)
+    error = np.zeros(n * k)
+    rows = np.flatnonzero(kept < blocks)
+    if rows.size:
+        at = rows // k
+        residual = pipeline.single_head_residuals(step, layers[at], heads[at], keep[rows])
+        if objective == "fft":
+            ratios = band_energy_ratios(residual, pipeline.dense_forward(step), partition)
+            error[rows] = weighted_error(ratios, weights)
+        else:
+            error[rows] = np.mean((residual ** 2).reshape(rows.size, -1), axis=-1)
+    return kept.reshape(n, k), error.reshape(n, k)
+
+
+def _measure(pipeline: ForwardPipeline, layers, heads, taus, steps,
+             weights: BandWeights | None, partition: BandPartition | None,
+             objective: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean sparsity, mean error and summed kept blocks of the listed heads, each (n, K)."""
+    taus = np.array([float(t) for t in taus])
+    steps = list(steps)
+    pipeline.require_dense(steps)
+    if objective not in ("fft", "mse"):
+        raise DomainError(f"objective must be 'fft' or 'mse', got {objective!r}")
+    if not steps:
+        raise DomainError("need at least one sampled step")
+    for tau in taus.tolist():
+        check_tau(tau)
+    if partition is None:
+        partition = band_partition(pipeline.trace.config.velocity_shape)
+    layers, heads = np.asarray(layers), np.asarray(heads)
+    per_step = [_measure_step(pipeline, step, layers, heads, taus, weights, partition, objective)
+                for step in steps]
+    kept = np.stack([counts for counts, _ in per_step], axis=-1)
+    error = np.stack([errors for _, errors in per_step], axis=-1)
+    sparsity = np.mean(1.0 - kept / pipeline.grid.total_blocks, axis=-1)
+    return sparsity, np.mean(error, axis=-1), kept.sum(axis=-1)
+
+
 def measure_head(pipeline: ForwardPipeline, layer: int, head: int, taus,
                  steps, weights: BandWeights | None = None,
                  partition: BandPartition | None = None,
                  objective: str = "fft") -> list[OperatingPoint]:
     """Measure one head at each candidate threshold over the sampled steps.
 
-    Requires the dense outputs for every step to be cached already.  Each
-    step scores the head's blocks once; every threshold selects from those
-    scores and costs one masked attention for this head plus one projection.
-    Returns one operating point per threshold, in ``taus`` order.
+    Requires the dense outputs for every step to be cached already.  This
+    is the one-head case of the step-batched measurement ``build_problem``
+    makes: each step scores the head once and selects every threshold from
+    those scores.  Returns one operating point per threshold, in ``taus``
+    order.
     """
-    taus = [float(t) for t in taus]
-    steps = list(steps)
-    pipeline.require_dense(steps)
-    if objective not in ("fft", "mse"):
-        raise DomainError(f"objective must be 'fft' or 'mse', got {objective!r}")
-    if partition is None:
-        partition = band_partition(pipeline.trace.config.velocity_shape)
-    errors: list[list[float]] = [[] for _ in taus]
-    sparsities: list[list[float]] = [[] for _ in taus]
-    for step in steps:
-        scores = pipeline.scores(step, layer, head)
-        dense = pipeline.dense_forward(step)
-        for j, tau in enumerate(taus):
-            mask = top_p_select(scores, tau)
-            residual = pipeline.sparse_forward(step, {(layer, head): mask}) - dense
-            if objective == "fft":
-                errors[j].append(
-                    weighted_error(band_energy_ratios(residual, dense, partition), weights)
-                )
-            else:
-                errors[j].append(float(np.mean(residual ** 2)))
-            sparsities[j].append(realized_sparsity(mask))
+    pipeline.check_head(layer, head)
+    sparsity, error, kept = _measure(pipeline, [layer], [head], taus, steps, weights,
+                                     partition, objective)
     return [
-        OperatingPoint(tau=tau, sparsity=float(np.mean(s)), error=float(np.mean(e)))
-        for tau, s, e in zip(taus, sparsities, errors)
+        OperatingPoint(tau=float(tau), sparsity=float(s), error=float(e), kept_blocks=int(b))
+        for tau, s, e, b in zip(taus, sparsity[0], error[0], kept[0])
     ]
 
 
@@ -226,8 +308,9 @@ def build_problem(pipeline: ForwardPipeline, taus, intervals: int, budget: float
                   per_head_seeds: bool = False) -> CalibrationProblem:
     """Measure every (layer, head, candidate) and assemble the assignment problem.
 
-    With ``per_head_seeds`` each head is measured on its own reseeded trace
-    (one trace per head assignment) instead of the shared one.
+    Each sampled step measures all heads at every candidate together.  With
+    ``per_head_seeds`` each head is instead measured on its own reseeded
+    trace (one trace and its dense forwards per head) with ``measure_head``.
     """
     taus = [float(t) for t in taus]
     if len(set(taus)) != len(taus):
@@ -238,22 +321,31 @@ def build_problem(pipeline: ForwardPipeline, taus, intervals: int, budget: float
     steps = sample_timesteps(cfg.steps, intervals, seed)
     partition = band_partition(cfg.velocity_shape)
     shape = (cfg.layers, cfg.heads, len(taus))
-    sparsity = np.empty(shape)
-    error = np.empty(shape)
     pipeline.precompute_dense(steps)
-    for layer in range(cfg.layers):
-        for head in range(cfg.heads):
-            if per_head_seeds:
+    if per_head_seeds:
+        sparsity = np.empty(shape)
+        error = np.empty(shape)
+        kept = np.empty(shape, dtype=np.int64)
+        for layer in range(cfg.layers):
+            for head in range(cfg.heads):
                 head_cfg = replace(cfg, seed=cfg.seed + 1 + layer * cfg.heads + head)
                 head_pipe = ForwardPipeline(generate_trace(head_cfg), pipeline.model)
                 head_pipe.precompute_dense(steps)
-            else:
-                head_pipe = pipeline
-            points = measure_head(head_pipe, layer, head, taus, steps, weights,
-                                  partition, objective)
-            sparsity[layer, head] = [point.sparsity for point in points]
-            error[layer, head] = [point.error for point in points]
-    return CalibrationProblem(taus=np.array(taus), sparsity=sparsity, error=error, budget=float(budget))
+                points = measure_head(head_pipe, layer, head, taus, steps, weights,
+                                      partition, objective)
+                sparsity[layer, head] = [point.sparsity for point in points]
+                error[layer, head] = [point.error for point in points]
+                kept[layer, head] = [point.kept_blocks for point in points]
+    else:
+        layers, heads = np.divmod(np.arange(cfg.layers * cfg.heads), cfg.heads)
+        sparsity, error, kept = (
+            values.reshape(shape)
+            for values in _measure(pipeline, layers, heads, taus, steps, weights,
+                                   partition, objective)
+        )
+    return CalibrationProblem(taus=np.array(taus), sparsity=sparsity, error=error,
+                              budget=float(budget), kept_blocks=kept,
+                              block_denominator=pipeline.grid.total_blocks * len(steps))
 
 
 def _assignment_stats(problem: CalibrationProblem, selection) -> tuple[float, float]:
@@ -276,9 +368,15 @@ def _make_table(problem: CalibrationProblem, selection, solver: str, optimal: bo
             sparsity=float(problem.sparsity[layer, head, k]),
             error=float(problem.error[layer, head, k]),
         ))
+    blocks_kept = blocks_total = None
+    if problem.kept_blocks is not None:
+        rows = np.arange(problem.head_count)
+        blocks_kept = int(problem.kept_blocks.reshape(problem.head_count, -1)[rows, selection].sum())
+        blocks_total = problem.block_denominator * problem.head_count
     return CalibrationTable(
         selections=selections, objective=objective, achieved_sparsity=achieved,
         budget=problem.budget, solver=solver, optimal=optimal,
+        blocks_kept=blocks_kept, blocks_total=blocks_total,
     )
 
 

@@ -89,21 +89,40 @@ def band_energy_ratios(error: np.ndarray, reference: np.ndarray,
 
     Returns the four ratios in REGIONS order:
     r_q = sum_{bins in region q} |FFT(error)|^2 / (sum |FFT(reference)|^2 + stabilizer).
+    Both fields are (..., T, H, W); leading axes are independent fields and
+    broadcast against each other, and the result is (..., 4).  Each field's
+    ratios are those of transforming it alone, and a reference without
+    leading axes is transformed once for every error field.
     """
-    if error.shape != partition.shape or reference.shape != partition.shape:
+    error = np.asarray(error)
+    reference = np.asarray(reference)
+    if error.shape[-3:] != partition.shape or reference.shape[-3:] != partition.shape:
         raise ShapeMismatch(
-            f"fields must match partition shape {partition.shape}, "
+            f"fields must end in partition shape {partition.shape}, "
             f"got {error.shape} and {reference.shape}"
         )
-    err_power = np.abs(np.fft.fftn(error)) ** 2
-    denom = float((np.abs(np.fft.fftn(reference)) ** 2).sum()) + stabilizer
-    return np.array(
-        [float(err_power[partition.labels == i].sum()) / denom for i in range(4)]
-    )
+    try:
+        np.broadcast_shapes(error.shape[:-3], reference.shape[:-3])
+    except ValueError as exc:
+        raise ShapeMismatch(f"field batches {error.shape} and {reference.shape} differ") from exc
+    axes = (-3, -2, -1)
+    err_power = (np.abs(np.fft.fftn(error, axes=axes)) ** 2).reshape(*error.shape[:-3], -1)
+    ref_power = (np.abs(np.fft.fftn(reference, axes=axes)) ** 2).reshape(*reference.shape[:-3], -1)
+    denom = ref_power.sum(axis=-1) + stabilizer
+    labels = partition.labels.reshape(-1)
+    # ``take`` keeps each field's bins contiguous, so every band sums in the
+    # order of a lone field's.
+    bands = np.stack([np.take(err_power, np.flatnonzero(labels == i), axis=-1).sum(axis=-1)
+                      for i in range(4)], axis=-1)
+    return bands / denom[..., None]
 
 
-def weighted_error(ratios, weights: BandWeights | None = None) -> float:
-    """Weighted sum of the four band energy ratios."""
+def weighted_error(ratios, weights: BandWeights | None = None):
+    """Weighted sum of the four band energy ratios.
+
+    ``ratios`` is (..., 4); one set of ratios gives a float, leading axes
+    give an array of that shape.
+    """
     if weights is None:
         weights = BandWeights()
     w = weights.as_array() if isinstance(weights, BandWeights) else np.asarray(weights, dtype=np.float64)
@@ -112,9 +131,10 @@ def weighted_error(ratios, weights: BandWeights | None = None) -> float:
     if np.any(w < 0):
         raise DomainError("band weights must be nonnegative")
     r = np.asarray(ratios, dtype=np.float64)
-    if r.shape != (4,):
+    if r.shape[-1:] != (4,):
         raise ShapeMismatch(f"expected four band ratios, got shape {r.shape}")
-    return float(w @ r)
+    total = r @ w
+    return float(total) if r.ndim == 1 else total
 
 
 def band_perturbation(reference: np.ndarray, region: str, alpha: float, seed: int,

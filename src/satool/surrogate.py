@@ -158,8 +158,8 @@ class SurrogateModel:
         return self.weight[:, start * self.head_width:stop * self.head_width]
 
     def field(self, preactivation: np.ndarray) -> np.ndarray:
-        """The velocity field for a pre-activation ``W f + b``."""
-        return np.tanh(preactivation).reshape(self.velocity_shape)
+        """The velocity field for a pre-activation ``W f + b``; leading axes are batches."""
+        return np.tanh(preactivation).reshape(*preactivation.shape[:-1], *self.velocity_shape)
 
     def project(self, features: np.ndarray,
                 preactivation: np.ndarray | None = None) -> np.ndarray:
@@ -214,7 +214,7 @@ class ForwardPipeline:
         self._pre: dict[int, np.ndarray] = {}
         self._head_out: dict[int, np.ndarray] = {}
 
-    def _check_head(self, layer: int, head: int) -> None:
+    def check_head(self, layer: int, head: int) -> None:
         c = self.trace.config
         if not (0 <= layer < c.layers and 0 <= head < c.heads):
             raise ShapeMismatch(f"head ({layer}, {head}) outside {c.layers}x{c.heads}")
@@ -250,6 +250,23 @@ class ForwardPipeline:
             pre += self.model.head_columns(start, stop) @ change[start:stop].reshape(-1)
         return self.model.field(pre)
 
+    def _output_changes(self, step: int, layers: np.ndarray, heads: np.ndarray,
+                        retained: np.ndarray) -> np.ndarray:
+        """Masked minus dense attention output of each (layer, head, mask) row.
+
+        Rows go through ``masked_attention`` in chunks; each chunk gathers
+        its rows' Q, K and V from the trace.
+        """
+        c = self.trace.config
+        out = np.empty((len(heads), c.tokens, c.head_dim))
+        for window in _head_chunks(len(heads), c.tokens):
+            at = (layers[window], heads[window])
+            allow = _token_masks(retained[window], self.grid)
+            out[window] = masked_attention(self.trace.q(step, *at), self.trace.k(step, *at),
+                                           self.trace.v(step, *at), allow)
+            out[window] -= self._head_out[step][at]
+        return out
+
     def _head_changes(self) -> np.ndarray:
         c = self.trace.config
         return np.zeros((c.heads, c.tokens, c.head_dim))
@@ -271,7 +288,7 @@ class ForwardPipeline:
         return step in self._fields
 
     def dense_head_output(self, step: int, layer: int, head: int) -> np.ndarray:
-        self._check_head(layer, head)
+        self.check_head(layer, head)
         if step not in self._head_out:
             self.dense_forward(step)
         return self._head_out[step][layer, head]
@@ -284,11 +301,10 @@ class ForwardPipeline:
         """
         self.trace.check_step(step)
         self.dense_forward(step)
-        c = self.trace.config
         keys: list[tuple[int, int]] = []
         given: list[np.ndarray] = []
         for (layer, head), mask in masks.items():
-            self._check_head(layer, head)
+            self.check_head(layer, head)
             if mask is not None:
                 _check_mask_size(mask, self.grid)
                 keys.append((layer, head))
@@ -298,17 +314,43 @@ class ForwardPipeline:
         partial = ~retained.all(axis=-1)
         if not partial.any():
             return self._incremental_field(step, change, set())
-        retained = retained[partial]
         layers, heads = np.array(keys)[partial].T
-        out = np.empty((len(heads), c.tokens, c.head_dim))
-        for window in _head_chunks(len(heads), c.tokens):
-            qkv = self.trace.data[step, layers[window], heads[window]].astype(np.float64)
-            allow = _token_masks(retained[window], self.grid)
-            out[window] = masked_attention(qkv[:, 0], qkv[:, 1], qkv[:, 2], allow)
-        out -= self._head_out[step][layers, heads]
+        out = self._output_changes(step, layers, heads, retained[partial])
         for row, head in enumerate(heads.tolist()):
             change[head] += out[row]
         return self._incremental_field(step, change, set(heads.tolist()))
+
+    def single_head_residuals(self, step: int, layers: np.ndarray, heads: np.ndarray,
+                              retained: np.ndarray) -> np.ndarray:
+        """Sparse minus dense field of each row's one-head forward, as (rows, T, H, W).
+
+        Row ``i`` masks only head ``(layers[i], heads[i])`` with the block
+        bitset ``retained[i]``.  All rows share the chunked attention of
+        ``sparse_forward``; a full mask gives an exactly zero residual, so
+        callers save its attention by leaving it out.  Each head's rows are
+        projected with one matmul through that head's weight columns, added
+        to the cached dense pre-activation, and passed through tanh.  The
+        matmul may order its sums unlike ``sparse_forward``'s matrix-vector
+        product, so a residual can differ from it in the last bits.
+        """
+        self.trace.check_step(step)
+        self.dense_forward(step)
+        layers, heads = np.asarray(layers), np.asarray(heads)
+        for layer, head in set(zip(layers.tolist(), heads.tolist())):
+            self.check_head(layer, head)
+        retained = np.asarray(retained, dtype=bool)
+        if retained.shape != (len(heads), self.grid.total_blocks):
+            raise ShapeMismatch(
+                f"masks of shape {retained.shape} do not give one "
+                f"{self.grid.total_blocks}-block mask per row"
+            )
+        change = self._output_changes(step, layers, heads, retained).reshape(len(heads), -1)
+        pre = np.empty((len(heads), self.model.bias.size))
+        for head in np.unique(heads).tolist():
+            rows = np.flatnonzero(heads == head)
+            pre[rows] = change[rows] @ self.model.head_columns(head, head + 1).T
+        pre += self._pre[step]
+        return self.model.field(pre) - self._fields[step]
 
     def perturbed_forward(self, step: int,
                           deltas: Mapping[tuple[int, int], np.ndarray]) -> np.ndarray:
@@ -318,7 +360,7 @@ class ForwardPipeline:
         c = self.trace.config
         change = self._head_changes()
         for (layer, head), delta in deltas.items():
-            self._check_head(layer, head)
+            self.check_head(layer, head)
             if delta.shape != (c.tokens, c.head_dim):
                 raise ShapeMismatch(
                     f"perturbation for head ({layer}, {head}) must be "
@@ -329,7 +371,7 @@ class ForwardPipeline:
 
     def scores(self, step: int, layer: int, head: int) -> BlockScores:
         self.trace.check_step(step)
-        self._check_head(layer, head)
+        self.check_head(layer, head)
         return block_scores(
             self.trace.q(step, layer, head), self.trace.k(step, layer, head), self.grid
         )
@@ -337,7 +379,7 @@ class ForwardPipeline:
     def pooled(self, step: int, layer: int, head: int) -> tuple[np.ndarray, np.ndarray]:
         """Token-averaged query and key features for one head at one step."""
         self.trace.check_step(step)
-        self._check_head(layer, head)
+        self.check_head(layer, head)
         return (
             self.trace.q(step, layer, head).mean(axis=0),
             self.trace.k(step, layer, head).mean(axis=0),

@@ -114,7 +114,10 @@ class DenoiseTrace:
 
     ``data`` has shape (steps, layers, heads, 3, tokens, head_dim) with the
     tensor axis ordered Q, K, V.  Accessors return float64 copies so downstream
-    arithmetic runs in double precision.
+    arithmetic runs in double precision.  ``q``, ``k`` and ``v`` also take
+    index arrays for ``layer`` and ``head``, broadcast together: they gather
+    those heads into one (..., tokens, head_dim) copy, whose entries equal
+    the per-head calls bitwise.
     """
 
     config: TraceConfig

@@ -124,6 +124,14 @@ class TestTopPSelect:
         with pytest.raises(DomainError):
             top_p_select(BlockScores(np.array([0.5, 0.2])), 0.5)
 
+    def test_batched_scores_checked_per_row(self):
+        BlockScores(np.array([[0.5, 0.5], [0.9, 0.1]])).validate()
+        for values in ([[0.5, 0.5], [0.5, 0.2]], [[0.5, 0.5], [1.5, -0.5]]):
+            with pytest.raises(DomainError):
+                BlockScores(np.array(values)).validate()
+        with pytest.raises(ShapeMismatch):
+            BlockScores(np.array(1.0)).validate()
+
     def test_minimality_and_monotonicity_randomized(self, rng):
         # Properties over randomized normalized score vectors: the retained set
         # is minimal, it grows with tau, and realized sparsity shrinks with tau.

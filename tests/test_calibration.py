@@ -1,4 +1,6 @@
 import json
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from satool.blocksparse import block_scores
+from satool import calibration, surrogate
+from satool.blocksparse import block_score_values, block_scores, realized_sparsity, top_p_select
 from satool.calibration import (
     CalibrationProblem,
     CalibrationTable,
@@ -21,7 +24,7 @@ from satool.calibration import (
     solve_budgeted_assignment,
     table_from_json_dict,
 )
-from satool.errors import DomainError, InfeasibleBudget, ShapeMismatch, StateError
+from satool.errors import ConfigError, DomainError, InfeasibleBudget, ShapeMismatch, StateError
 from satool.spectral import band_energy_ratios, band_partition, weighted_error
 from satool.surrogate import ForwardPipeline, masked_attention
 from satool.trace import TraceConfig, generate_trace
@@ -301,16 +304,30 @@ class TestMeasureHead:
         measured_pipeline.precompute_dense(steps)
         singles = [measure_head(measured_pipeline, 2, 3, [tau], steps=steps)[0] for tau in taus]
         scored = []
-        original = measured_pipeline.scores
 
-        def counting_scores(step, layer, head):
-            scored.append((step, layer, head))
-            return original(step, layer, head)
+        def counting_scores(q, k, grid):
+            scored.append(q.shape[:-2])
+            return block_score_values(q, k, grid)
 
-        monkeypatch.setattr(measured_pipeline, "scores", counting_scores)
+        monkeypatch.setattr(calibration, "block_score_values", counting_scores)
         points = measure_head(measured_pipeline, 2, 3, taus, steps=steps)
-        assert points == singles
-        assert scored == [(step, 2, 3) for step in steps]
+        assert scored == [(1,)] * len(steps)
+        assert [(p.tau, p.sparsity, p.kept_blocks) for p in points] == \
+            [(p.tau, p.sparsity, p.kept_blocks) for p in singles]
+        np.testing.assert_allclose([p.error for p in points], [p.error for p in singles],
+                                   rtol=1e-12, atol=0)
+        assert points[-1].error == 0.0 and points[-1].kept_blocks == 3 * 64
+
+        scored.clear()
+        cfg = measured_pipeline.trace.config
+        build_problem(measured_pipeline, taus, intervals=3, budget=0.0, seed=1)
+        assert scored == [(cfg.layers * cfg.heads,)] * 3
+
+    def test_rejects_head_outside_trace(self, measured_pipeline):
+        measured_pipeline.precompute_dense([0])
+        for layer, head in ((4, 0), (0, 6), (-1, 0)):
+            with pytest.raises(ShapeMismatch):
+                measure_head(measured_pipeline, layer, head, [0.9], steps=[0])
 
     def test_single_step_hand_pipeline(self):
         # Independent scalar recomputation of the whole measurement chain on a
@@ -352,6 +369,228 @@ class TestMeasureHead:
 
         assert point.sparsity == pytest.approx(expected_sparsity)
         assert point.error == pytest.approx(expected_error, rel=1e-10)
+
+
+def oracle_measure_head(pipeline, layer, head, taus, steps, weights, partition, objective):
+    """The per-(head, tau) loop the step-batched measurement replaced.
+
+    Each (step, tau) scores the head, selects a mask, runs a one-head sparse
+    forward and transforms that one residual.  Returns per-tau mean
+    sparsities, mean errors and kept blocks summed over steps.
+    """
+    errors = [[] for _ in taus]
+    sparsities = [[] for _ in taus]
+    kept = [0 for _ in taus]
+    for step in steps:
+        scores = pipeline.scores(step, layer, head)
+        dense = pipeline.dense_forward(step)
+        for j, tau in enumerate(taus):
+            mask = top_p_select(scores, tau)
+            residual = pipeline.sparse_forward(step, {(layer, head): mask}) - dense
+            if objective == "fft":
+                errors[j].append(
+                    weighted_error(band_energy_ratios(residual, dense, partition), weights)
+                )
+            else:
+                errors[j].append(float(np.mean(residual ** 2)))
+            sparsities[j].append(realized_sparsity(mask))
+            kept[j] += mask.count
+    return ([float(np.mean(s)) for s in sparsities], [float(np.mean(e)) for e in errors], kept)
+
+
+def oracle_problem(pipeline, taus, intervals, seed, objective, per_head_seeds):
+    """(S, E, kept) of ``build_problem`` measured one (head, tau) at a time."""
+    cfg = pipeline.trace.config
+    steps = sample_timesteps(cfg.steps, intervals, seed)
+    partition = band_partition(cfg.velocity_shape)
+    shape = (cfg.layers, cfg.heads, len(taus))
+    sparsity, error, kept = np.empty(shape), np.empty(shape), np.empty(shape, dtype=np.int64)
+    pipeline.precompute_dense(steps)
+    for layer in range(cfg.layers):
+        for head in range(cfg.heads):
+            head_pipe = pipeline
+            if per_head_seeds:
+                head_cfg = replace(cfg, seed=cfg.seed + 1 + layer * cfg.heads + head)
+                head_pipe = ForwardPipeline(generate_trace(head_cfg), pipeline.model)
+                head_pipe.precompute_dense(steps)
+            sparsity[layer, head], error[layer, head], kept[layer, head] = oracle_measure_head(
+                head_pipe, layer, head, taus, steps, None, partition, objective)
+    return sparsity, error, kept
+
+
+@st.composite
+def measured_cases(draw):
+    """A small trace, candidates including tau = 1, and the calibration flags."""
+    block, per_side = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    cfg = TraceConfig(layers=draw(st.integers(1, 2)), heads=draw(st.integers(1, 4)),
+                      tokens=block * per_side, head_dim=draw(st.integers(1, 4)),
+                      steps=draw(st.integers(1, 6)), block_size=block,
+                      velocity_shape=draw(st.sampled_from([(2, 2, 2), (3, 2, 4), (4, 4, 4)])),
+                      seed=draw(st.integers(0, 2 ** 32 - 1)))
+    others = draw(st.lists(st.sampled_from([0.3, 0.5, 0.7, 0.8, 0.9, 0.95, 0.99]),
+                           max_size=3, unique=True))
+    taus = draw(st.permutations(others + [1.0]))
+    return dict(
+        config=cfg, taus=taus, intervals=draw(st.integers(1, cfg.steps)),
+        seed=draw(st.integers(0, 1000)), objective=draw(st.sampled_from(["fft", "mse"])),
+        per_head_seeds=draw(st.booleans()),
+        chunk_heads=draw(st.sampled_from([None, 1, 2, 3])),
+        budget_share=draw(st.floats(0.0, 1.0)),
+    )
+
+
+def check_against_oracle(case):
+    """Batched ``build_problem`` against the per-(head, tau) oracle on one case."""
+    cfg, taus = case["config"], case["taus"]
+    flags = dict(seed=case["seed"], objective=case["objective"],
+                 per_head_seeds=case["per_head_seeds"])
+    pipe = ForwardPipeline(generate_trace(cfg))
+    with pytest.MonkeyPatch.context() as mp:
+        if case["chunk_heads"] is not None:
+            mp.setattr(surrogate, "PROB_CHUNK_ELEMENTS", case["chunk_heads"] * cfg.tokens ** 2)
+        batched = build_problem(pipe, taus, case["intervals"], budget=0.0, **flags)
+    sparsity, error, kept = oracle_problem(ForwardPipeline(pipe.trace, pipe.model), taus,
+                                           case["intervals"], **flags)
+    np.testing.assert_array_equal(batched.sparsity, sparsity)
+    np.testing.assert_array_equal(batched.kept_blocks, kept)
+    assert batched.block_denominator == cfg.grid.total_blocks * case["intervals"]
+    np.testing.assert_allclose(batched.error, error, rtol=1e-12, atol=0)
+    np.testing.assert_array_equal(batched.error == 0, error == 0)
+    # A full mask leaves the field dense.  tau = 1 keeps every block unless a
+    # score is below the rounding of the cumulative mass before it.
+    full = batched.kept_blocks == batched.block_denominator
+    assert not batched.error[full].any() and not batched.sparsity[full].any()
+    batched.budget = case["budget_share"] * batched.max_achievable()
+    oracle = CalibrationProblem(taus=np.array(taus), sparsity=sparsity, error=error,
+                                budget=batched.budget)
+    assert solve_budgeted_assignment(batched).selection_indices() == \
+        solve_budgeted_assignment(oracle).selection_indices()
+
+
+class TestBatchedMeasurementOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(case=measured_cases())
+    def test_matches_per_head_tau_loop(self, case):
+        check_against_oracle(case)
+
+    def test_partial_last_chunk(self, monkeypatch):
+        # 2 layers x 3 heads x 3 candidates: up to 18 partial rows per step in
+        # chunks of 4, so the last chunk of a step holds fewer than 4 rows.
+        cfg = TraceConfig(layers=2, heads=3, tokens=8, head_dim=3, steps=5, block_size=2,
+                          velocity_shape=(2, 2, 2), seed=4)
+        sizes = []
+        original = surrogate.masked_attention
+
+        def spy(q, k, v, allow=None):
+            if allow is not None:
+                sizes.append(q.shape[0])
+            return original(q, k, v, allow)
+
+        monkeypatch.setattr(surrogate, "masked_attention", spy)
+        for objective in ("fft", "mse"):
+            check_against_oracle(dict(config=cfg, taus=[0.7, 1.0, 0.9], intervals=3, seed=2,
+                                      objective=objective, per_head_seeds=False,
+                                      chunk_heads=4, budget_share=0.5))
+        assert max(sizes) == 4 and any(0 < size < 4 for size in sizes)
+
+
+class TestStepBatchedCounts:
+    def test_one_pass_per_step_on_sixty_four_heads(self, monkeypatch):
+        cfg = TraceConfig(layers=4, heads=16, tokens=32, head_dim=8, steps=8, block_size=4,
+                          velocity_shape=(4, 4, 4), seed=7)
+        pipe = ForwardPipeline(generate_trace(cfg))
+        events = []
+
+        def spy(module, name, tag):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                result = original(*args, **kwargs)
+                events.append((tag, args, result))
+                return result
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        spy(calibration, "block_score_values", "score")
+        spy(calibration, "cumulative_prefix_mask", "select")
+        spy(calibration, "band_energy_ratios", "bands")
+        spy(calibration, "top_p_select", "top_p")
+        spy(surrogate, "masked_attention", "attention")
+        taus = [0.85, 0.9, 0.95]
+        build_problem(pipe, taus, intervals=4, budget=0.0)
+        # Dense forwards run before the first step is scored; each step
+        # starts with its scoring call.
+        first = next(i for i, (tag, _, _) in enumerate(events) if tag == "score")
+        per_step = []
+        for event in events[first:]:
+            if event[0] == "score":
+                per_step.append([])
+            per_step[-1].append(event)
+        assert len(per_step) == 4
+        chunk = max(1, surrogate.PROB_CHUNK_ELEMENTS // cfg.tokens ** 2)
+        blocks = cfg.grid.total_blocks
+        for step_events in per_step:
+            tags = [tag for tag, _, _ in step_events]
+            assert tags.count("score") == tags.count("select") == tags.count("bands") == 1
+            assert "top_p" not in tags
+            [q] = [args[0] for tag, args, _ in step_events if tag == "score"]
+            assert q.shape == (64, cfg.tokens, cfg.head_dim)
+            [keep] = [result for tag, _, result in step_events if tag == "select"]
+            assert keep.shape == (64, len(taus), blocks)
+            partial = int((keep.sum(axis=-1) < blocks).sum())
+            assert 0 < tags.count("attention") <= math.ceil(partial / chunk)
+
+
+class TestBlockCounts:
+    def test_measured_counts_and_table_totals(self, measured_pipeline):
+        prob = build_problem(measured_pipeline, [0.85, 0.9, 1.0], intervals=3, budget=0.0,
+                             seed=1)
+        denom = prob.block_denominator
+        assert denom == 64 * 3
+        assert prob.kept_blocks.dtype.kind == "i" and prob.kept_blocks.shape == (4, 6, 3)
+        assert prob.kept_blocks.min() >= 0 and (prob.kept_blocks[..., 2] == denom).all()
+        np.testing.assert_allclose(1 - prob.kept_blocks / denom, prob.sparsity,
+                                   rtol=0, atol=1e-12)
+        prob.budget = 0.5 * prob.max_achievable()
+        table = solve_budgeted_assignment(prob)
+        assert table.blocks_total == 24 * denom
+        assert table.blocks_kept == sum(int(prob.kept_blocks[s.layer, s.head, s.index])
+                                        for s in table.selections)
+        payload = json.loads(json.dumps(table.to_json_dict()))
+        assert (payload["blocks_kept"], payload["blocks_total"]) == \
+            (table.blocks_kept, table.blocks_total)
+        back = table_from_json_dict(payload)
+        assert back.blocks_kept is None and back.blocks_total is None
+        assert "blocks_kept" not in solve_budgeted_assignment(
+            random_problem(np.random.default_rng(0), 1, 2, 2)).to_json_dict()
+
+    @pytest.mark.parametrize("kept, denom, error", [
+        ([[[2, 4]]], 4, None),
+        ([[[2.0, 4.0]]], 4, DomainError),
+        ([[2, 4]], 4, ShapeMismatch),
+        ([[[-1, 4]]], 4, DomainError),
+        ([[[2, 5]]], 4, DomainError),
+        ([[[3, 4]]], 4, DomainError),
+        ([[[2, 4]]], None, ConfigError),
+        (None, 4, ConfigError),
+        ([[[2, 4]]], 0, DomainError),
+        ([[[2, 4]]], 4.0, DomainError),
+        ([[[2, 4]]], True, DomainError),
+    ], ids=["valid", "float", "shape", "negative", "above-denominator", "disagrees-with-S",
+            "no-denominator", "no-counts", "zero-denominator", "float-denominator",
+            "bool-denominator"])
+    def test_counts_validated(self, kept, denom, error):
+        def make():
+            return CalibrationProblem(
+                taus=np.array([0.9, 1.0]), sparsity=np.array([[[0.5, 0.0]]]),
+                error=np.array([[[1.0, 0.0]]]), budget=0.0,
+                kept_blocks=None if kept is None else np.array(kept), block_denominator=denom)
+
+        if error is None:
+            assert make().kept_blocks.tolist() == kept
+        else:
+            with pytest.raises(error):
+                make()
 
 
 class TestBuildProblem:

@@ -142,6 +142,10 @@ class TestCalibrate:
         assert table["achieved_sparsity"] >= table["budget"]
         assert table["optimal"] is True
         assert len(table["heads"]) == 2 * 3
+        # 16 blocks per head, 4 sampled steps, 6 heads.
+        assert table["blocks_total"] == 16 * 4 * 6
+        assert isinstance(table["blocks_kept"], int)
+        assert abs((1 - table["achieved_sparsity"]) * 384 - table["blocks_kept"]) < 1e-9
 
     def test_zero_budget_matches_min_error(self, trace_dir, tmp_path, runner):
         out = tmp_path / "calib0"

@@ -104,6 +104,37 @@ class TestBandEnergyRatios:
         with pytest.raises(ShapeMismatch):
             band_energy_ratios(np.zeros((4, 4, 4)), np.zeros((8, 8, 8)), partition)
 
+    @pytest.mark.parametrize("error_shape, reference_shape", [
+        ((3, 8, 8, 4), (8, 8, 8)),
+        ((3, 8, 8, 8), (8, 8, 4)),
+        ((8, 8), (8, 8, 8)),
+        ((3, 8, 8, 8), (2, 8, 8, 8)),
+    ], ids=["error-trailing", "reference-trailing", "too-few-axes", "batches-differ"])
+    def test_batched_shape_mismatch(self, partition, error_shape, reference_shape):
+        with pytest.raises(ShapeMismatch):
+            band_energy_ratios(np.zeros(error_shape), np.zeros(reference_shape), partition)
+
+    @pytest.mark.parametrize("lead", [(1,), (5,), (2, 3)])
+    @pytest.mark.parametrize("shape", [(8, 8, 8), (3, 2, 4)])
+    def test_batched_equals_per_field_calls(self, rng, lead, shape):
+        part = band_partition(shape)
+        errors = rng.standard_normal(lead + shape)
+        references = rng.standard_normal(lead + shape)
+        weights = BandWeights(0.7, 0.2, 0.05, 0.3)
+        shared = band_energy_ratios(errors, references[(0,) * len(lead)], part)
+        own = band_energy_ratios(errors, references, part)
+        assert shared.shape == own.shape == lead + (4,)
+        batched_error = weighted_error(own, weights)
+        assert batched_error.shape == lead
+        for index in np.ndindex(*lead):
+            single = band_energy_ratios(errors[index], references[index], part)
+            np.testing.assert_array_equal(own[index], single)
+            np.testing.assert_array_equal(
+                shared[index],
+                band_energy_ratios(errors[index], references[(0,) * len(lead)], part))
+            np.testing.assert_allclose(batched_error[index], weighted_error(single, weights),
+                                       rtol=1e-15, atol=0)
+
 
 class TestWeightedError:
     def test_zero_ratios(self):
@@ -126,6 +157,13 @@ class TestWeightedError:
         bumped = ratios.copy()
         bumped[2] += 0.1
         assert weighted_error(bumped, w1) >= weighted_error(ratios, w1)
+
+    def test_ratios_need_four_bands_on_the_last_axis(self):
+        for shape in [(3,), (4, 3), ()]:
+            with pytest.raises(ShapeMismatch):
+                weighted_error(np.zeros(shape))
+        assert isinstance(weighted_error(np.zeros(4)), float)
+        assert weighted_error(np.zeros((2, 4))).shape == (2,)
 
     def test_negative_weight_rejected(self):
         with pytest.raises(DomainError):

@@ -204,6 +204,37 @@ class TestIncrementalForward:
             np.testing.assert_array_equal(pipeline.dense_head_output(2, layer, head), expected)
 
 
+class TestSingleHeadResiduals:
+    @settings(max_examples=60, deadline=None)
+    @given(step=st.integers(0, CONFIG.steps - 1),
+           rows=st.lists(st.tuples(st.sampled_from(HEADS), mask_strategy()), min_size=1,
+                         max_size=12))
+    def test_each_row_matches_its_one_head_sparse_forward(self, pipeline, step, rows):
+        rows = [(key, mask) for key, mask in rows if isinstance(mask, BlockMask)]
+        if not rows:
+            return
+        layers, heads = np.array([key for key, _ in rows]).T
+        retained = np.array([mask.retained for _, mask in rows])
+        residuals = pipeline.single_head_residuals(step, layers, heads, retained)
+        dense = pipeline.dense_forward(step)
+        assert residuals.shape == (len(rows),) + CONFIG.velocity_shape
+        for residual, (key, mask) in zip(residuals, rows):
+            expected = pipeline.sparse_forward(step, {key: mask}) - dense
+            np.testing.assert_allclose(residual, expected, rtol=RTOL, atol=ATOL)
+            if mask.retained.all():
+                assert not residual.any()
+
+    def test_rejects_bad_rows(self, pipeline):
+        keep = np.zeros((1, BLOCKS), dtype=bool)
+        with pytest.raises(ShapeMismatch):
+            pipeline.single_head_residuals(0, [0], [0], np.zeros((1, BLOCKS + 1), dtype=bool))
+        with pytest.raises(ShapeMismatch):
+            pipeline.single_head_residuals(0, [0, 1], [0, 1], keep)
+        for layers, heads in (([CONFIG.layers], [0]), ([0], [-1])):
+            with pytest.raises(ShapeMismatch):
+                pipeline.single_head_residuals(0, layers, heads, keep)
+
+
 def live_rows_reference(q, k, v, allow):
     """One head's masked attention with the softmax and product over live rows only."""
     logits = np.where(allow, (q @ k.T) / math.sqrt(q.shape[1]), -np.inf)

@@ -104,6 +104,23 @@ class TestGenerateTrace:
         assert np.isfinite(default_trace.data).all()
 
 
+class TestAccessors:
+    def test_index_arrays_gather_per_head_copies(self, default_trace):
+        cfg = default_trace.config
+        layers = np.array([3, 0, 0, 2, 3])
+        heads = np.array([5, 0, 4, 1, 5])
+        for name in ("q", "k", "v"):
+            accessor = getattr(default_trace, name)
+            gathered = accessor(7, layers, heads)
+            assert gathered.dtype == np.float64
+            assert gathered.shape == (5, cfg.tokens, cfg.head_dim)
+            expected = np.stack([accessor(7, l, h) for l, h in zip(layers, heads)])
+            np.testing.assert_array_equal(gathered, expected)
+            grid = accessor(7, np.arange(cfg.layers)[:, None], np.arange(cfg.heads))
+            assert grid.shape == (cfg.layers, cfg.heads, cfg.tokens, cfg.head_dim)
+            np.testing.assert_array_equal(grid[2, 3], accessor(7, 2, 3))
+
+
 class TestTraceFile:
     def test_round_trip(self, tmp_path, small_trace):
         path = tmp_path / "trace.satr"
