@@ -20,6 +20,7 @@ from .blocksparse import (
     check_tau,
     cumulative_prefix_mask,
     mask_iou,
+    top_p_mask,
     top_p_select,  # noqa: F401  -- re-exported; perfbench's smoke test rebinds it here
 )
 from .errors import DomainError
@@ -82,7 +83,7 @@ def adjacent_pair_samples(trace: DenoiseTrace, token_p: float = 0.95,
             q, k = trace.head_qk(layer, head)
             q_mean, k_mean = q.mean(axis=1), k.mean(axis=1)
             scores = block_score_values(q, k, grid)
-            masks = cumulative_prefix_mask(scores, tau)
+            masks = top_p_mask(scores, tau)
             token_ious = _token_ious(q, k, token_p)
             for step in range(cfg.steps - 1):
                 nxt = step + 1

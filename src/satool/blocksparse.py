@@ -183,14 +183,27 @@ def check_tau(tau: float) -> None:
         raise DomainError(f"tau must lie in (0, 1], got {tau}")
 
 
+def top_p_mask(values: np.ndarray, tau: float | np.ndarray) -> np.ndarray:
+    """Top-p selection of each row of normalized scores; ``tau >= 1`` keeps every positive score.
+
+    ``tau`` is a scalar or one threshold per row, as in
+    ``cumulative_prefix_mask``.  At ``tau = 1`` exact arithmetic keeps every
+    positive score, but the rounded mass before a tiny score can already
+    reach 1; those rows keep their positive scores explicitly, so a row of
+    softmax scores keeps every block and ``tau = 1`` gives the dense result.
+    """
+    keep = cumulative_prefix_mask(values, tau)
+    full = np.asarray(tau) >= 1.0
+    return keep | (full[..., None] & (values > 0)) if full.any() else keep
+
+
 def top_p_select(scores: BlockScores, tau: float) -> BlockMask:
     """Retain the minimal set of highest-scored blocks whose mass reaches tau."""
     check_tau(tau)
     scores.validate()
     if not scores.normalized:
         raise DomainError("top-p selection requires normalized scores")
-    keep = cumulative_prefix_mask(scores.values, tau)
-    return BlockMask(retained=keep)
+    return BlockMask(retained=top_p_mask(scores.values, tau))
 
 
 def realized_sparsity(mask: BlockMask, grid: BlockGrid | None = None) -> float:

@@ -4,22 +4,25 @@ Each head is measured at K candidate thresholds: sparsify only that head at a
 few sampled steps, compare the resulting velocity field against the cached
 dense reference, and average error and realized sparsity into one operating
 point per candidate.  Selecting one operating point per head to minimize total
-error subject to a global average-sparsity floor is a multiple-choice knapsack;
-it is solved exactly with dominance pruning, a fixed-multiplier Lagrangian
-bound, and depth-first branch and bound, and cross-checked by brute force.
+error subject to a global average-sparsity floor is a multiple-choice knapsack.
+It is solved by dominance pruning and depth-first branch and bound, with one
+dynamic-programming bound over integer sparsity units: skipped-block counts
+for measured problems, sparsity rounded up onto a fixed grid otherwise.  The
+bound table keeps every ceil(sqrt(n))-th row and rebuilds the others on
+demand, so it stays under a fixed cell cap.  A search that reaches its work
+limit reports ``optimal`` false and the proven gap.  A brute-force oracle
+cross-checks small instances.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from numbers import Integral, Real
 
 import numpy as np
 
-from .blocksparse import (BlockScores, block_score_values, check_tau, cumulative_prefix_mask,
-                          top_p_select)
+from .blocksparse import BlockScores, block_score_values, check_tau, top_p_mask, top_p_select
 from .errors import ConfigError, DomainError, InfeasibleBudget, ShapeMismatch
 from .spectral import BandPartition, BandWeights, band_energy_ratios, band_partition, weighted_error
 from .surrogate import ForwardPipeline
@@ -91,6 +94,8 @@ class CalibrationProblem:
             raise ShapeMismatch("candidate axis must match the threshold list")
         if not (np.isfinite(self.sparsity).all() and np.isfinite(self.error).all()):
             raise DomainError("measured tensors must be finite")
+        if np.any((self.sparsity < 0) | (self.sparsity > 1)):
+            raise DomainError("measured sparsity must lie in [0, 1]")
         if (self.kept_blocks is None) != (self.block_denominator is None):
             raise ConfigError("kept-block counts and their denominator go together")
         if self.kept_blocks is not None:
@@ -153,6 +158,11 @@ class CalibrationTable:
     # steps, and the blocks those steps offer; None for unmeasured problems.
     blocks_kept: int | None = None
     blocks_total: int | None = None
+    # The search record: the proven gap (0.0 when optimal), nodes expanded and
+    # nodes pruned by the bound; None for tables no search produced.
+    gap: float | None = None
+    nodes: int | None = None
+    pruned: int | None = None
 
     def selection_indices(self) -> tuple[int, ...]:
         return tuple(s.index for s in self.selections)
@@ -192,6 +202,8 @@ class CalibrationTable:
         if self.blocks_kept is not None:
             payload["blocks_kept"] = self.blocks_kept
             payload["blocks_total"] = self.blocks_total
+        if self.gap is not None:
+            payload.update(gap=self.gap, nodes=self.nodes, pruned=self.pruned)
         return payload
 
 
@@ -206,8 +218,8 @@ def _field(record: dict, key: str, kind: type):
 def table_from_json_dict(payload: dict) -> CalibrationTable:
     """Rebuild a ``to_json_dict`` table; a mistyped field raises DomainError, nothing is coerced.
 
-    The block totals are a record of the measurement; ``run`` does not need
-    them, so they are not read back.
+    The block totals and the search record describe how the table was made;
+    ``run`` does not need them, so they are not read back.
     """
     selections = [
         HeadSelection(layer=int(_field(h, "layer", Integral)),
@@ -232,7 +244,7 @@ def _measure_step(pipeline: ForwardPipeline, step: int, layers: np.ndarray, head
     """Kept-block counts and errors of every listed head at every threshold, at one step.
 
     ``layers`` and ``heads`` list n heads; both results are (n, K).  One
-    scoring call covers every head and one prefix-mask call selects every
+    scoring call covers every head and one ``top_p_mask`` call selects every
     (head, threshold) row.  A row that keeps every block has error exactly
     0; the others share one batched residual pass and one spectral pass.
     """
@@ -241,7 +253,7 @@ def _measure_step(pipeline: ForwardPipeline, step: int, layers: np.ndarray, head
     scores = BlockScores(block_score_values(trace.q(step, layers, heads),
                                             trace.k(step, layers, heads), grid))
     scores.validate()
-    keep = cumulative_prefix_mask(np.broadcast_to(scores.values[:, None], (n, k, blocks)), taus)
+    keep = top_p_mask(np.broadcast_to(scores.values[:, None], (n, k, blocks)), taus)
     keep = keep.reshape(n * k, blocks)
     kept = keep.sum(axis=-1)
     error = np.zeros(n * k)
@@ -395,28 +407,42 @@ def _solution_key(problem: CalibrationProblem, selection) -> tuple:
     return (objective, -achieved, tuple(selection))
 
 
+# Assignments the brute-force oracle enumerates at once.
+_BRUTE_FORCE_CHUNK = 2 ** 16
+
+
 def brute_force_assignment(problem: CalibrationProblem, limit: int = 10_000_000) -> CalibrationTable:
-    """Exhaustive oracle with the same tie-breaks as the exact solver."""
-    k = problem.taus.size
-    if k ** problem.head_count > limit:
-        raise DomainError(
-            f"instance too large for brute force: {k}^{problem.head_count} assignments"
-        )
+    """Exhaustive oracle with the same tie-breaks as the exact solver.
+
+    Assignments are enumerated in chunks of flat indices, head 0 the most
+    significant digit; each chunk's best is carried under the same key.
+    """
+    k, n = problem.taus.size, problem.head_count
+    if k ** n > limit:
+        raise DomainError(f"instance too large for brute force: {k}^{n} assignments")
     _check_feasible(problem)
     err, spar = problem.flat()
-    choices = np.array(list(itertools.product(range(k), repeat=problem.head_count)), dtype=np.intp)
-    rows = np.arange(problem.head_count)
-    objectives = err[rows, choices].sum(axis=1)
-    achieved = spar[rows, choices].sum(axis=1) / problem.head_count
-    feasible = achieved >= problem.budget
-    if not feasible.any():
+    rows = np.arange(n)
+    place = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    best_key: tuple | None = None
+    for start in range(0, k ** n, _BRUTE_FORCE_CHUNK):
+        flat = np.arange(start, min(start + _BRUTE_FORCE_CHUNK, k ** n), dtype=np.int64)
+        choices = flat[:, None] // place % k
+        objectives = err[rows, choices].sum(axis=1)
+        achieved = spar[rows, choices].sum(axis=1) / n
+        cand = np.flatnonzero(achieved >= problem.budget)
+        if not cand.size:
+            continue
+        keys = [choices[cand, col] for col in range(n - 1, -1, -1)]
+        keys.append(-achieved[cand])
+        keys.append(objectives[cand])
+        top = cand[np.lexsort(keys)[0]]
+        key = (objectives[top], -achieved[top], tuple(choices[top].tolist()))
+        if best_key is None or key < best_key:
+            best_key = key
+    if best_key is None:
         raise InfeasibleBudget("no feasible assignment", max_achievable=problem.max_achievable())
-    cand = np.flatnonzero(feasible)
-    keys = [choices[cand, col] for col in range(problem.head_count - 1, -1, -1)]
-    keys.append(-achieved[cand])
-    keys.append(objectives[cand])
-    best = cand[np.lexsort(keys)[0]]
-    return _make_table(problem, choices[best], solver="brute_force", optimal=True)
+    return _make_table(problem, best_key[2], solver="brute_force", optimal=True)
 
 
 def _pareto_candidates(err_row: np.ndarray, spar_row: np.ndarray) -> list[int]:
@@ -431,59 +457,129 @@ def _pareto_candidates(err_row: np.ndarray, spar_row: np.ndarray) -> list[int]:
             if not any(err_row[j] <= err_row[i] and spar_row[j] >= spar_row[i] for j in range(i))]
 
 
-def _dual_multiplier(err: np.ndarray, spar: np.ndarray, per_head: list[list[int]],
-                     budget_total: float) -> float:
-    """Pick the Lagrangian multiplier maximizing the dual over frontier slopes."""
-    slopes = [0.0]
-    for row, kept in enumerate(per_head):
-        for i, j in itertools.combinations(kept, 2):
-            ds = spar[row, j] - spar[row, i]
-            if abs(ds) > 1e-15:
-                slopes.append(abs((err[row, j] - err[row, i]) / ds))
-    best_lam, best_val = 0.0, -math.inf
-    for lam in slopes:
-        val = lam * budget_total
-        for row, kept in enumerate(per_head):
-            val += min(err[row, i] - lam * spar[row, i] for i in kept)
-        if val > best_val:
-            best_val, best_lam = val, lam
-    return best_lam
+# Bound and search limits.  Problems without measured counts get
+# _FLOAT_UNITS units per unit of sparsity.  The bound table holds at most
+# _TABLE_CELLS float64 cells at once.  The search stops after _WORK_LIMIT
+# units of work: one per node expanded and one per _ROW_WORK_CELLS cells of a
+# rebuilt table row, which take about as long as one node.
+_FLOAT_UNITS = 2 ** 10
+_TABLE_CELLS = 2 ** 24
+_WORK_LIMIT = 1_000_000
+_ROW_WORK_CELLS = 512
+
+
+class _SuffixBound:
+    """``at(pos, c)``: least error of the heads at ``pos:`` that gain at least ``c`` units.
+
+    ``choices[pos]`` lists one head's candidates as (index, unit gain, error).
+    A row ends where those heads can gain no more; the entries past its end
+    are infinite.  Only every ``_stride(n)``-th row (and the last) stays
+    resident; a row in between is rebuilt, with the rest of its segment, from
+    the kept row below it, and ``rebuilt`` counts that work.
+    """
+
+    def __init__(self, choices: list[list[tuple[int, int, float]]], need: int):
+        self.choices, self.need, self.n = choices, need, len(choices)
+        self.stride = stride = _stride(self.n)
+        row = np.zeros(1)
+        self.kept = {self.n: row}
+        for pos in range(self.n - 1, -1, -1):
+            row = self._extend(pos, row)
+            if pos % stride == 0:
+                self.kept[pos] = row
+        self.segment, self.rows, self.rebuilt = -1, {}, 0
+
+    def _extend(self, pos: int, below: np.ndarray) -> np.ndarray:
+        size = min(self.need, below.size - 1 + max(gain for _, gain, _ in self.choices[pos])) + 1
+        out = np.full(size, np.inf)
+        for _, gain, error in self.choices[pos]:
+            cut, end = min(gain, size), min(size, below.size + gain)
+            np.minimum(out[:cut], below[0] + error, out=out[:cut])
+            if end > cut:
+                np.minimum(out[cut:end], below[:end - gain] + error, out=out[cut:end])
+        return out
+
+    def at(self, pos: int, need: int) -> float:
+        """The bound for heads ``pos:`` that must gain ``need`` more units."""
+        row = self._row(pos)
+        return float(row[need]) if need < row.size else math.inf
+
+    def _row(self, pos: int) -> np.ndarray:
+        if pos in self.kept:
+            return self.kept[pos]
+        segment = pos // self.stride
+        if segment != self.segment:
+            top = min((segment + 1) * self.stride, self.n)
+            self.rows, row = {}, self.kept[top]
+            for p in range(top - 1, segment * self.stride, -1):
+                row = self.rows[p] = self._extend(p, row)
+            self.segment = segment
+            self.rebuilt += sum(-(-row.size // _ROW_WORK_CELLS) for row in self.rows.values())
+        return self.rows[pos]
+
+
+def _unit_gains(problem: CalibrationProblem,
+                per_head: list[list[int]]) -> tuple[list[list[int]], int]:
+    """Integer sparsity units each candidate gains over its head's least, and the units needed.
+
+    Measured problems count skipped blocks, which is exact; others round
+    ``S * _FLOAT_UNITS`` up, which never undercounts.  Any assignment that
+    passes the canonical float check gains at least the units needed: the
+    slack covers the ``_COUNT_TOL`` each head's ``S`` may stray from its count
+    plus the rounding of the sums.  Units are coarsened (rounded up again)
+    only when the resident table would exceed ``_TABLE_CELLS``.
+    """
+    n = problem.head_count
+    if problem.kept_blocks is None:
+        denom = _FLOAT_UNITS
+        units = np.ceil(problem.sparsity.reshape(n, -1) * denom).astype(np.int64)
+    else:
+        denom = problem.block_denominator
+        units = denom - problem.kept_blocks.reshape(n, -1).astype(np.int64)
+    gains, least = [], 0
+    for row, cands in enumerate(per_head):
+        base = int(units[row, cands].min())
+        gains.append((units[row, cands] - base).tolist())
+        least += base
+    slack = (n * _COUNT_TOL + _BOUND_SLACK) * denom
+    need = max(0, math.ceil(problem.budget * n * denom - slack) - least)
+    # Kept rows, one segment of rebuilt rows and the two rows being extended.
+    stride = _stride(n)
+    resident = -(-n // stride) + stride + 2
+    scale = 1
+    while scale < need and resident * (-(-need // scale) + 1) > _TABLE_CELLS:
+        scale += 1
+    if scale > 1:
+        gains = [[-(-gain // scale) for gain in head] for head in gains]
+    return gains, -(-need // scale)
+
+
+def _stride(n: int) -> int:
+    """Rows between resident bound rows: ceil(sqrt(n))."""
+    return math.isqrt(max(n - 1, 0)) + 1
 
 
 def solve_budgeted_assignment(problem: CalibrationProblem) -> CalibrationTable:
     """Exact minimum-error assignment meeting the average-sparsity budget.
 
-    Multiple-choice knapsack solved by per-head dominance pruning, a Lagrangian
-    lower bound at a fixed dual multiplier, and depth-first branch and bound
-    over heads ordered by descending sparsity range.  Ties among optimal
-    assignments break toward higher achieved sparsity, then the smallest
-    candidate-index vector in (layer, head) order.
+    Multiple-choice knapsack solved by per-head dominance pruning and an
+    explicit-stack depth-first branch and bound over heads in descending unit
+    range, visiting children in bound order.  Each node is bounded by a
+    suffix table over integer sparsity units (``_SuffixBound``).  Ties among
+    optimal assignments break toward higher achieved sparsity, then the
+    smallest candidate-index vector in (layer, head) order.  A search that
+    reaches ``_WORK_LIMIT`` returns its incumbent with ``optimal`` false and
+    ``gap``, the incumbent's objective minus the least open bound.
     """
     _check_feasible(problem)
     err, spar = problem.flat()
     n = problem.head_count
-    budget_total = problem.budget * n
     per_head = [_pareto_candidates(err[row], spar[row]) for row in range(n)]
-    lam = _dual_multiplier(err, spar, per_head, budget_total)
-
-    s_range = [
-        max(spar[row, i] for i in kept) - min(spar[row, i] for i in kept)
-        for row, kept in enumerate(per_head)
-    ]
-    search_order = sorted(range(n), key=lambda row: (-s_range[row], row))
-
-    # Suffix aggregates over the search order for O(1) per-node bounds.
-    suffix_min_err = np.zeros(n + 1)
-    suffix_min_dual = np.zeros(n + 1)
-    suffix_max_spar = np.zeros(n + 1)
-    for pos in range(n - 1, -1, -1):
-        row = search_order[pos]
-        kept = per_head[row]
-        suffix_min_err[pos] = suffix_min_err[pos + 1] + min(err[row, i] for i in kept)
-        suffix_min_dual[pos] = suffix_min_dual[pos + 1] + min(
-            err[row, i] - lam * spar[row, i] for i in kept
-        )
-        suffix_max_spar[pos] = suffix_max_spar[pos + 1] + max(spar[row, i] for i in kept)
+    gains, need = _unit_gains(problem, per_head)
+    order = sorted(range(n), key=lambda row: (-max(gains[row]), row))
+    choices = [list(zip(per_head[row], gains[row], err[row, per_head[row]].tolist()))
+               for row in order]
+    table = _SuffixBound(choices, need)
 
     incumbent_key: tuple | None = None
     incumbent_sel: list[int] | None = None
@@ -497,40 +593,40 @@ def solve_budgeted_assignment(problem: CalibrationProblem) -> CalibrationTable:
         if incumbent_key is None or key < incumbent_key:
             incumbent_key, incumbent_sel = key, list(selection)
 
-    # Warm starts: the unconstrained minimum (if feasible) and the max-sparsity
-    # assignment (feasible by the precheck).
-    greedy_min = [min(per_head[row], key=lambda i: (err[row, i], -spar[row, i], i)) for row in range(n)]
-    consider(greedy_min)
+    # Warm start: the max-sparsity assignment.  Rounded sums are monotone in
+    # each term, so if it fails the canonical check every assignment does.
     greedy_spar = [max(range(problem.taus.size), key=lambda i: (spar[row, i], -err[row, i], -i))
                    for row in range(n)]
     consider(greedy_spar)
-
-    selection = [0] * n
-
-    def dfs(pos: int, err_acc: float, spar_acc: float) -> None:
-        nonlocal incumbent_key
-        if spar_acc + suffix_max_spar[pos] < budget_total - _BOUND_SLACK:
-            return
-        if incumbent_key is not None:
-            bound = err_acc + max(
-                suffix_min_err[pos],
-                suffix_min_dual[pos] + lam * (budget_total - spar_acc),
-            )
-            if bound > incumbent_key[0] + _BOUND_SLACK:
-                return
-        if pos == n:
-            consider(selection)
-            return
-        row = search_order[pos]
-        for i in sorted(per_head[row], key=lambda i: (err[row, i], -spar[row, i], i)):
-            selection[row] = i
-            dfs(pos + 1, err_acc + err[row, i], spar_acc + spar[row, i])
-        selection[row] = per_head[row][0]
-
-    dfs(0, 0.0, 0.0)
     if incumbent_sel is None:
         raise InfeasibleBudget("no feasible assignment", max_achievable=problem.max_achievable())
-    return _make_table(problem, incumbent_sel, solver="branch_and_bound", optimal=True)
+
+    # Entries: (bound, depth, error so far, units still needed, candidate taken at depth - 1).
+    selection = [0] * n
+    stack = [(table.at(0, need), 0, 0.0, need, -1)]
+    nodes = pruned = 0
+    while stack:
+        bound, pos, acc, rest, choice = stack.pop()
+        if bound > incumbent_key[0] + _BOUND_SLACK:
+            pruned += 1
+            continue
+        if nodes + table.rebuilt >= _WORK_LIMIT:
+            stack.append((bound, pos, acc, rest, choice))
+            break
+        nodes += 1
+        if pos:
+            selection[order[pos - 1]] = choice
+        if pos == n:
+            consider(selection)
+            continue
+        children = sorted((acc + e + table.at(pos + 1, max(rest - u, 0)), i, u, e)
+                          for i, u, e in choices[pos])
+        for child, i, u, e in reversed(children):
+            stack.append((child, pos + 1, acc + e, max(rest - u, 0), i))
+    gap = max(0.0, incumbent_key[0] - min(entry[0] for entry in stack)) if stack else 0.0
+    return replace(_make_table(problem, incumbent_sel, solver="branch_and_bound",
+                               optimal=not stack),
+                   gap=gap, nodes=nodes, pruned=pruned)
 
 
 def shared_threshold_baseline(problem: CalibrationProblem, tau: float) -> dict:

@@ -19,7 +19,7 @@ from .blocksparse import (
     BlockMask,
     block_score_values,
     check_tau,
-    cumulative_prefix_mask,
+    top_p_mask,
     top_p_select,  # noqa: F401  -- re-exported; perfbench's smoke test rebinds it here
 )
 from .errors import DomainError, ShapeMismatch, StateError
@@ -179,7 +179,7 @@ def simulate(pipeline, taus: np.ndarray, delta: float,
             changed = np.zeros(cfg.heads)
             if fresh.size:
                 scores = block_score_values(qk[layer, fresh, 0], qk[layer, fresh, 1], grid)
-                keep = cumulative_prefix_mask(scores, taus[layer, fresh])
+                keep = top_p_mask(scores, taus[layer, fresh])
                 changed[fresh] = np.logical_xor(anchor_keep[layer, fresh], keep).sum(axis=-1) / blocks
                 anchor_keep[layer, fresh] = keep
                 anchor_pooled[layer, fresh] = pooled[layer, fresh]

@@ -19,6 +19,7 @@ from satool.blocksparse import (
     mask_iou,
     realized_sparsity,
     token_mask,
+    top_p_mask,
     top_p_select,
 )
 from satool.errors import ConfigError, DomainError, ShapeMismatch
@@ -252,6 +253,61 @@ class TestCumulativePrefixMask:
         small = cumulative_prefix_mask(values, lo)
         large = cumulative_prefix_mask(values, hi)
         assert not (small & ~large).any()
+
+
+class TestTauOneKeepsEveryBlock:
+    """Every top-p call site keeps all blocks at tau = 1, even below the rounded mass.
+
+    On this trace head 0's smallest score at step 5 is 6.4e-18, below the
+    rounding of the cumulative mass before it: the prefix mask alone keeps
+    15 of its 16 blocks.
+    """
+
+    @pytest.fixture(scope="class")
+    def pipe(self):
+        from satool.surrogate import ForwardPipeline
+        from satool.trace import TraceConfig, generate_trace
+
+        return ForwardPipeline(generate_trace(TraceConfig(
+            layers=1, heads=2, tokens=4, head_dim=1, steps=6, block_size=1, seed=4)))
+
+    def test_prefix_mask_alone_drops_a_block(self, pipe):
+        assert cumulative_prefix_mask(pipe.scores(5, 0, 0).values, 1.0).sum() == 15
+
+    def test_top_p_select_and_mask(self, pipe):
+        scores = pipe.scores(5, 0, 0).values
+        assert top_p_select(BlockScores(scores), 1.0).count == 16
+        rows = np.stack([scores, scores])
+        keep = top_p_mask(rows, np.array([0.9, 1.0]))
+        np.testing.assert_array_equal(keep[0], cumulative_prefix_mask(scores, 0.9))
+        assert keep[1].all()
+
+    def test_simulate(self, pipe):
+        from satool.reuse import simulate
+
+        result = simulate(pipe, np.ones((1, 2)), delta=0.0, gate=None)
+        assert result.predictions == 12
+        assert all(record.sparsity == 0.0 for record in result.records)
+        assert result.mean_velocity_rel_l2 == 0.0
+
+    def test_measure_head(self, pipe):
+        from satool.calibration import measure_head
+
+        steps = [1, 5]
+        pipe.precompute_dense(steps)
+        [point] = measure_head(pipe, 0, 0, [1.0], steps=steps)
+        assert point.kept_blocks == 16 * len(steps)
+        assert point.sparsity == 0.0 and point.error == 0.0
+
+    def test_adjacent_pair_samples(self, pipe):
+        from satool.analysis import adjacent_pair_samples
+
+        samples = adjacent_pair_samples(pipe.trace, tau=1.0)
+        assert all(s.block_iou == 1.0 and s.changed_ratio == 0.0 for s in samples)
+
+    def test_zero_scores_still_excluded(self):
+        keep = top_p_mask(np.array([[0.5, 0.5, 0.0, 0.0]]), np.array([1.0]))
+        np.testing.assert_array_equal(keep, [[True, True, False, False]])
 
 
 class TestBatchedBlockScores:

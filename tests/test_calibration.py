@@ -1,5 +1,7 @@
 import json
 import math
+import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -107,6 +109,20 @@ class TestSolver:
             assert exact.selection_indices() == oracle.selection_indices()
             assert exact.achieved_sparsity == oracle.achieved_sparsity
 
+    def test_shared_budget_on_a_rounded_mean(self):
+        # S = mean(1, 1/3, 1/3) rounds above its count: S * 9 is
+        # 5.000000000000001, not 5 skipped blocks.  The budget the shared
+        # baseline sets is that S, and the unit bound must still admit the
+        # baseline itself.
+        kept = np.array([[[[0, 2, 2], [0, 1, 0]]]])
+        prob = CalibrationProblem(taus=np.array([0.9, 0.8]),
+                                  sparsity=np.mean(1.0 - kept / 3, axis=-1),
+                                  error=np.array([[[0.0, 1.5]]]), budget=0.0,
+                                  kept_blocks=kept.sum(axis=-1), block_denominator=9)
+        prob.budget = shared_threshold_baseline(prob, 0.9)["achieved_sparsity"]
+        assert solve_budgeted_assignment(prob).selection_indices() == (0,)
+        assert brute_force_assignment(prob).selection_indices() == (0,)
+
     def test_tie_breaks_prefer_sparsity_then_lex(self):
         # Two identical-error candidates; the sparser one must win, and among
         # fully tied candidates the lower index must win.
@@ -186,6 +202,32 @@ def solver_instances(draw):
 
 
 @st.composite
+def measured_solver_instances(draw):
+    """Problems with kept-block counts, S the mean over steps as ``build_problem`` derives it.
+
+    Counts and errors come from small sets, so candidates tie often; the
+    budget is often a shared baseline's achieved sparsity, the float
+    boundary that ``shared:`` budgets put the solver on.
+    """
+    layers = draw(st.integers(1, 2))
+    heads = draw(st.integers(1, 6 // layers))
+    k, steps = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    blocks = draw(st.sampled_from([1, 3, 4, 5, 16]))
+    shape = (layers, heads, k)
+    kept = draw(arrays(np.int64, shape + (steps,), elements=st.integers(0, blocks)))
+    problem = CalibrationProblem(taus=np.linspace(0.95, 0.8, k),
+                                 sparsity=np.mean(1.0 - kept / blocks, axis=-1),
+                                 error=draw(arrays(np.float64, shape, elements=_errors)),
+                                 budget=0.0, kept_blocks=kept.sum(axis=-1),
+                                 block_denominator=blocks * steps)
+    shared = shared_threshold_baseline(problem, float(problem.taus[draw(st.integers(0, k - 1))]))
+    problem.budget = draw(st.sampled_from([shared["achieved_sparsity"]] * 2
+                                          + [problem.max_achievable()])
+                          | st.floats(0.0, 1.0).map(lambda f: f * problem.max_achievable()))
+    return problem
+
+
+@st.composite
 def calibration_tables(draw):
     """Tables naming every (layer, head) of a small grid once, in any order."""
     layers, heads = draw(st.integers(1, 3)), draw(st.integers(1, 4))
@@ -213,12 +255,146 @@ class TestProperties:
         assert exact.achieved_sparsity == oracle.achieved_sparsity
 
     @settings(max_examples=200, deadline=None)
+    @given(problem=measured_solver_instances())
+    def test_solver_matches_brute_force_on_measured_counts(self, problem):
+        exact = solve_budgeted_assignment(problem)
+        oracle = brute_force_assignment(problem)
+        assert exact.optimal and exact.gap == 0.0
+        assert exact.objective == oracle.objective
+        assert exact.selection_indices() == oracle.selection_indices()
+        assert exact.achieved_sparsity == oracle.achieved_sparsity
+
+    @settings(max_examples=200, deadline=None)
     @given(case=calibration_tables())
     def test_table_json_round_trip(self, case):
         table, layers, heads = case
         back = table_from_json_dict(json.loads(json.dumps(table.to_json_dict())))
         assert back == table
         np.testing.assert_array_equal(back.tau_grid(layers, heads), table.tau_grid(layers, heads))
+
+
+def tie_problem():
+    """Candidates repeat within and across heads."""
+    err = np.array([[[1.0, 1.0, 0.0], [2.0, 0.5, 0.5], [1.0, 1.0, 1.0]]])
+    spar = np.array([[[0.25, 0.5, 0.0], [0.0, 0.5, 0.5], [0.25, 0.25, 0.25]]])
+    return CalibrationProblem(taus=np.array([0.95, 0.9, 0.85]), sparsity=spar, error=err,
+                              budget=0.25)
+
+
+class TestBruteForceChunks:
+    @pytest.mark.parametrize("chunk", [1, 2, 7])
+    def test_tiny_chunks_match_one_chunk(self, rng, monkeypatch, chunk):
+        problems = [random_problem(rng, 2, 3, 3) for _ in range(20)] + [tie_problem()]
+        whole = [brute_force_assignment(problem) for problem in problems]
+        monkeypatch.setattr(calibration, "_BRUTE_FORCE_CHUNK", chunk)
+        for problem, expected in zip(problems, whole):
+            assert brute_force_assignment(problem) == expected
+        with pytest.raises(InfeasibleBudget):
+            brute_force_assignment(random_problem(rng, 2, 3, 3, budget=2.0))
+
+
+class TestSearchRecord:
+    def test_exact_solve_records_no_gap(self, rng):
+        prob = random_problem(rng, 2, 3, 3)
+        table = solve_budgeted_assignment(prob)
+        assert table.optimal and table.gap == 0.0
+        assert table.nodes >= prob.head_count + 1 and table.pruned >= 0
+        payload = table.to_json_dict()
+        assert (payload["gap"], payload["nodes"], payload["pruned"]) == \
+            (0.0, table.nodes, table.pruned)
+        back = table_from_json_dict(json.loads(json.dumps(payload)))
+        assert (back.gap, back.nodes, back.pruned) == (None, None, None)
+        assert "gap" not in brute_force_assignment(prob).to_json_dict()
+
+    def test_table_cap_coarsens_units_and_stays_exact(self, rng, monkeypatch):
+        monkeypatch.setattr(calibration, "_TABLE_CELLS", 40)
+        for _ in range(100):
+            prob = random_problem(rng, int(rng.integers(1, 3)), int(rng.integers(1, 5)), 3)
+            exact, oracle = solve_budgeted_assignment(prob), brute_force_assignment(prob)
+            assert exact.optimal
+            assert exact.selection_indices() == oracle.selection_indices()
+
+    def test_work_limit_reports_gap(self, rng, monkeypatch):
+        monkeypatch.setattr(calibration, "_WORK_LIMIT", 4)
+        stopped = 0
+        for _ in range(100):
+            prob = random_problem(rng, 2, 3, 3)
+            table, oracle = solve_budgeted_assignment(prob), brute_force_assignment(prob)
+            assert table.achieved_sparsity >= prob.budget
+            assert 0.0 <= table.gap < math.inf
+            assert oracle.objective <= table.objective
+            assert oracle.objective >= table.objective - table.gap - 1e-9
+            if table.optimal:
+                assert table.selection_indices() == oracle.selection_indices()
+            else:
+                stopped += 1
+                assert table.to_json_dict()["optimal"] is False
+        assert stopped > 0
+
+
+def paper_problem(layers, heads):
+    """The measured 5-threshold problem at ``shared:0.9`` on a 32-token, 12-step trace."""
+    cfg = TraceConfig(layers=layers, heads=heads, tokens=32, head_dim=8, steps=12, block_size=4,
+                      velocity_shape=(4, 4, 4), seed=3)
+    problem = build_problem(ForwardPipeline(generate_trace(cfg)),
+                            [0.8, 0.85, 0.9, 0.95, 0.99], intervals=4, budget=0.0)
+    problem.budget = shared_threshold_baseline(problem, 0.9)["achieved_sparsity"]
+    return problem
+
+
+def measured_form_problem(rng, heads, k=5, denom=256):
+    """Random counts S = skipped / denom; higher thresholds keep more blocks and err less."""
+    kept = np.sort(rng.integers(0, denom + 1, size=(1, heads, k)), axis=-1)
+    err = np.sort(rng.uniform(0.0, 1.0, size=(1, heads, k)), axis=-1)[..., ::-1]
+    problem = CalibrationProblem(taus=np.linspace(0.8, 0.99, k), sparsity=1.0 - kept / denom,
+                                 error=err, budget=0.0, kept_blocks=kept,
+                                 block_denominator=denom)
+    problem.budget = shared_threshold_baseline(problem, float(problem.taus[k // 2]))[
+        "achieved_sparsity"]
+    return problem
+
+
+def timed_solve(problem):
+    start = time.perf_counter()
+    table = solve_budgeted_assignment(problem)
+    return table, time.perf_counter() - start
+
+
+class TestSolverScale:
+    @pytest.mark.parametrize("layers, heads", [(8, 16), (12, 30)], ids=["P128", "P360"])
+    def test_paper_shapes_prove_optimality(self, layers, heads):
+        problem = paper_problem(layers, heads)
+        table, elapsed = timed_solve(problem)
+        assert table.optimal and table.gap == 0.0
+        assert elapsed < 2.0
+        assert table.achieved_sparsity >= problem.budget
+        assert table.objective <= shared_threshold_baseline(problem, 0.9)["objective"]
+        if heads == 16:
+            assert table.objective == pytest.approx(0.07265098606900422, rel=1e-9)
+
+    @pytest.mark.parametrize("heads, megabytes", [(360, 64), (1600, 256)])
+    def test_measured_form_proves_optimality_in_bounded_memory(self, heads, megabytes):
+        problem = measured_form_problem(np.random.default_rng(heads), heads)
+        tracemalloc.start()
+        try:
+            table, elapsed = timed_solve(problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.optimal and table.gap == 0.0
+        assert elapsed < 30.0
+        assert peak <= megabytes * 2 ** 20
+
+    def test_random_float_returns_with_gap(self):
+        # This instance does not close: it stops at the work limit.
+        rng = np.random.default_rng(1)
+        err, spar = rng.uniform(0, 10, size=(1, 360, 5)), rng.uniform(0, 1, size=(1, 360, 5))
+        problem = CalibrationProblem(taus=np.linspace(0.95, 0.8, 5), sparsity=spar, error=err,
+                                     budget=float(rng.uniform(0, spar.max(axis=2).sum() / 360)))
+        table, elapsed = timed_solve(problem)
+        assert elapsed < 30.0
+        assert table.achieved_sparsity >= problem.budget
+        assert table.optimal or 0.0 <= table.gap < math.inf
 
 
 class TestTauGrid:
@@ -456,9 +632,9 @@ def check_against_oracle(case):
     assert batched.block_denominator == cfg.grid.total_blocks * case["intervals"]
     np.testing.assert_allclose(batched.error, error, rtol=1e-12, atol=0)
     np.testing.assert_array_equal(batched.error == 0, error == 0)
-    # A full mask leaves the field dense.  tau = 1 keeps every block unless a
-    # score is below the rounding of the cumulative mass before it.
+    # A full mask leaves the field dense, and tau = 1 keeps every block.
     full = batched.kept_blocks == batched.block_denominator
+    assert full[..., taus.index(1.0)].all()
     assert not batched.error[full].any() and not batched.sparsity[full].any()
     batched.budget = case["budget_share"] * batched.max_achievable()
     oracle = CalibrationProblem(taus=np.array(taus), sparsity=sparsity, error=error,
@@ -512,7 +688,7 @@ class TestStepBatchedCounts:
             monkeypatch.setattr(module, name, wrapper)
 
         spy(calibration, "block_score_values", "score")
-        spy(calibration, "cumulative_prefix_mask", "select")
+        spy(calibration, "top_p_mask", "select")
         spy(calibration, "band_energy_ratios", "bands")
         spy(calibration, "top_p_select", "top_p")
         spy(surrogate, "masked_attention", "attention")

@@ -146,6 +146,10 @@ class TestCalibrate:
         assert table["blocks_total"] == 16 * 4 * 6
         assert isinstance(table["blocks_kept"], int)
         assert abs((1 - table["achieved_sparsity"]) * 384 - table["blocks_kept"]) < 1e-9
+        # The search record: an exact solve has no gap and counts its nodes.
+        assert table["gap"] == 0.0
+        assert isinstance(table["nodes"], int) and table["nodes"] >= 6 + 1
+        assert isinstance(table["pruned"], int) and table["pruned"] >= 0
 
     def test_zero_budget_matches_min_error(self, trace_dir, tmp_path, runner):
         out = tmp_path / "calib0"
@@ -230,6 +234,21 @@ class TestRun:
             assert result.exit_code == 0, result.output
             rates.append(json.loads((out / "summary.json").read_text())["reuse_rate"])
         assert rates == sorted(rates)
+
+    def test_tau_one_equals_dense_bitwise(self, tmp_path, runner):
+        # One score on this trace lies below the rounding of the mass before
+        # it; tau = 1 must keep that block too.
+        trace = tmp_path / "tiny"
+        assert runner.invoke(main, gen_args(trace, layers=1, heads=2, tokens=4, head_dim=1,
+                                            steps=6, block_size=1, seed=4)).exit_code == 0
+        out = tmp_path / "run_dense"
+        result = runner.invoke(main, [
+            "run", "--trace", str(trace / "trace.satr"), "--out", str(out), "--tau", "1.0",
+        ])
+        assert result.exit_code == 0, result.output
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["mean_velocity_rel_l2"] == 0.0
+        assert summary["mean_realized_sparsity"] == 0.0
 
     def test_run_with_table_and_mask_hex(self, trace_dir, tmp_path, runner):
         calib = tmp_path / "calib"
