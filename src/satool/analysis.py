@@ -1,11 +1,14 @@
 """Stability statistics over a trace: adjacent-step mask similarity and drift.
 
-One pass per head walks the denoising steps and compares consecutive steps:
-token masks (per attention row, minimal 0.95-mass key sets) give a row-averaged
+Each head compares every pair of consecutive denoising steps at once: token
+masks (per attention row, minimal 0.95-mass key sets) give a row-averaged
 token IoU, freshly predicted block masks give block IoU and the changed-block
-ratio, and the query/key features give full-token, mean-pooled, and block-score
-drift.  These samples feed the multi-granularity stability report, the
-drift-similarity scatter, and the stability-bound fits.
+ratio, and the query/key features give full-token, mean-pooled, and
+block-score drift.  The pair helpers take the head's steps ``x[:-1]`` against
+``x[1:]`` as a batch axis, one call per head; every sample is bitwise the
+value the helper gives that pair alone.  These samples feed the
+multi-granularity stability report, the drift-similarity scatter, and the
+stability-bound fits.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .blocksparse import (
     check_tau,
     cumulative_prefix_mask,
     mask_iou,
+    scalar_if_unbatched,
     top_p_mask,
     top_p_select,  # noqa: F401  -- re-exported; perfbench's smoke test rebinds it here
 )
@@ -44,30 +48,31 @@ class PairSample:
     changed_ratio: float
 
 
-def _mean_row_iou(masks_a: np.ndarray, masks_b: np.ndarray) -> float:
-    inter = np.logical_and(masks_a, masks_b).sum(axis=1)
-    union = np.logical_or(masks_a, masks_b).sum(axis=1)
-    ious = np.where(union > 0, inter / np.maximum(union, 1), 1.0)
-    return float(ious.mean())
+def _mean_row_iou(masks_a: np.ndarray, masks_b: np.ndarray) -> float | np.ndarray:
+    """Row-averaged IoU of (..., rows, keys) masks; a float without batch axes."""
+    return scalar_if_unbatched(mask_iou(masks_a, masks_b).mean(axis=-1))
 
 
-def _token_ious(q: np.ndarray, k: np.ndarray, p: float) -> list[float]:
+def _token_ious(q: np.ndarray, k: np.ndarray, p: float) -> np.ndarray:
     """Row-averaged token-mask IoU of each adjacent step pair of one head.
 
     Row masks are computed for as many whole steps as PROB_CHUNK_ELEMENTS
     attention probabilities allow (at least one), so the working set stays
-    flat as the step count grows.
+    flat as the step count grows.  Each chunk's last row masks carry into
+    the next chunk for the pair that straddles the boundary.
     """
-    chunk = max(1, PROB_CHUNK_ELEMENTS // (q.shape[1] * q.shape[1]))
-    ious: list[float] = []
+    steps, tokens = q.shape[0], q.shape[1]
+    chunk = max(1, PROB_CHUNK_ELEMENTS // (tokens * tokens))
+    ious = np.empty(steps - 1)
     prev = None
-    for start in range(0, q.shape[0], chunk):
+    for start in range(0, steps, chunk):
         window = slice(start, start + chunk)
         rows = cumulative_prefix_mask(attention_probs(q[window], k[window]), p)
-        for cur in rows:
-            if prev is not None:
-                ious.append(_mean_row_iou(prev, cur))
-            prev = cur
+        if prev is not None:
+            ious[start - 1] = _mean_row_iou(prev, rows[0])
+        if len(rows) > 1:
+            ious[start:start + len(rows) - 1] = _mean_row_iou(rows[:-1], rows[1:])
+        prev = rows[-1]
     return ious
 
 
@@ -75,6 +80,7 @@ def adjacent_pair_samples(trace: DenoiseTrace, token_p: float = 0.95,
                           tau: float = 0.95) -> list[PairSample]:
     """Per-head adjacent-step stability samples over the whole trajectory."""
     check_tau(tau)
+    check_tau(token_p, "token_p")
     cfg = trace.config
     grid = cfg.grid
     samples: list[PairSample] = []
@@ -84,20 +90,16 @@ def adjacent_pair_samples(trace: DenoiseTrace, token_p: float = 0.95,
             q_mean, k_mean = q.mean(axis=1), k.mean(axis=1)
             scores = block_score_values(q, k, grid)
             masks = top_p_mask(scores, tau)
-            token_ious = _token_ious(q, k, token_p)
-            for step in range(cfg.steps - 1):
-                nxt = step + 1
-                samples.append(PairSample(
-                    step=step, layer=layer, head=head,
-                    full_drift=full_token_drift(q[step], q[nxt], k[step], k[nxt]),
-                    pool_drift=mean_pool_drift(
-                        q_mean[step], q_mean[nxt], k_mean[step], k_mean[nxt]
-                    ),
-                    score_drift=float(np.abs(scores[step] - scores[nxt]).mean()),
-                    token_iou=token_ious[step],
-                    block_iou=mask_iou(masks[step], masks[nxt]),
-                    changed_ratio=changed_block_ratio(masks[step], masks[nxt]),
-                ))
+            columns = zip(
+                full_token_drift(q[:-1], q[1:], k[:-1], k[1:]).tolist(),
+                mean_pool_drift(q_mean[:-1], q_mean[1:], k_mean[:-1], k_mean[1:]).tolist(),
+                np.abs(scores[:-1] - scores[1:]).mean(axis=-1).tolist(),
+                _token_ious(q, k, token_p).tolist(),
+                mask_iou(masks[:-1], masks[1:]).tolist(),
+                changed_block_ratio(masks[:-1], masks[1:]).tolist(),
+            )
+            samples.extend(PairSample(step, layer, head, *values)
+                           for step, values in enumerate(columns))
     return samples
 
 
@@ -134,15 +136,11 @@ def stability_rows(samples: list[PairSample], layers: int, heads: int, steps: in
 def _ranks(values: np.ndarray) -> np.ndarray:
     """Average ranks (ties share the mean of their rank span)."""
     order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size, dtype=np.float64)
     sorted_vals = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j)
-        i = j + 1
+    starts = np.flatnonzero(np.concatenate(([True], sorted_vals[1:] != sorted_vals[:-1])))
+    ends = np.append(starts[1:], values.size)
+    ranks = np.empty(values.size, dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (starts + ends - 1), ends - starts)
     return ranks
 
 

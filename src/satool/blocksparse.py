@@ -177,10 +177,15 @@ def cumulative_prefix_mask(values: np.ndarray, threshold: float | np.ndarray) ->
     return keep
 
 
-def check_tau(tau: float) -> None:
-    """Reject a top-p threshold outside (0, 1]."""
+def check_tau(tau: float, name: str = "tau") -> None:
+    """Reject a cumulative-mass threshold (top-p ``tau``, token ``p``) outside (0, 1]."""
     if not (0.0 < tau <= 1.0):
-        raise DomainError(f"tau must lie in (0, 1], got {tau}")
+        raise DomainError(f"{name} must lie in (0, 1], got {tau}")
+
+
+def scalar_if_unbatched(values: np.ndarray) -> float | np.ndarray:
+    """A pair statistic's result: a float for one pair, the array for batched pairs."""
+    return float(values) if np.ndim(values) == 0 else values
 
 
 def top_p_mask(values: np.ndarray, tau: float | np.ndarray) -> np.ndarray:
@@ -217,8 +222,7 @@ def realized_sparsity(mask: BlockMask, grid: BlockGrid | None = None) -> float:
 
 def token_mask(attention_row: np.ndarray, p: float = 0.95) -> np.ndarray:
     """Minimal key set (boolean over keys) whose cumulative probability reaches p."""
-    if not (0.0 < p <= 1.0):
-        raise DomainError(f"p must lie in (0, 1], got {p}")
+    check_tau(p, "p")
     row = np.asarray(attention_row, dtype=np.float64)
     if row.ndim != 1:
         raise ShapeMismatch("attention row must be one-dimensional")
@@ -227,22 +231,33 @@ def token_mask(attention_row: np.ndarray, p: float = 0.95) -> np.ndarray:
     return cumulative_prefix_mask(row, p)
 
 
-def mask_iou(mask_a: np.ndarray, mask_b: np.ndarray) -> float:
-    """Intersection over union of two boolean masks; 1.0 when both are empty."""
+def _mask_pair(mask_a: np.ndarray, mask_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a = np.asarray(mask_a, dtype=bool)
     b = np.asarray(mask_b, dtype=bool)
     if a.shape != b.shape:
         raise ShapeMismatch(f"mask universes differ: {a.shape} vs {b.shape}")
-    union = int(np.logical_or(a, b).sum())
-    if union == 0:
-        return 1.0
-    return int(np.logical_and(a, b).sum()) / union
+    if a.ndim < 1:
+        raise ShapeMismatch("masks need a block axis")
+    return a, b
 
 
-def changed_block_ratio(retained_a: np.ndarray, retained_b: np.ndarray) -> float:
-    """Fraction of block decisions flipped between two masks: |A symdiff B| / M."""
-    a = np.asarray(retained_a, dtype=bool)
-    b = np.asarray(retained_b, dtype=bool)
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"mask universes differ: {a.shape} vs {b.shape}")
-    return int(np.logical_xor(a, b).sum()) / a.size
+def mask_iou(mask_a: np.ndarray, mask_b: np.ndarray) -> float | np.ndarray:
+    """Intersection over union of two boolean masks; 1.0 when both are empty.
+
+    Masks lie along the last axis; leading axes are batch axes and give an
+    array of IoUs, masks without them a float.  Each IoU is the correctly
+    rounded quotient of two exact counts, as Python's ``int / int`` gives it.
+    """
+    a, b = _mask_pair(mask_a, mask_b)
+    union = np.logical_or(a, b).sum(axis=-1)
+    inter = np.logical_and(a, b).sum(axis=-1)
+    return scalar_if_unbatched(np.where(union == 0, 1.0, inter / np.maximum(union, 1)))
+
+
+def changed_block_ratio(retained_a: np.ndarray, retained_b: np.ndarray) -> float | np.ndarray:
+    """Fraction of block decisions flipped between two masks: |A symdiff B| / M.
+
+    Batch axes as in ``mask_iou``.
+    """
+    a, b = _mask_pair(retained_a, retained_b)
+    return scalar_if_unbatched(np.logical_xor(a, b).sum(axis=-1) / a.shape[-1])

@@ -1,5 +1,11 @@
+import math
+from dataclasses import astuple
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from satool import analysis
 from satool.analysis import (
@@ -17,10 +23,18 @@ from satool.blocksparse import (
     mask_iou,
     top_p_select,
 )
-from satool.errors import DomainError
+from satool.errors import DomainError, ShapeMismatch
 from satool.reuse import full_token_drift, mean_pool_drift
 from satool.surrogate import attention_probs
 from satool.trace import TraceConfig, generate_trace
+
+
+def row_iou(masks_a, masks_b):
+    """Reference: mean over attention rows of each row's token-mask IoU."""
+    inter = np.logical_and(masks_a, masks_b).sum(axis=1)
+    union = np.logical_or(masks_a, masks_b).sum(axis=1)
+    ious = np.where(union > 0, inter / np.maximum(union, 1), 1.0)
+    return float(ious.mean())
 
 
 def per_step_pair_samples(trace, token_p=0.95, tau=0.95):
@@ -48,7 +62,7 @@ def per_step_pair_samples(trace, token_p=0.95, tau=0.95):
                             prev["q_mean"], state["q_mean"], prev["k_mean"], state["k_mean"]
                         ),
                         score_drift=float(np.abs(prev["scores"] - state["scores"]).mean()),
-                        token_iou=analysis._mean_row_iou(prev["rows"], state["rows"]),
+                        token_iou=row_iou(prev["rows"], state["rows"]),
                         block_iou=mask_iou(prev["mask"].retained, state["mask"].retained),
                         changed_ratio=changed_block_ratio(
                             prev["mask"].retained, state["mask"].retained
@@ -56,6 +70,29 @@ def per_step_pair_samples(trace, token_p=0.95, tau=0.95):
                     ))
                 prev = state
     return samples
+
+
+def exact_fields(samples):
+    """Each sample's fields with floats as their exact bit patterns (and types)."""
+    return [tuple((type(v).__name__, v.hex() if isinstance(v, float) else v)
+                  for v in astuple(sample)) for sample in samples]
+
+
+@st.composite
+def pair_sample_cases(draw):
+    """Small traces (1-9 steps, frozen or drifting) with thresholds and a forced chunk size."""
+    block_size = draw(st.integers(1, 4))
+    config = TraceConfig(
+        layers=draw(st.integers(1, 2)), heads=draw(st.integers(1, 3)),
+        tokens=block_size * draw(st.integers(1, 3)), head_dim=draw(st.integers(1, 4)),
+        steps=draw(st.integers(1, 9)), block_size=block_size,
+        kappa_range=draw(st.sampled_from([(1.0, 1.0), (0.0, 0.0), (0.2, 0.999)])),
+        scale_range=draw(st.sampled_from([(0.8, 2.0), (3.0, 6.0)])),
+        velocity_shape=(2, 2, 2), seed=draw(st.integers(0, 2 ** 16)),
+    )
+    thresholds = st.one_of(st.just(1.0), st.floats(0.01, 1.0))
+    chunk_steps = draw(st.integers(1, config.steps + 1))
+    return config, draw(thresholds), draw(thresholds), chunk_steps
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +159,57 @@ class TestBatchedPassMatchesPerStep:
         with pytest.raises(DomainError):
             adjacent_pair_samples(short_trace, tau=0.0)
 
+    @pytest.mark.parametrize("token_p", [0.0, -1.0, 1.5, math.nan])
+    def test_invalid_token_p_rejected(self, short_trace, token_p):
+        with pytest.raises(DomainError, match="token_p"):
+            adjacent_pair_samples(short_trace, token_p=token_p)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=pair_sample_cases())
+    def test_matches_per_step_oracle(self, case):
+        config, token_p, tau, chunk_steps = case
+        trace = generate_trace(config)
+        expected = per_step_pair_samples(trace, token_p, tau)
+        chunk = chunk_steps * config.tokens * config.tokens
+        with mock.patch.object(analysis, "PROB_CHUNK_ELEMENTS", chunk):
+            got = adjacent_pair_samples(trace, token_p, tau)
+        assert len(got) == (config.steps - 1) * config.layers * config.heads
+        assert exact_fields(got) == exact_fields(expected)
+
+    def test_one_drift_call_per_head(self, monkeypatch, short_trace):
+        cfg = short_trace.config
+        calls = {"full": [], "pool": []}
+
+        def spy(name, fn):
+            def wrapper(*args):
+                calls[name].append(args[0].shape)
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(analysis, "full_token_drift", spy("full", analysis.full_token_drift))
+        monkeypatch.setattr(analysis, "mean_pool_drift", spy("pool", analysis.mean_pool_drift))
+        adjacent_pair_samples(short_trace)
+        heads = cfg.layers * cfg.heads
+        assert calls["full"] == [(cfg.steps - 1, cfg.tokens, cfg.head_dim)] * heads
+        assert calls["pool"] == [(cfg.steps - 1, cfg.head_dim)] * heads
+
+
+class TestMeanRowIou:
+    def test_batch_axes_match_per_pair_calls(self, rng):
+        a = rng.random((2, 3, 5, 7)) < 0.4
+        b = rng.random((2, 3, 5, 7)) < 0.4
+        a[0, 0, 1] = b[0, 0, 1] = False
+        batched = analysis._mean_row_iou(a, b)
+        assert isinstance(batched, np.ndarray) and batched.shape == (2, 3)
+        for index in np.ndindex(2, 3):
+            single = analysis._mean_row_iou(a[index], b[index])
+            assert type(single) is float
+            assert float(batched[index]).hex() == single.hex() == row_iou(a[index], b[index]).hex()
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ShapeMismatch):
+            analysis._mean_row_iou(np.zeros((2, 3, 4), bool), np.zeros((3, 3, 4), bool))
+
 
 class TestStabilityRows:
     def test_row_count_covers_all_granularities(self, short_trace, short_samples):
@@ -138,7 +226,37 @@ class TestStabilityRows:
         assert prompt[0]["token_iou"] == pytest.approx(np.mean(step0))
 
 
+def loop_ranks(values):
+    """Reference: average ranks by walking the sorted values run by run."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(values.size, dtype=np.float64)
+    sorted_vals = values[order]
+    i = 0
+    while i < values.size:
+        j = i
+        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j)
+        i = j + 1
+    return ranks
+
+
+_tied_values = st.sampled_from([-math.inf, -1.0, -0.0, 0.0, 0.5, 2.0, math.inf, math.nan])
+
+
 class TestSpearman:
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.one_of(
+        st.lists(_tied_values, min_size=2, max_size=30),
+        st.lists(st.floats(), min_size=2, max_size=30),
+        st.tuples(st.floats(), st.integers(2, 30)).map(lambda c: [c[0]] * c[1]),
+    ))
+    @example(values=[1.0, 1.0])
+    @example(values=[3.0, -1.0])
+    def test_ranks_match_loop(self, values):
+        values = np.array(values, dtype=np.float64)
+        assert analysis._ranks(values).tobytes() == loop_ranks(values).tobytes()
+
     def test_perfect_monotone(self):
         x = np.arange(10.0)
         assert spearman(x, x ** 3) == pytest.approx(1.0)

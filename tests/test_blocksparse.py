@@ -407,6 +407,42 @@ class TestMaskSimilarity:
         with pytest.raises(ShapeMismatch):
             changed_block_ratio(np.zeros(4, bool), np.zeros(5, bool))
 
+    @pytest.mark.parametrize("fn", [mask_iou, changed_block_ratio])
+    def test_batch_shape_mismatch(self, fn):
+        with pytest.raises(ShapeMismatch):
+            fn(np.zeros((2, 4), bool), np.zeros((3, 4), bool))
+        with pytest.raises(ShapeMismatch):
+            fn(np.zeros((2, 4), bool), np.zeros(4, bool))
+        with pytest.raises(ShapeMismatch):
+            fn(np.array(True), np.array(True))
+
+    @pytest.mark.parametrize("fn", [mask_iou, changed_block_ratio])
+    def test_batch_axes_match_per_pair_calls(self, rng, fn):
+        a = rng.random((3, 4, 10)) < 0.3
+        b = rng.random((3, 4, 10)) < 0.3
+        a[0, 0] = b[0, 0] = False
+        batched = fn(a, b)
+        assert isinstance(batched, np.ndarray) and batched.shape == (3, 4)
+        for index in np.ndindex(3, 4):
+            single = fn(a[index], b[index])
+            assert type(single) is float
+            assert float(batched[index]).hex() == single.hex()
+        assert batched[0, 0] == (1.0 if fn is mask_iou else 0.0)
+
+    def test_iou_is_python_integer_division(self):
+        # Every (intersection, union) pair up to 96 blocks, in one batch.
+        size = 96
+        pairs = [(inter, union) for union in range(1, size + 1) for inter in range(union + 1)]
+        a = np.zeros((len(pairs), size), dtype=bool)
+        b = np.zeros_like(a)
+        for row, (inter, union) in enumerate(pairs):
+            a[row, :union] = True
+            b[row, :inter] = True
+        got = mask_iou(a, b)
+        assert [float(v).hex() for v in got] == [(i / u).hex() for i, u in pairs]
+        ratios = changed_block_ratio(a, b)
+        assert [float(v).hex() for v in ratios] == [((u - i) / size).hex() for i, u in pairs]
+
 
 class TestHexRoundTrip:
     def test_round_trip(self, rng):

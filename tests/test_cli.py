@@ -115,6 +115,17 @@ class TestAnalyze:
         assert result.exit_code == 2
         assert "No such option" in result.output
 
+    @pytest.mark.parametrize("token_p", ["0", "-1", "1.5", "nan"])
+    def test_invalid_token_p_rejected(self, trace_dir, tmp_path, runner, token_p):
+        out = tmp_path / "r"
+        result = runner.invoke(main, [
+            "analyze", "--trace", str(trace_dir / "trace.satr"), "--out", str(out),
+            "--token-p", token_p,
+        ])
+        assert result.exit_code == 1
+        assert "error:domain:" in result.output
+        assert not (out / "summary.json").exists()
+
     def test_rerun_byte_identical(self, trace_dir, tmp_path, runner):
         outs = []
         for name in ("aa", "ab"):

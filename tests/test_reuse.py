@@ -59,6 +59,30 @@ class TestDriftStatistics:
         with pytest.raises(ShapeMismatch):
             mean_pool_drift(np.ones(3), np.ones(4), np.ones(3), np.ones(3))
 
+    def test_batch_shape_mismatch(self):
+        with pytest.raises(ShapeMismatch):
+            full_token_drift(*(np.ones((2, 4, 3)),) * 3, np.ones((3, 4, 3)))
+        with pytest.raises(ShapeMismatch):
+            full_token_drift(*(np.ones(3),) * 4)
+        with pytest.raises(ShapeMismatch):
+            mean_pool_drift(*(np.ones((2, 3)),) * 3, np.ones(3))
+        with pytest.raises(ShapeMismatch):
+            mean_pool_drift(*(np.array(1.0),) * 4)
+
+    def test_batch_axes_match_per_pair_calls(self, rng):
+        # Leading (2, 5) axes: every entry is bitwise the call on that pair alone.
+        tokens = [rng.standard_normal((2, 5, 9, 6)) for _ in range(4)]
+        means = [rng.standard_normal((2, 5, 6)) for _ in range(4)]
+        full = full_token_drift(*tokens)
+        pooled = mean_pool_drift(*means)
+        assert full.shape == pooled.shape == (2, 5)
+        for index in np.ndindex(2, 5):
+            single_full = full_token_drift(*(x[index] for x in tokens))
+            single_pooled = mean_pool_drift(*(x[index] for x in means))
+            assert type(single_full) is float and type(single_pooled) is float
+            assert float(full[index]).hex() == single_full.hex()
+            assert float(pooled[index]).hex() == single_pooled.hex()
+
 
 class TestLayerGate:
     def test_all_false_stays(self):
