@@ -22,11 +22,13 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .blocksparse import BlockScores, block_score_values, check_tau, top_p_mask, top_p_select
+from .blocksparse import BlockMask, BlockScores, block_score_values, check_tau, top_p_mask
+from .blocksparse import (
+    top_p_select,  # noqa: F401  -- re-exported; perfbench's smoke test rebinds it here
+)
 from .errors import ConfigError, DomainError, InfeasibleBudget, ShapeMismatch
 from .spectral import BandPartition, BandWeights, band_energy_ratios, band_partition, weighted_error
 from .surrogate import ForwardPipeline
-from .trace import generate_trace
 
 _PROBE_STREAM = 505
 
@@ -43,6 +45,8 @@ def sample_timesteps(total_steps: int, intervals: int, seed: int) -> list[int]:
         raise DomainError(
             f"cannot sample {intervals} intervals from {total_steps} steps"
         )
+    if seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 606]))
     picks = []
     for j in range(intervals):
@@ -240,21 +244,25 @@ def table_from_json_dict(payload: dict) -> CalibrationTable:
 
 def _measure_step(pipeline: ForwardPipeline, step: int, layers: np.ndarray, heads: np.ndarray,
                   taus: np.ndarray, weights: BandWeights | None, partition: BandPartition,
-                  objective: str) -> tuple[np.ndarray, np.ndarray]:
-    """Kept-block counts and errors of every listed head at every threshold, at one step.
+                  objective: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Kept-block counts, errors and masks of every listed head at every threshold, at one step.
 
-    ``layers`` and ``heads`` list n heads; both results are (n, K).  One
+    ``layers`` and ``heads`` list n heads; ``taus`` is (K,) or one row per
+    head, (n, K).  Counts and errors are (n, K), masks (n, K, M).  One
     scoring call covers every head and one ``top_p_mask`` call selects every
     (head, threshold) row.  A row that keeps every block has error exactly
     0; the others share one batched residual pass and one spectral pass.
     """
     trace, grid = pipeline.trace, pipeline.grid
-    n, k, blocks = len(heads), len(taus), grid.total_blocks
+    trace.check_step(step)
+    for tau in np.unique(taus).tolist():
+        check_tau(tau)
+    n, k, blocks = len(heads), taus.shape[-1], grid.total_blocks
     scores = BlockScores(block_score_values(trace.q(step, layers, heads),
                                             trace.k(step, layers, heads), grid))
     scores.validate()
-    keep = top_p_mask(np.broadcast_to(scores.values[:, None], (n, k, blocks)), taus)
-    keep = keep.reshape(n * k, blocks)
+    masks = top_p_mask(np.broadcast_to(scores.values[:, None], (n, k, blocks)), taus)
+    keep = masks.reshape(n * k, blocks)
     kept = keep.sum(axis=-1)
     error = np.zeros(n * k)
     rows = np.flatnonzero(kept < blocks)
@@ -266,7 +274,7 @@ def _measure_step(pipeline: ForwardPipeline, step: int, layers: np.ndarray, head
             error[rows] = weighted_error(ratios, weights)
         else:
             error[rows] = np.mean((residual ** 2).reshape(rows.size, -1), axis=-1)
-    return kept.reshape(n, k), error.reshape(n, k)
+    return kept.reshape(n, k), error.reshape(n, k), masks
 
 
 def _measure(pipeline: ForwardPipeline, layers, heads, taus, steps,
@@ -275,20 +283,17 @@ def _measure(pipeline: ForwardPipeline, layers, heads, taus, steps,
     """Mean sparsity, mean error and summed kept blocks of the listed heads, each (n, K)."""
     taus = np.array([float(t) for t in taus])
     steps = list(steps)
-    pipeline.require_dense(steps)
     if objective not in ("fft", "mse"):
         raise DomainError(f"objective must be 'fft' or 'mse', got {objective!r}")
     if not steps:
         raise DomainError("need at least one sampled step")
-    for tau in taus.tolist():
-        check_tau(tau)
     if partition is None:
         partition = band_partition(pipeline.trace.config.velocity_shape)
     layers, heads = np.asarray(layers), np.asarray(heads)
     per_step = [_measure_step(pipeline, step, layers, heads, taus, weights, partition, objective)
                 for step in steps]
-    kept = np.stack([counts for counts, _ in per_step], axis=-1)
-    error = np.stack([errors for _, errors in per_step], axis=-1)
+    kept = np.stack([counts for counts, _, _ in per_step], axis=-1)
+    error = np.stack([errors for _, errors, _ in per_step], axis=-1)
     sparsity = np.mean(1.0 - kept / pipeline.grid.total_blocks, axis=-1)
     return sparsity, np.mean(error, axis=-1), kept.sum(axis=-1)
 
@@ -299,11 +304,10 @@ def measure_head(pipeline: ForwardPipeline, layer: int, head: int, taus,
                  objective: str = "fft") -> list[OperatingPoint]:
     """Measure one head at each candidate threshold over the sampled steps.
 
-    Requires the dense outputs for every step to be cached already.  This
-    is the one-head case of the step-batched measurement ``build_problem``
-    makes: each step scores the head once and selects every threshold from
-    those scores.  Returns one operating point per threshold, in ``taus``
-    order.
+    This is the one-head case of the step-batched measurement
+    ``build_problem`` makes: each step scores the head once and selects
+    every threshold from those scores.  Returns one operating point per
+    threshold, in ``taus`` order.
     """
     pipeline.check_head(layer, head)
     sparsity, error, kept = _measure(pipeline, [layer], [head], taus, steps, weights,
@@ -316,13 +320,11 @@ def measure_head(pipeline: ForwardPipeline, layer: int, head: int, taus,
 
 def build_problem(pipeline: ForwardPipeline, taus, intervals: int, budget: float,
                   weights: BandWeights | None = None, seed: int = 0,
-                  objective: str = "fft",
-                  per_head_seeds: bool = False) -> CalibrationProblem:
+                  objective: str = "fft") -> CalibrationProblem:
     """Measure every (layer, head, candidate) and assemble the assignment problem.
 
-    Each sampled step measures all heads at every candidate together.  With
-    ``per_head_seeds`` each head is instead measured on its own reseeded
-    trace (one trace and its dense forwards per head) with ``measure_head``.
+    The dense forwards of the sampled steps run first; then each sampled
+    step measures all heads at every candidate together.
     """
     taus = [float(t) for t in taus]
     if len(set(taus)) != len(taus):
@@ -331,30 +333,13 @@ def build_problem(pipeline: ForwardPipeline, taus, intervals: int, budget: float
         raise DomainError("candidate thresholds must lie in (0, 1]")
     cfg = pipeline.trace.config
     steps = sample_timesteps(cfg.steps, intervals, seed)
-    partition = band_partition(cfg.velocity_shape)
     shape = (cfg.layers, cfg.heads, len(taus))
     pipeline.precompute_dense(steps)
-    if per_head_seeds:
-        sparsity = np.empty(shape)
-        error = np.empty(shape)
-        kept = np.empty(shape, dtype=np.int64)
-        for layer in range(cfg.layers):
-            for head in range(cfg.heads):
-                head_cfg = replace(cfg, seed=cfg.seed + 1 + layer * cfg.heads + head)
-                head_pipe = ForwardPipeline(generate_trace(head_cfg), pipeline.model)
-                head_pipe.precompute_dense(steps)
-                points = measure_head(head_pipe, layer, head, taus, steps, weights,
-                                      partition, objective)
-                sparsity[layer, head] = [point.sparsity for point in points]
-                error[layer, head] = [point.error for point in points]
-                kept[layer, head] = [point.kept_blocks for point in points]
-    else:
-        layers, heads = np.divmod(np.arange(cfg.layers * cfg.heads), cfg.heads)
-        sparsity, error, kept = (
-            values.reshape(shape)
-            for values in _measure(pipeline, layers, heads, taus, steps, weights,
-                                   partition, objective)
-        )
+    layers, heads = np.divmod(np.arange(cfg.layers * cfg.heads), cfg.heads)
+    sparsity, error, kept = (
+        values.reshape(shape)
+        for values in _measure(pipeline, layers, heads, taus, steps, weights, None, objective)
+    )
     return CalibrationProblem(taus=np.array(taus), sparsity=sparsity, error=error,
                               budget=float(budget), kept_blocks=kept,
                               block_denominator=pipeline.grid.total_blocks * len(steps))
@@ -393,6 +378,8 @@ def _make_table(problem: CalibrationProblem, selection, solver: str, optimal: bo
 
 
 def _check_feasible(problem: CalibrationProblem) -> None:
+    if not math.isfinite(problem.budget):
+        raise DomainError(f"budget must be a finite number, got {problem.budget}")
     best = problem.max_achievable()
     if best < problem.budget:
         raise InfeasibleBudget(
@@ -542,7 +529,8 @@ def _unit_gains(problem: CalibrationProblem,
         gains.append((units[row, cands] - base).tolist())
         least += base
     slack = (n * _COUNT_TOL + _BOUND_SLACK) * denom
-    need = max(0, math.ceil(problem.budget * n * denom - slack) - least)
+    # A budget at or below 0 needs no units; clamping keeps huge negatives finite.
+    need = max(0, math.ceil(max(problem.budget, 0.0) * n * denom - slack) - least)
     # Kept rows, one segment of rebuilt rows and the two rows being extended.
     stride = _stride(n)
     resident = -(-n // stride) + stride + 2
@@ -654,31 +642,46 @@ class GapResult:
     rel_gap: float
 
 
+def _probe_heads(pipeline: ForwardPipeline, heads) -> list[tuple[int, int]]:
+    """The probed (layer, head) pairs: out of range raises ShapeMismatch, a repeat DomainError."""
+    heads = [tuple(key) for key in heads]
+    for layer, head in heads:
+        pipeline.check_head(layer, head)
+    if len(set(heads)) != len(heads):
+        raise DomainError("a probe lists each head at most once")
+    return heads
+
+
+def _spectral_error(field: np.ndarray, dense: np.ndarray, partition: BandPartition,
+                    weights: BandWeights | None) -> float:
+    return weighted_error(band_energy_ratios(field - dense, dense, partition), weights)
+
+
 def additive_surrogate_gap(pipeline: ForwardPipeline, head_taus, step: int,
                            weights: BandWeights | None = None,
                            partition: BandPartition | None = None) -> GapResult:
     """Joint multi-head sparsification error versus the sum of isolated errors.
 
-    With a single listed head the joint and additive errors coincide and the
-    gap is identically zero; interaction effects need two or more heads.
+    Masks and isolated errors come from one calibration measurement of the
+    listed heads, each at its own threshold: each single error is the ``E``
+    calibration measures at this step.  The joint error is one sparse
+    forward with every mask.  A head may be listed once.  With one head the
+    gap is identically zero; interactions need two or more heads.
     """
     head_taus = list(head_taus)
     if not head_taus:
         raise DomainError("the additivity probe needs at least one head")
+    keys = _probe_heads(pipeline, [key for key, _ in head_taus])
+    taus = np.array([[float(tau)] for _, tau in head_taus])
     if partition is None:
         partition = band_partition(pipeline.trace.config.velocity_shape)
-    dense = pipeline.dense_forward(step)
-
-    def spectral_err(field: np.ndarray) -> float:
-        return weighted_error(band_energy_ratios(field - dense, dense, partition), weights)
-
-    masks = {}
-    singles = []
-    for (layer, head), tau in head_taus:
-        mask = top_p_select(pipeline.scores(step, layer, head), float(tau))
-        masks[(layer, head)] = mask
-        singles.append(spectral_err(pipeline.sparse_forward(step, {(layer, head): mask})))
-    joint = spectral_err(pipeline.sparse_forward(step, masks))
+    layers, heads = np.array(keys).T
+    _, singles, masks = _measure_step(pipeline, step, layers, heads, taus, weights,
+                                      partition, "fft")
+    joint_field = pipeline.sparse_forward(
+        step, {key: BlockMask(mask) for key, mask in zip(keys, masks[:, 0])})
+    joint = _spectral_error(joint_field, pipeline.dense_forward(step), partition, weights)
+    singles = singles[:, 0].tolist()
     additive = float(np.sum(singles))
     abs_gap = abs(joint - additive)
     denom = max(abs(joint), abs(additive))
@@ -700,7 +703,7 @@ def quadratic_scaling_probe(pipeline: ForwardPipeline, heads, step: int,
     Returns per-scale joint errors and per-head single errors; for a smooth
     error functional both shrink approximately fourfold per halving.
     """
-    heads = list(heads)
+    heads = _probe_heads(pipeline, heads)
     if len(heads) < 2:
         raise DomainError("the scaling probe needs at least two heads")
     if partition is None:
@@ -715,14 +718,13 @@ def quadratic_scaling_probe(pipeline: ForwardPipeline, heads, step: int,
         noise *= amplitude * np.linalg.norm(reference) / np.linalg.norm(noise)
         base[(layer, head)] = noise
 
-    def spectral_err(field: np.ndarray) -> float:
-        return weighted_error(band_energy_ratios(field - dense, dense, partition), weights)
-
     joint = {}
     single = {key: {} for key in base}
     for s in scales:
         scaled = {key: s * delta for key, delta in base.items()}
-        joint[s] = spectral_err(pipeline.perturbed_forward(step, scaled))
+        joint[s] = _spectral_error(pipeline.perturbed_forward(step, scaled), dense,
+                                   partition, weights)
         for key, delta in scaled.items():
-            single[key][s] = spectral_err(pipeline.perturbed_forward(step, {key: delta}))
+            single[key][s] = _spectral_error(pipeline.perturbed_forward(step, {key: delta}),
+                                             dense, partition, weights)
     return {"joint": joint, "single": single, "scales": list(scales)}

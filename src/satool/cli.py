@@ -194,14 +194,12 @@ def _resolve_budget(budget_text: str, taus):
               help="Band weights for LL,LH,HL,HH.")
 @click.option("--error", "objective", type=click.Choice(["fft", "mse"]), default="fft",
               show_default=True)
-@click.option("--per-head-seeds", is_flag=True,
-              help="Measure each head on its own reseeded trace.")
 @click.option("--check-oracle", is_flag=True,
               help="Also run the brute-force oracle and verify agreement.")
 @click.option("--seed", default=0, show_default=True, type=int)
 @tool_command
 def cmd_calibrate(trace_path, out, budget, taus, intervals, weights, objective,
-                  per_head_seeds, check_oracle, seed):
+                  check_oracle, seed):
     """Select one measured operating point per head under a sparsity budget."""
     tau_list = _parse_floats(taus, "thresholds")
     weight_list = _parse_floats(weights, "band weights")
@@ -210,10 +208,8 @@ def cmd_calibrate(trace_path, out, budget, taus, intervals, weights, objective,
     band_weights = BandWeights(*weight_list)
     pipeline = _load_pipeline(trace_path)
     budget_value, budget_tau = _resolve_budget(budget, tau_list)
-    problem = build_problem(
-        pipeline, tau_list, intervals, budget=0.0, weights=band_weights,
-        seed=seed, objective=objective, per_head_seeds=per_head_seeds,
-    )
+    problem = build_problem(pipeline, tau_list, intervals, budget=0.0, weights=band_weights,
+                            seed=seed, objective=objective)
     if budget_tau is not None:
         budget_value = shared_threshold_baseline(problem, budget_tau)["achieved_sparsity"]
     problem.budget = float(budget_value)
@@ -235,7 +231,7 @@ def cmd_calibrate(trace_path, out, budget, taus, intervals, weights, objective,
     params = {
         "trace": str(trace_path), "budget": budget, "resolved_budget": problem.budget,
         "taus": tau_list, "intervals": intervals, "weights": weight_list,
-        "error": objective, "per_head_seeds": per_head_seeds, "seed": seed,
+        "error": objective, "seed": seed,
     }
     write_manifest(out_dir, "calibrate", params, inputs=[Path(trace_path)],
                    outputs=[table_path, baseline_path])

@@ -21,6 +21,9 @@ DEFAULT_STABILIZER = 1e-8
 
 _PERTURB_STREAM = 404
 
+# Largest norm ratio the perturbation study takes; past about 1e150 its squared errors overflow.
+MAX_ALPHA = 1e6
+
 
 @dataclass(frozen=True)
 class BandWeights:
@@ -206,12 +209,17 @@ def perturbation_study(pipeline, alpha: float, seeds, steps=None,
     i.e. the accumulated trajectory), as PSNR and relative L2 against the
     unperturbed integral; norm_ratio echoes the per-step input-side ratio.
     """
-    if alpha < 0:
-        raise DomainError(f"alpha must be nonnegative, got {alpha}")
+    if not (0.0 <= alpha <= MAX_ALPHA):
+        raise DomainError(f"alpha must lie in [0, {MAX_ALPHA:g}], got {alpha}")
+    seeds = list(seeds)
+    if not seeds or min(seeds) < 0:
+        raise DomainError(f"need at least one seed and no negative seed, got {seeds}")
     cfg = pipeline.trace.config
     if steps is None:
         steps = range(cfg.steps)
     steps = list(steps)
+    if not steps:
+        raise DomainError("the perturbation study needs at least one step")
     if partition is None:
         partition = band_partition(cfg.velocity_shape)
     dense = [pipeline.dense_forward(t) for t in steps]

@@ -21,7 +21,7 @@ from typing import Mapping
 import numpy as np
 
 from .blocksparse import BlockGrid, BlockMask, BlockScores, block_scores
-from .errors import ShapeMismatch, StateError
+from .errors import ShapeMismatch
 from .trace import DenoiseTrace, TraceConfig, _MODEL_STREAM
 
 
@@ -284,9 +284,6 @@ class ForwardPipeline:
         for step in steps:
             self.dense_forward(step)
 
-    def has_dense(self, step: int) -> bool:
-        return step in self._fields
-
     def dense_head_output(self, step: int, layer: int, head: int) -> np.ndarray:
         self.check_head(layer, head)
         if step not in self._head_out:
@@ -384,10 +381,3 @@ class ForwardPipeline:
             self.trace.q(step, layer, head).mean(axis=0),
             self.trace.k(step, layer, head).mean(axis=0),
         )
-
-    def require_dense(self, steps) -> None:
-        missing = [s for s in steps if not self.has_dense(s)]
-        if missing:
-            raise StateError(
-                f"dense outputs not cached for steps {missing}; run precompute_dense first"
-            )

@@ -2,7 +2,6 @@ import json
 import math
 import time
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +25,7 @@ from satool.calibration import (
     solve_budgeted_assignment,
     table_from_json_dict,
 )
-from satool.errors import ConfigError, DomainError, InfeasibleBudget, ShapeMismatch, StateError
+from satool.errors import ConfigError, DomainError, InfeasibleBudget, ShapeMismatch
 from satool.spectral import band_energy_ratios, band_partition, weighted_error
 from satool.surrogate import ForwardPipeline, masked_attention
 from satool.trace import TraceConfig, generate_trace
@@ -49,6 +48,10 @@ class TestSampleTimesteps:
     def test_too_many_intervals(self):
         with pytest.raises(DomainError):
             sample_timesteps(3, 4, seed=0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DomainError):
+            sample_timesteps(50, 4, seed=-1)
 
 
 def random_problem(rng, layers, heads, k, budget=None):
@@ -90,6 +93,19 @@ class TestSolver:
         err, _ = prob.flat()
         for row, k in enumerate(table.selection_indices()):
             assert err[row, k] == err[row].min()
+
+    @pytest.mark.parametrize("solver", [solve_budgeted_assignment, brute_force_assignment])
+    def test_non_finite_budget_rejected(self, rng, solver):
+        for budget in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                solver(random_problem(rng, 2, 3, 3, budget=budget))
+
+    @pytest.mark.parametrize("solver", [solve_budgeted_assignment, brute_force_assignment])
+    def test_huge_negative_budget_matches_zero(self, rng, solver):
+        prob = random_problem(rng, 2, 3, 3, budget=0.0)
+        low = CalibrationProblem(taus=prob.taus, sparsity=prob.sparsity, error=prob.error,
+                                 budget=-1e308)
+        assert solver(low).selection_indices() == solver(prob).selection_indices()
 
     def test_oracle_equivalence_randomized(self, rng):
         for _ in range(200):
@@ -456,10 +472,21 @@ def measured_pipeline():
 
 
 class TestMeasureHead:
-    def test_requires_dense_cache(self, measured_pipeline):
-        fresh = ForwardPipeline(measured_pipeline.trace)
-        with pytest.raises(StateError):
-            measure_head(fresh, 0, 0, [0.9], steps=[0, 1])
+    @pytest.mark.parametrize("objective", ["fft", "mse"])
+    def test_fresh_pipeline_matches_precomputed(self, measured_pipeline, objective):
+        # No dense cache is needed first: the measurement fills it on demand.
+        steps, taus = [0, 5, 9], (0.85, 0.9, 1.0)
+        fresh = ForwardPipeline(measured_pipeline.trace, measured_pipeline.model)
+        cold = measure_head(fresh, 1, 4, taus, steps=steps, objective=objective)
+        measured_pipeline.precompute_dense(steps)
+        warm = measure_head(measured_pipeline, 1, 4, taus, steps=steps, objective=objective)
+        assert [(p.sparsity, p.error, p.kept_blocks) for p in cold] == \
+            [(p.sparsity, p.error, p.kept_blocks) for p in warm]
+
+    @pytest.mark.parametrize("steps", [[16], [-1], [0, 16]])
+    def test_rejects_step_outside_trace(self, measured_pipeline, steps):
+        with pytest.raises(DomainError):
+            measure_head(measured_pipeline, 0, 0, [0.9], steps=steps)
 
     def test_tau_one_gives_zero_error_and_full_retention(self, measured_pipeline):
         steps = [0, 5]
@@ -574,7 +601,7 @@ def oracle_measure_head(pipeline, layer, head, taus, steps, weights, partition, 
     return ([float(np.mean(s)) for s in sparsities], [float(np.mean(e)) for e in errors], kept)
 
 
-def oracle_problem(pipeline, taus, intervals, seed, objective, per_head_seeds):
+def oracle_problem(pipeline, taus, intervals, seed, objective):
     """(S, E, kept) of ``build_problem`` measured one (head, tau) at a time."""
     cfg = pipeline.trace.config
     steps = sample_timesteps(cfg.steps, intervals, seed)
@@ -584,13 +611,8 @@ def oracle_problem(pipeline, taus, intervals, seed, objective, per_head_seeds):
     pipeline.precompute_dense(steps)
     for layer in range(cfg.layers):
         for head in range(cfg.heads):
-            head_pipe = pipeline
-            if per_head_seeds:
-                head_cfg = replace(cfg, seed=cfg.seed + 1 + layer * cfg.heads + head)
-                head_pipe = ForwardPipeline(generate_trace(head_cfg), pipeline.model)
-                head_pipe.precompute_dense(steps)
             sparsity[layer, head], error[layer, head], kept[layer, head] = oracle_measure_head(
-                head_pipe, layer, head, taus, steps, None, partition, objective)
+                pipeline, layer, head, taus, steps, None, partition, objective)
     return sparsity, error, kept
 
 
@@ -609,7 +631,6 @@ def measured_cases(draw):
     return dict(
         config=cfg, taus=taus, intervals=draw(st.integers(1, cfg.steps)),
         seed=draw(st.integers(0, 1000)), objective=draw(st.sampled_from(["fft", "mse"])),
-        per_head_seeds=draw(st.booleans()),
         chunk_heads=draw(st.sampled_from([None, 1, 2, 3])),
         budget_share=draw(st.floats(0.0, 1.0)),
     )
@@ -618,8 +639,7 @@ def measured_cases(draw):
 def check_against_oracle(case):
     """Batched ``build_problem`` against the per-(head, tau) oracle on one case."""
     cfg, taus = case["config"], case["taus"]
-    flags = dict(seed=case["seed"], objective=case["objective"],
-                 per_head_seeds=case["per_head_seeds"])
+    flags = dict(seed=case["seed"], objective=case["objective"])
     pipe = ForwardPipeline(generate_trace(cfg))
     with pytest.MonkeyPatch.context() as mp:
         if case["chunk_heads"] is not None:
@@ -665,8 +685,7 @@ class TestBatchedMeasurementOracle:
         monkeypatch.setattr(surrogate, "masked_attention", spy)
         for objective in ("fft", "mse"):
             check_against_oracle(dict(config=cfg, taus=[0.7, 1.0, 0.9], intervals=3, seed=2,
-                                      objective=objective, per_head_seeds=False,
-                                      chunk_heads=4, budget_share=0.5))
+                                      objective=objective, chunk_heads=4, budget_share=0.5))
         assert max(sizes) == 4 and any(0 < size < 4 for size in sizes)
 
 
@@ -788,12 +807,6 @@ class TestBuildProblem:
         with pytest.raises(DomainError):
             build_problem(measured_pipeline, [0.9, 0.9], intervals=2, budget=0.0)
 
-    def test_per_head_seeds_changes_measurements(self, measured_pipeline):
-        shared = build_problem(measured_pipeline, [0.9], intervals=2, budget=0.0, seed=5)
-        per_head = build_problem(measured_pipeline, [0.9], intervals=2, budget=0.0,
-                                 seed=5, per_head_seeds=True)
-        assert not np.array_equal(shared.error, per_head.error)
-
 
 class TestAdditivityProbes:
     def test_gap_zero_at_tau_one(self, measured_pipeline):
@@ -820,6 +833,78 @@ class TestAdditivityProbes:
         assert result.joint_error > 0
         assert result.additive_error == pytest.approx(sum(result.single_errors))
         assert result.rel_gap >= 0
+
+    def test_repeated_head_rejected(self, measured_pipeline):
+        # The joint forward would keep one mask while the singles count both.
+        with pytest.raises(DomainError):
+            additive_surrogate_gap(measured_pipeline, [((0, 0), 0.9), ((0, 0), 0.5)], step=2)
+
+    @pytest.mark.parametrize("head_taus, step, error", [
+        ([((4, 0), 0.9)], 2, ShapeMismatch),
+        ([((0, 0), 0.9), ((0, -1), 0.9)], 2, ShapeMismatch),
+        ([((0, 0), 0.9)], 16, DomainError),
+        ([((0, 0), 0.9)], -1, DomainError),
+        ([((0, 0), 0.9), ((1, 1), 0.0)], 2, DomainError),
+        ([((0, 0), 1.5)], 2, DomainError),
+        ([((0, 0), math.nan)], 2, DomainError),
+    ], ids=["layer-4", "head-negative", "step-16", "step-negative", "tau-0", "tau-1.5",
+            "tau-nan"])
+    def test_invalid_probe_rejected(self, measured_pipeline, head_taus, step, error):
+        with pytest.raises(error):
+            additive_surrogate_gap(measured_pipeline, head_taus, step=step)
+
+    def test_single_errors_are_calibration_errors(self, measured_pipeline):
+        taus = [0.85, 0.9, 1.0]
+        problem = build_problem(measured_pipeline, taus, intervals=1, budget=0.0, seed=3)
+        [step] = sample_timesteps(measured_pipeline.trace.config.steps, 1, seed=3)
+        probed = [((0, 0), 0.85), ((1, 3), 0.9), ((2, 5), 1.0), ((3, 1), 0.85), ((3, 2), 0.9)]
+        result = additive_surrogate_gap(measured_pipeline, probed, step=step)
+        expected = [problem.error[layer, head, taus.index(tau)] for (layer, head), tau in probed]
+        np.testing.assert_allclose(result.single_errors, expected, rtol=1e-12, atol=0)
+        assert result.single_errors[2] == 0.0
+        assert all(result.single_errors[i] > 0 for i in (0, 1, 3, 4))
+
+    def test_matches_per_head_selection_loop(self, measured_pipeline):
+        # The per-head path the probe replaced: score, select and forward
+        # each head alone, then one joint forward over the same masks.
+        probed = [((0, 0), 0.9), ((1, 1), 0.9), ((2, 2), 0.85), ((3, 5), 0.95), ((0, 4), 1.0)]
+        step = 2
+        dense = measured_pipeline.dense_forward(step)
+        part = band_partition(measured_pipeline.trace.config.velocity_shape)
+
+        def spectral(field):
+            return weighted_error(band_energy_ratios(field - dense, dense, part))
+
+        masks = {key: top_p_select(measured_pipeline.scores(step, *key), tau)
+                 for key, tau in probed}
+        singles = [spectral(measured_pipeline.sparse_forward(step, {key: mask}))
+                   for key, mask in masks.items()]
+        joint = spectral(measured_pipeline.sparse_forward(step, masks))
+        result = additive_surrogate_gap(measured_pipeline, probed, step=step)
+        assert result.joint_error == joint
+        np.testing.assert_allclose(result.single_errors, singles, rtol=1e-12, atol=0)
+        assert result.single_errors[-1] == singles[-1] == 0.0
+
+    def test_one_scoring_call_and_no_per_head_path(self, measured_pipeline, monkeypatch):
+        scored = []
+
+        def counting_scores(q, k, grid):
+            scored.append(q.shape[:-2])
+            return block_score_values(q, k, grid)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the probe left the calibration measurement")
+
+        monkeypatch.setattr(calibration, "block_score_values", counting_scores)
+        monkeypatch.setattr(calibration, "top_p_select", forbidden)
+        monkeypatch.setattr(ForwardPipeline, "scores", forbidden)
+        additive_surrogate_gap(measured_pipeline, [((0, 0), 0.9), ((1, 1), 0.85), ((2, 2), 0.95)],
+                               step=3)
+        assert scored == [(3,)]
+
+    def test_quadratic_scaling_repeated_head_rejected(self, measured_pipeline):
+        with pytest.raises(DomainError):
+            quadratic_scaling_probe(measured_pipeline, [(0, 0), (0, 0)], step=2)
 
     def test_quadratic_scaling(self, measured_pipeline):
         probe = quadratic_scaling_probe(

@@ -1,8 +1,14 @@
 import json
+import math
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satool.cli import main
 from satool.trace import _HEADER, TRACE_MAGIC, TRACE_VERSION
@@ -210,6 +216,24 @@ class TestCalibrate:
             outs.append(out)
         for fname in ("calibration.json", "baselines.csv"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+    def test_per_head_seeds_option_removed(self, trace_dir, tmp_path, runner):
+        result = runner.invoke(main, [
+            "calibrate", "--trace", str(trace_dir / "trace.satr"),
+            "--out", str(tmp_path / "phs"), "--per-head-seeds",
+        ])
+        assert result.exit_code == 2
+        assert "No such option" in result.output
+        assert not (tmp_path / "phs").exists()
+
+    def test_manifest_has_no_per_head_seeds(self, trace_dir, tmp_path, runner):
+        out = tmp_path / "m"
+        result = runner.invoke(main, [
+            "calibrate", "--trace", str(trace_dir / "trace.satr"), "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert "per_head_seeds" not in config and config["seed"] == 0
 
 
 class TestRun:
@@ -497,6 +521,91 @@ class TestPerturb:
         for row in rows:
             assert float(row[rel_col]) == 0.0
             assert row[psnr_col] == "inf"
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("calibrate", ["--budget", "nan"]),
+    ("calibrate", ["--budget", "-inf"]),
+    ("calibrate", ["--seed", "-1"]),
+    ("perturb", ["--seed", "-3"]),
+    ("perturb", ["--seeds", "-5"]),
+    ("perturb", ["--alpha", "nan"]),
+    ("perturb", ["--alpha", "inf"]),
+    ("perturb", ["--alpha", "1e308"]),
+    ("perturb", ["--seeds", ""]),
+    ("perturb", ["--steps", ","]),
+], ids=["budget-nan", "budget-neg-inf", "calibrate-seed-negative", "perturb-seed-negative",
+        "seeds-negative", "alpha-nan", "alpha-inf", "alpha-huge", "seeds-empty", "steps-empty"])
+def test_invalid_value_fails_cleanly(trace_dir, tmp_path, runner, command, flags):
+    out = tmp_path / "out"
+    result = runner.invoke(main, [command, "--trace", str(trace_dir / "trace.satr"),
+                                  "--out", str(out), *flags])
+    assert result.exit_code == 1, result.output
+    assert result.output.startswith("error:domain:"), result.output
+    assert not out.exists()
+
+
+def test_huge_negative_budget_matches_zero_budget(trace_dir, tmp_path, runner):
+    tables = []
+    for budget in ("0", "-1e308"):
+        out = tmp_path / budget
+        result = runner.invoke(main, ["calibrate", "--trace", str(trace_dir / "trace.satr"),
+                                      "--out", str(out), "--budget", budget])
+        assert result.exit_code == 0, result.output
+        tables.append(json.loads((out / "calibration.json").read_text()))
+    assert tables[0]["heads"] == tables[1]["heads"]
+
+
+@pytest.fixture(scope="module")
+def tiny_trace(tmp_path_factory):
+    out = tmp_path_factory.mktemp("tiny")
+    result = CliRunner().invoke(main, [
+        "gen-trace", "--out", str(out), "--layers", "1", "--heads", "2", "--tokens", "8",
+        "--head-dim", "2", "--steps", "4", "--block-size", "4", "--velocity-shape", "2,2,2",
+    ])
+    assert result.exit_code == 0, result.output
+    return out / "trace.satr"
+
+
+FLOAT_VALUES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 0.5, 1.0, 2.0,
+                     1e308, -1e308, 5e-324]),
+    st.floats(allow_nan=True, allow_infinity=True),
+).map(repr)
+INT_VALUES = st.one_of(
+    st.sampled_from([0, -1, 1, 4, 5, 2 ** 63, -(2 ** 63), 10 ** 30]),
+    st.integers(-10 ** 6, 10 ** 6),
+).map(str)
+INT_LISTS = st.lists(INT_VALUES, max_size=3).map(",".join)
+NUMERIC_FLAGS = {
+    "calibrate": {"--budget": FLOAT_VALUES, "--seed": INT_VALUES, "--intervals": INT_VALUES},
+    "perturb": {"--alpha": FLOAT_VALUES, "--seed": INT_VALUES, "--seeds": INT_LISTS},
+    "run": {"--delta": FLOAT_VALUES, "--tau": FLOAT_VALUES, "--gate-lo": FLOAT_VALUES,
+            "--gate-hi": FLOAT_VALUES},
+    "analyze": {"--tau": FLOAT_VALUES, "--token-p": FLOAT_VALUES},
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_numeric_flags_exit_cleanly(tiny_trace, data):
+    """Any numeric flag value ends in exit 0 or in one error:<code>: line, never a traceback."""
+    command = data.draw(st.sampled_from(sorted(NUMERIC_FLAGS)))
+    args = [command, "--trace", str(tiny_trace)]
+    for flag, values in NUMERIC_FLAGS[command].items():
+        value = data.draw(st.none() | values, label=flag)
+        if value is not None:
+            args += [flag, value]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        result = CliRunner().invoke(main, [*args, "--out", str(out)])
+        if result.exit_code == 0:
+            assert (out / "manifest.json").exists()
+        else:
+            assert result.exit_code == 1 and isinstance(result.exception, SystemExit), \
+                (args, result.exception)
+            assert re.match(r"error:[a-z-]+: ", result.output), (args, result.output)
+            assert not out.exists(), args
 
 
 class TestFootprint:
