@@ -329,8 +329,8 @@ def build_problem(pipeline: ForwardPipeline, taus, intervals: int, budget: float
     taus = [float(t) for t in taus]
     if len(set(taus)) != len(taus):
         raise DomainError("candidate thresholds must be distinct")
-    if any(not (0.0 < t <= 1.0) for t in taus):
-        raise DomainError("candidate thresholds must lie in (0, 1]")
+    for tau in taus:
+        check_tau(tau, "candidate threshold")
     cfg = pipeline.trace.config
     steps = sample_timesteps(cfg.steps, intervals, seed)
     shape = (cfg.layers, cfg.heads, len(taus))

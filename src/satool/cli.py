@@ -90,8 +90,6 @@ def main():
 @click.option("--head-dim", default=16, show_default=True, type=int)
 @click.option("--steps", default=50, show_default=True, type=int)
 @click.option("--block-size", default=8, show_default=True, type=int)
-@click.option("--kappa", default=None, type=float,
-              help="Freeze the per-head smoothness range to one value.")
 @click.option("--kappa-min", default=0.2, show_default=True, type=float)
 @click.option("--kappa-max", default=0.999, show_default=True, type=float)
 @click.option("--scale-min", default=0.8, show_default=True, type=float)
@@ -101,11 +99,8 @@ def main():
 @click.option("--seed", default=0, show_default=True, type=int)
 @tool_command
 def cmd_gen_trace(out, layers, heads, tokens, head_dim, steps, block_size,
-                  kappa, kappa_min, kappa_max, scale_min, scale_max,
-                  velocity_shape, seed):
+                  kappa_min, kappa_max, scale_min, scale_max, velocity_shape, seed):
     """Generate a seeded synthetic denoising trace."""
-    if kappa is not None:
-        kappa_min = kappa_max = kappa
     dims = _parse_ints(velocity_shape, "velocity shape")
     if len(dims) != 3:
         raise DomainError(f"velocity shape needs three dims, got {velocity_shape!r}")
@@ -249,13 +244,8 @@ def cmd_calibrate(trace_path, out, budget, taus, intervals, weights, objective,
               help="Reuse threshold; accepts inf for the always-reuse endpoint.")
 @click.option("--gate-lo", default=DEFAULT_GATE[0], show_default=True, type=float)
 @click.option("--gate-hi", default=DEFAULT_GATE[1], show_default=True, type=float)
-@click.option("--no-gate", is_flag=True, help="Disable the layer-level gate.")
-@click.option("--normalized-delta", is_flag=True,
-              help="Compare delta against per-dimension drift (drift / 2D), a "
-                   "non-default variant for cross-config comparability.")
 @tool_command
-def cmd_run(trace_path, out, table_path, tau, delta, gate_lo, gate_hi, no_gate,
-            normalized_delta):
+def cmd_run(trace_path, out, table_path, tau, delta, gate_lo, gate_hi):
     """Simulate the full denoising run with per-head temporal mask reuse."""
     try:
         delta_value = float(delta)
@@ -272,9 +262,7 @@ def cmd_run(trace_path, out, table_path, tau, delta, gate_lo, gate_hi, no_gate,
         taus = table.tau_grid(cfg.layers, cfg.heads)
     else:
         taus = np.full((cfg.layers, cfg.heads), tau)
-    gate = None if no_gate else (gate_lo, gate_hi)
-    result = simulate(pipeline, taus, delta_value, gate=gate,
-                      normalized_delta=normalized_delta)
+    result = simulate(pipeline, taus, delta_value, gate=(gate_lo, gate_hi))
     out_dir = _ensure_out(out)
     run_path = out_dir / "run.csv"
     write_csv(
@@ -304,8 +292,7 @@ def cmd_run(trace_path, out, table_path, tau, delta, gate_lo, gate_hi, no_gate,
     })
     params = {
         "trace": str(trace_path), "table": str(table_path) if table_path else None,
-        "tau": tau, "delta": delta, "gate": None if no_gate else [gate_lo, gate_hi],
-        "normalized_delta": normalized_delta,
+        "tau": tau, "delta": delta, "gate": [gate_lo, gate_hi],
     }
     inputs = [Path(trace_path)] + ([Path(table_path)] if table_path else [])
     write_manifest(out_dir, "run", params, inputs=inputs, outputs=[run_path, summary_path])
@@ -318,12 +305,10 @@ def cmd_run(trace_path, out, table_path, tau, delta, gate_lo, gate_hi, no_gate,
 @click.option("--alpha", default=0.1, show_default=True, type=float)
 @click.option("--seeds", default="0,1,2,3", show_default=True)
 @click.option("--steps", default=None, help="Comma-separated step subset; default all.")
-@click.option("--seed", default=0, show_default=True, type=int,
-              help="Base offset added to every study seed.")
 @tool_command
-def cmd_perturb(trace_path, out, alpha, seeds, steps, seed):
+def cmd_perturb(trace_path, out, alpha, seeds, steps):
     """Equal-relative-magnitude in-band perturbation study over the four regions."""
-    seed_list = [seed + s for s in _parse_ints(seeds, "seeds")]
+    seed_list = _parse_ints(seeds, "seeds")
     step_list = _parse_ints(steps, "steps") if steps else None
     pipeline = _load_pipeline(trace_path)
     rows = perturbation_study(pipeline, alpha, seed_list, steps=step_list)
@@ -334,8 +319,8 @@ def cmd_perturb(trace_path, out, alpha, seeds, steps, seed):
         ["region", "alpha", "seed", "psnr_db", "rel_l2", "norm_ratio"],
         [[r.region, r.alpha, r.seed, r.psnr_db, r.rel_l2, r.norm_ratio] for r in rows],
     )
-    params = {"trace": str(trace_path), "alpha": alpha, "seed": seed,
-              "seeds": seed_list, "steps": step_list}
+    params = {"trace": str(trace_path), "alpha": alpha, "seeds": seed_list,
+              "steps": step_list}
     write_manifest(out_dir, "perturb", params, inputs=[Path(trace_path)], outputs=[csv_path])
     click.echo(str(csv_path))
 

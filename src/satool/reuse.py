@@ -18,6 +18,7 @@ import numpy as np
 from .blocksparse import (
     BlockMask,
     block_score_values,
+    changed_block_ratio,
     check_tau,
     scalar_if_unbatched,
     top_p_mask,
@@ -136,16 +137,13 @@ class RunResult:
 
 
 def simulate(pipeline, taus: np.ndarray, delta: float,
-             gate: tuple[float, float] | None = DEFAULT_GATE,
-             normalized_delta: bool = False,
+             gate: tuple[float, float] = DEFAULT_GATE,
              velocity_error: bool = True) -> RunResult:
     """Full-trajectory reuse simulation with per-head thresholds.
 
     The layer gate acts as a barrier: all head drift flags in a (layer, step)
     are collected before any mask prediction runs, then the gate may force the
-    whole layer to reuse or refresh.  ``normalized_delta`` compares the
-    threshold against drift averaged per feature dimension (drift / (2 * D)),
-    a non-default variant for cross-config comparability.
+    whole layer to reuse or refresh.  The band ``(0, 1)`` never forces.
 
     Each step makes one float64 copy of every head's Q and K; each layer then
     takes one pass over its heads as arrays: pooled drift against the
@@ -163,9 +161,8 @@ def simulate(pipeline, taus: np.ndarray, delta: float,
         check_tau(float(tau))
     if not delta >= 0:
         raise DomainError(f"reuse threshold must be >= 0, got {delta}")
-    if gate is not None and not (0.0 <= gate[0] <= gate[1] <= 1.0):
+    if not (0.0 <= gate[0] <= gate[1] <= 1.0):
         raise DomainError(f"gate bounds must satisfy 0 <= lo <= hi <= 1, got {gate}")
-    scale = 1.0 / (2.0 * cfg.head_dim) if normalized_delta else 1.0
     grid = cfg.grid
     blocks = grid.total_blocks
     shape = (cfg.layers, cfg.heads)
@@ -184,11 +181,9 @@ def simulate(pipeline, taus: np.ndarray, delta: float,
             cold = anchor_step[layer] < 0
             drift = mean_pool_drift(anchor_pooled[layer, :, 0], pooled[layer, :, 0],
                                     anchor_pooled[layer, :, 1], pooled[layer, :, 1])
-            proposed = cold | (drift * scale > delta)
-            refresh = proposed
-            if gate is not None:
-                refresh = np.array(layer_gate(proposed, gate[0], gate[1]))
-                gate_forced += int((refresh != proposed).sum())
+            proposed = cold | (drift > delta)
+            refresh = np.array(layer_gate(proposed, gate[0], gate[1]))
+            gate_forced += int((refresh != proposed).sum())
             forced_cold = np.flatnonzero(cold & ~refresh)
             if forced_cold.size:
                 raise StateError(f"gate forced reuse on cold head ({layer}, {forced_cold[0]})")
@@ -197,7 +192,7 @@ def simulate(pipeline, taus: np.ndarray, delta: float,
             if fresh.size:
                 scores = block_score_values(qk[layer, fresh, 0], qk[layer, fresh, 1], grid)
                 keep = top_p_mask(scores, taus[layer, fresh])
-                changed[fresh] = np.logical_xor(anchor_keep[layer, fresh], keep).sum(axis=-1) / blocks
+                changed[fresh] = changed_block_ratio(anchor_keep[layer, fresh], keep)
                 anchor_keep[layer, fresh] = keep
                 anchor_pooled[layer, fresh] = pooled[layer, fresh]
                 anchor_step[layer, fresh] = step

@@ -33,8 +33,9 @@ class BandWeights:
     hh: float = 0.01
 
     def __post_init__(self):
-        if any(w < 0 for w in self.as_array()):
-            raise DomainError(f"band weights must be nonnegative, got {self}")
+        w = self.as_array()
+        if not (np.isfinite(w).all() and (w >= 0).all()):
+            raise DomainError(f"band weights must be finite and nonnegative, got {self}")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.ll, self.lh, self.hl, self.hh], dtype=np.float64)
@@ -128,11 +129,12 @@ def weighted_error(ratios, weights: BandWeights | None = None):
     """
     if weights is None:
         weights = BandWeights()
-    w = weights.as_array() if isinstance(weights, BandWeights) else np.asarray(weights, dtype=np.float64)
-    if w.shape != (4,):
-        raise ShapeMismatch(f"expected four band weights, got shape {w.shape}")
-    if np.any(w < 0):
-        raise DomainError("band weights must be nonnegative")
+    elif not isinstance(weights, BandWeights):
+        w = np.asarray(weights, dtype=np.float64)
+        if w.shape != (4,):
+            raise ShapeMismatch(f"expected four band weights, got shape {w.shape}")
+        weights = BandWeights(*w.tolist())
+    w = weights.as_array()
     r = np.asarray(ratios, dtype=np.float64)
     if r.shape[-1:] != (4,):
         raise ShapeMismatch(f"expected four band ratios, got shape {r.shape}")

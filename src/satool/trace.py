@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,9 +95,6 @@ class TraceConfig:
         """Fan-in of the velocity projection: tokens * heads * head_dim."""
         return self.tokens * self.heads * self.head_dim
 
-    def with_kappa(self, kappa: float) -> "TraceConfig":
-        return replace(self, kappa_range=(kappa, kappa))
-
 
 def head_parameters(config: TraceConfig) -> tuple[np.ndarray, np.ndarray]:
     """Per-head (kappa, scale) arrays of shape (layers, heads), seeded by config."""
@@ -122,8 +119,6 @@ class DenoiseTrace:
 
     config: TraceConfig
     data: np.ndarray
-    kappa: np.ndarray = field(repr=False)
-    scale: np.ndarray = field(repr=False)
 
     def q(self, step: int, layer: int, head: int) -> np.ndarray:
         return self.data[step, layer, head, 0].astype(np.float64)
@@ -161,7 +156,7 @@ def generate_trace(config: TraceConfig) -> DenoiseTrace:
     for t in range(1, c.steps):
         feats[t] = blend * feats[t - 1] + fresh * noise[t]
     feats *= scale[None, :, :, None, None, None]
-    return DenoiseTrace(config=config, data=feats.astype(np.float32), kappa=kappa, scale=scale)
+    return DenoiseTrace(config=config, data=feats.astype(np.float32))
 
 
 def write_trace(trace: DenoiseTrace, path: str | os.PathLike) -> None:
@@ -231,5 +226,4 @@ def read_trace(path: str | os.PathLike) -> DenoiseTrace:
     except ConfigError as exc:
         raise TraceFormatError(f"{path}: invalid header config: {exc}") from exc
     data = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
-    kappa, scale = head_parameters(config)
-    return DenoiseTrace(config=config, data=data, kappa=kappa, scale=scale)
+    return DenoiseTrace(config=config, data=data)

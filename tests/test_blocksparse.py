@@ -285,7 +285,7 @@ class TestTauOneKeepsEveryBlock:
     def test_simulate(self, pipe):
         from satool.reuse import simulate
 
-        result = simulate(pipe, np.ones((1, 2)), delta=0.0, gate=None)
+        result = simulate(pipe, np.ones((1, 2)), delta=0.0, gate=(0.0, 1.0))
         assert result.predictions == 12
         assert all(record.sparsity == 0.0 for record in result.records)
         assert result.mean_velocity_rel_l2 == 0.0

@@ -807,6 +807,16 @@ class TestBuildProblem:
         with pytest.raises(DomainError):
             build_problem(measured_pipeline, [0.9, 0.9], intervals=2, budget=0.0)
 
+    @pytest.mark.parametrize("bad", [0.0, -0.5, 1.5, math.nan, math.inf])
+    def test_invalid_candidate_rejected_before_dense_forwards(self, measured_pipeline,
+                                                              monkeypatch, bad):
+        calls = []
+        fresh = ForwardPipeline(measured_pipeline.trace, measured_pipeline.model)
+        monkeypatch.setattr(fresh, "precompute_dense", calls.append)
+        with pytest.raises(DomainError, match="candidate threshold must lie in"):
+            build_problem(fresh, [0.9, bad], intervals=2, budget=0.0)
+        assert calls == []
+
 
 class TestAdditivityProbes:
     def test_gap_zero_at_tau_one(self, measured_pipeline):

@@ -67,7 +67,7 @@ class TestGenTrace:
 class TestAnalyze:
     def test_row_counts_and_frozen_iou(self, tmp_path, runner):
         out = tmp_path / "frozen"
-        assert runner.invoke(main, gen_args(out, kappa="1.0")).exit_code == 0
+        assert runner.invoke(main, gen_args(out, kappa_min="1.0", kappa_max="1.0")).exit_code == 0
         report = tmp_path / "report"
         result = runner.invoke(main, [
             "analyze", "--trace", str(out / "trace.satr"), "--out", str(report),
@@ -81,8 +81,8 @@ class TestAnalyze:
 
     def test_unstable_trace_has_lower_iou(self, tmp_path, runner):
         frozen, wobbly = tmp_path / "f", tmp_path / "w"
-        assert runner.invoke(main, gen_args(frozen, kappa="1.0")).exit_code == 0
-        assert runner.invoke(main, gen_args(wobbly, kappa="0.0")).exit_code == 0
+        assert runner.invoke(main, gen_args(frozen, kappa_min="1.0", kappa_max="1.0")).exit_code == 0
+        assert runner.invoke(main, gen_args(wobbly, kappa_min="0.0", kappa_max="0.0")).exit_code == 0
         means = {}
         for name, src in (("f", frozen), ("w", wobbly)):
             report = tmp_path / f"rep_{name}"
@@ -308,7 +308,7 @@ class TestRun:
         out = tmp_path / "runcsv"
         assert runner.invoke(main, [
             "run", "--trace", str(trace_dir / "trace.satr"), "--out", str(out),
-            "--delta", "1.0", "--no-gate",
+            "--delta", "1.0", "--gate-lo", "0", "--gate-hi", "1",
         ]).exit_code == 0
         header, rows = read_csv(out / "run.csv")
         assert header == ["step", "layer", "head", "decision", "drift",
@@ -453,7 +453,7 @@ class TestGateForcedSummary:
     def test_forced_count_reported(self, trace_dir, tmp_path, runner):
         counts = {}
         for name, flags in (("gated", ["--gate-lo", "0.4", "--gate-hi", "0.6"]),
-                            ("ungated", ["--no-gate"])):
+                            ("ungated", ["--gate-lo", "0", "--gate-hi", "1"])):
             out = tmp_path / name
             result = runner.invoke(main, [
                 "run", "--trace", str(trace_dir / "trace.satr"), "--out", str(out),
@@ -527,14 +527,13 @@ class TestPerturb:
     ("calibrate", ["--budget", "nan"]),
     ("calibrate", ["--budget", "-inf"]),
     ("calibrate", ["--seed", "-1"]),
-    ("perturb", ["--seed", "-3"]),
     ("perturb", ["--seeds", "-5"]),
     ("perturb", ["--alpha", "nan"]),
     ("perturb", ["--alpha", "inf"]),
     ("perturb", ["--alpha", "1e308"]),
     ("perturb", ["--seeds", ""]),
     ("perturb", ["--steps", ","]),
-], ids=["budget-nan", "budget-neg-inf", "calibrate-seed-negative", "perturb-seed-negative",
+], ids=["budget-nan", "budget-neg-inf", "calibrate-seed-negative",
         "seeds-negative", "alpha-nan", "alpha-inf", "alpha-huge", "seeds-empty", "steps-empty"])
 def test_invalid_value_fails_cleanly(trace_dir, tmp_path, runner, command, flags):
     out = tmp_path / "out"
@@ -543,6 +542,47 @@ def test_invalid_value_fails_cleanly(trace_dir, tmp_path, runner, command, flags
     assert result.exit_code == 1, result.output
     assert result.output.startswith("error:domain:"), result.output
     assert not out.exists()
+
+
+@pytest.mark.parametrize("weights", ["inf,1,1,1", "nan,1,1,1", "1,1,-inf,1"])
+def test_non_finite_weights_blame_the_weights(trace_dir, tmp_path, runner, weights):
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["calibrate", "--trace", str(trace_dir / "trace.satr"),
+                                  "--out", str(out), "--weights", weights])
+    assert result.exit_code == 1, result.output
+    assert result.output.startswith("error:domain: band weights must be finite"), result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("gen-trace", ["--kappa", "0.7"]),
+    ("run", ["--no-gate"]),
+    ("run", ["--normalized-delta"]),
+    ("perturb", ["--seed", "7"]),
+], ids=["kappa", "no-gate", "normalized-delta", "perturb-seed"])
+def test_alias_option_removed(trace_dir, tmp_path, runner, command, flags):
+    # Each spelled a setting another flag already expresses; see the README.
+    out = tmp_path / "out"
+    source = [] if command == "gen-trace" else ["--trace", str(trace_dir / "trace.satr")]
+    result = runner.invoke(main, [command, *source, "--out", str(out), *flags])
+    assert result.exit_code == 2
+    assert "No such option" in result.output
+    assert not out.exists()
+
+
+def test_manifests_drop_alias_keys(trace_dir, tmp_path, runner):
+    trace = str(trace_dir / "trace.satr")
+    for command, flags in (("run", []), ("perturb", ["--seeds", "7,8", "--steps", "0"])):
+        out = tmp_path / command
+        result = runner.invoke(main, [command, "--trace", trace, "--out", str(out), *flags])
+        assert result.exit_code == 0, result.output
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        if command == "run":
+            assert "normalized_delta" not in config
+            assert config["gate"] == [0.1, 0.9]
+        else:
+            assert "seed" not in config
+            assert config["seeds"] == [7, 8]
 
 
 def test_huge_negative_budget_matches_zero_budget(trace_dir, tmp_path, runner):
@@ -577,9 +617,11 @@ INT_VALUES = st.one_of(
     st.integers(-10 ** 6, 10 ** 6),
 ).map(str)
 INT_LISTS = st.lists(INT_VALUES, max_size=3).map(",".join)
+FLOAT_LISTS = st.lists(FLOAT_VALUES, min_size=4, max_size=4).map(",".join)
 NUMERIC_FLAGS = {
-    "calibrate": {"--budget": FLOAT_VALUES, "--seed": INT_VALUES, "--intervals": INT_VALUES},
-    "perturb": {"--alpha": FLOAT_VALUES, "--seed": INT_VALUES, "--seeds": INT_LISTS},
+    "calibrate": {"--budget": FLOAT_VALUES, "--seed": INT_VALUES, "--intervals": INT_VALUES,
+                  "--weights": FLOAT_LISTS},
+    "perturb": {"--alpha": FLOAT_VALUES, "--seeds": INT_LISTS},
     "run": {"--delta": FLOAT_VALUES, "--tau": FLOAT_VALUES, "--gate-lo": FLOAT_VALUES,
             "--gate-hi": FLOAT_VALUES},
     "analyze": {"--tau": FLOAT_VALUES, "--token-p": FLOAT_VALUES},

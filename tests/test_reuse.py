@@ -168,11 +168,17 @@ class TestSimulate:
                 assert record.changed_ratio == 0.0
 
     def test_gate_disabled_matches_per_head_decisions(self, sim_pipeline):
+        # The band (0, 1) never forces: each head refreshes exactly when it
+        # is cold or its own drift exceeds delta.
         cfg = sim_pipeline.trace.config
         taus = np.full((cfg.layers, cfg.heads), 0.9)
-        gated = simulate(sim_pipeline, taus, 3.0, gate=(0.0, 1.0), velocity_error=False)
-        ungated = simulate(sim_pipeline, taus, 3.0, gate=None, velocity_error=False)
-        assert [r.decision for r in gated.records] == [r.decision for r in ungated.records]
+        delta = 3.0
+        result = simulate(sim_pipeline, taus, delta, gate=(0.0, 1.0), velocity_error=False)
+        assert result.gate_forced == 0
+        assert {r.decision for r in result.records} == {COLD_START, REFRESH, REUSE}
+        for record in result.records:
+            proposed = record.drift is None or record.drift > delta
+            assert proposed == (record.decision != REUSE)
 
     def test_reuse_rate_monotone_in_delta(self, sim_pipeline):
         cfg = sim_pipeline.trace.config
@@ -189,14 +195,6 @@ class TestSimulate:
         result = simulate(sim_pipeline, taus, 0.0)
         assert result.mean_velocity_rel_l2 > 0.0
         assert np.isfinite(result.mean_velocity_rel_l2)
-
-    def test_normalized_delta_rescales_threshold(self, sim_pipeline):
-        cfg = sim_pipeline.trace.config
-        taus = np.full((cfg.layers, cfg.heads), 0.9)
-        raw = simulate(sim_pipeline, taus, 5.0, velocity_error=False)
-        norm = simulate(sim_pipeline, taus, 5.0 / (2 * cfg.head_dim),
-                        normalized_delta=True, velocity_error=False)
-        assert raw.reuse_rate == norm.reuse_rate
 
     def test_taus_shape_checked(self, sim_pipeline):
         with pytest.raises(ShapeMismatch):
@@ -225,15 +223,13 @@ class TestSimulate:
                      velocity_error=False)
 
 
-def reference_simulate(pipeline, taus, delta, gate=DEFAULT_GATE, normalized_delta=False,
-                       velocity_error=True):
+def reference_simulate(pipeline, taus, delta, gate=DEFAULT_GATE, velocity_error=True):
     """The per-(layer, head) simulation loop: pool, score and select one head at a time.
 
     Anchors live in a plain dict, (layer, head) -> (step, q_mean, k_mean, mask).
     Returns the fields of a RunResult plus the count of gate-overridden proposals.
     """
     cfg = pipeline.trace.config
-    scale = 1.0 / (2.0 * cfg.head_dim) if normalized_delta else 1.0
     cache = {}
     last_used = {}
     records = []
@@ -253,12 +249,11 @@ def reference_simulate(pipeline, taus, delta, gate=DEFAULT_GATE, normalized_delt
                 else:
                     _, anchor_q, anchor_k, _ = entry
                     drift = mean_pool_drift(anchor_q, q_mean, anchor_k, k_mean)
-                    proposals.append((drift * scale > delta, drift))
+                    proposals.append((drift > delta, drift))
             flags = [want for want, _ in proposals]
-            if gate is not None:
-                gated = layer_gate(flags, gate[0], gate[1])
-                forced += sum(a != b for a, b in zip(flags, gated))
-                flags = gated
+            gated = layer_gate(flags, gate[0], gate[1])
+            forced += sum(a != b for a, b in zip(flags, gated))
+            flags = gated
             for head in range(cfg.heads):
                 refresh, drift = flags[head], proposals[head][1]
                 entry = cache.get((layer, head))
@@ -318,17 +313,16 @@ def mixed_taus():
 
 
 class TestSimulateOracle:
-    @pytest.mark.parametrize("gate", [None, DEFAULT_GATE, (0.3, 0.6)], ids=["none", "default", "forcing"])
-    @pytest.mark.parametrize("delta, normalized", [
-        (0.0, False), (2.5, False), (math.inf, False), (2.5 / 8, True),
-    ], ids=["zero", "finite", "inf", "normalized"])
+    # "none" is the band (0, 1), which never forces a decision.
+    @pytest.mark.parametrize("gate", [(0.0, 1.0), DEFAULT_GATE, (0.3, 0.6)],
+                             ids=["none", "default", "forcing"])
+    @pytest.mark.parametrize("delta", [0.0, 2.5, math.inf], ids=["zero", "finite", "inf"])
     @pytest.mark.parametrize("taus", ["shared", "mixed"])
-    def test_matches_per_head_loop(self, oracle_pipeline, gate, delta, normalized, taus):
+    def test_matches_per_head_loop(self, oracle_pipeline, gate, delta, taus):
         cfg = ORACLE_CONFIG
         grid = mixed_taus() if taus == "mixed" else np.full((cfg.layers, cfg.heads), 0.9)
-        result = simulate(oracle_pipeline, grid, delta, gate=gate, normalized_delta=normalized)
-        expected = reference_simulate(oracle_pipeline, grid, delta, gate=gate,
-                                      normalized_delta=normalized)
+        result = simulate(oracle_pipeline, grid, delta, gate=gate)
+        expected = reference_simulate(oracle_pipeline, grid, delta, gate=gate)
         assert result.records == expected["records"]
         for name in ("predictions", "reuse_rate", "mean_sparsity", "mean_velocity_rel_l2",
                      "gate_forced"):
@@ -347,7 +341,7 @@ class TestSimulateOracle:
     def test_cases_exercise_reuse_refresh_and_forcing(self, oracle_pipeline):
         cfg = ORACLE_CONFIG
         taus = mixed_taus()
-        ungated = simulate(oracle_pipeline, taus, 2.5, gate=None, velocity_error=False)
+        ungated = simulate(oracle_pipeline, taus, 2.5, gate=(0.0, 1.0), velocity_error=False)
         assert {r.decision for r in ungated.records} == {COLD_START, REFRESH, REUSE}
         forced = simulate(oracle_pipeline, taus, 2.5, gate=(0.3, 0.6), velocity_error=False)
         assert forced.gate_forced > 0
@@ -371,5 +365,5 @@ class TestGateForced:
         assert result.gate_forced == by_hand
 
     def test_no_gate_forces_nothing(self, oracle_pipeline):
-        result = simulate(oracle_pipeline, mixed_taus(), 2.5, gate=None, velocity_error=False)
+        result = simulate(oracle_pipeline, mixed_taus(), 2.5, gate=(0.0, 1.0), velocity_error=False)
         assert result.gate_forced == 0

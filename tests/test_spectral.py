@@ -171,6 +171,13 @@ class TestWeightedError:
         with pytest.raises(DomainError):
             BandWeights(ll=-1.0)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_weight_rejected(self, bad):
+        with pytest.raises(DomainError, match="band weights must be finite"):
+            BandWeights(hl=bad)
+        with pytest.raises(DomainError, match="band weights must be finite"):
+            weighted_error(np.zeros(4), np.array([1.0, bad, 0.0, 0.0]))
+
 
 class TestBandPerturbation:
     def test_alpha_zero_is_zero_field(self, partition, rng):
