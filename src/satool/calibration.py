@@ -255,7 +255,8 @@ def _measure_step(pipeline: ForwardPipeline, step: int, layers: np.ndarray, head
     """
     trace, grid = pipeline.trace, pipeline.grid
     trace.check_step(step)
-    for tau in np.unique(taus).tolist():
+    # Sorted like np.unique (NaN last), which would import numpy.ma.
+    for tau in np.sort(taus, axis=None).tolist():
         check_tau(tau)
     n, k, blocks = len(heads), taus.shape[-1], grid.total_blocks
     scores = BlockScores(block_score_values(trace.q(step, layers, heads),

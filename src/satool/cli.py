@@ -8,6 +8,7 @@ directory receives exactly one manifest pinning inputs and produced files.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import json
 import sys
@@ -76,10 +77,30 @@ def _load_pipeline(trace_path: str) -> ForwardPipeline:
     return ForwardPipeline(read_trace(trace_path))
 
 
+def _keep_temporaries_on_heap() -> None:
+    """Serve numpy temporaries below 32 MiB from glibc's heap and keep freed pages.
+
+    glibc maps every block above its mmap threshold with fresh pages. The
+    threshold starts at 128 KiB and rises, up to 32 MiB, only when a larger
+    mapped block is freed, with the trim threshold at twice it. A command
+    that frees no large block before its per-head loop (``analyze``) would
+    fault its per-head temporaries in anew for every head. These are the
+    values glibc's own rule reaches. Without glibc's ``mallopt`` nothing changes.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+
+
 @click.group()
 @click.version_option()
 def main():
     """Head-wise sparse-attention control on synthetic denoising traces."""
+    _keep_temporaries_on_heap()
 
 
 @main.command("gen-trace")

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
 import os
 from pathlib import Path
+from typing import BinaryIO, Iterator
 
 from . import __version__
 
@@ -30,10 +32,28 @@ def format_cell(value) -> str:
     return str(value)
 
 
-def atomic_write_bytes(path: Path, data: bytes) -> None:
+@contextlib.contextmanager
+def atomic_open(path: str | os.PathLike) -> Iterator[BinaryIO]:
+    """Write through a temp file beside ``path``, renamed onto it on success.
+
+    If anything fails before the rename, the temp file is removed and the
+    error re-raised, so a failed write leaves neither output nor temp file.
+    """
+    path = Path(path)
     tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise
+
+
+def atomic_write_bytes(path: Path, data: bytes) -> None:
+    with atomic_open(path) as fh:
+        fh.write(data)
 
 
 def atomic_write_text(path: Path, text: str) -> None:

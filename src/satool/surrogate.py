@@ -343,7 +343,7 @@ class ForwardPipeline:
             )
         change = self._output_changes(step, layers, heads, retained).reshape(len(heads), -1)
         pre = np.empty((len(heads), self.model.bias.size))
-        for head in np.unique(heads).tolist():
+        for head in sorted(set(heads.tolist())):
             rows = np.flatnonzero(heads == head)
             pre[rows] = change[rows] @ self.model.head_columns(head, head + 1).T
         pre += self._pre[step]

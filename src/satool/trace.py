@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import os
+import stat
 import struct
 from dataclasses import dataclass
 
@@ -19,6 +20,7 @@ import numpy as np
 
 from .blocksparse import BlockGrid
 from .errors import ConfigError, DomainError, TraceFormatError
+from .runio import atomic_open
 
 TRACE_MAGIC = b"SATR"
 TRACE_VERSION = 1
@@ -33,6 +35,9 @@ _MODEL_STREAM = 303
 # 2**28 float64 weights is 2 GiB.  Checked before anything is allocated, so a
 # header naming a huge field fails cleanly instead of exhausting memory.
 MAX_PROJECTION_ELEMENTS = 2 ** 28
+
+# Every count is stored as a u32 in the SATR header.
+MAX_COUNT = 2 ** 32 - 1
 
 
 def _f32(x: float) -> float:
@@ -62,8 +67,11 @@ class TraceConfig:
 
     def validate(self) -> None:
         for name in ("layers", "heads", "tokens", "head_dim", "steps", "block_size"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if value <= 0:
+                raise ConfigError(f"{name} must be positive, got {value}")
+            if value > MAX_COUNT:
+                raise ConfigError(f"{name} must be at most {MAX_COUNT} (u32), got {value}")
         if self.tokens % self.block_size != 0:
             raise ConfigError(
                 f"tokens ({self.tokens}) must be divisible by block size ({self.block_size})"
@@ -76,6 +84,10 @@ class TraceConfig:
             raise ConfigError(f"scale range must satisfy 0 < lo <= hi, got {self.scale_range}")
         if len(self.velocity_shape) != 3 or any(v <= 0 for v in self.velocity_shape):
             raise ConfigError(f"velocity shape must be three positive counts, got {self.velocity_shape}")
+        if any(v > MAX_COUNT for v in self.velocity_shape):
+            raise ConfigError(
+                f"velocity shape counts must be at most {MAX_COUNT} (u32), got {self.velocity_shape}"
+            )
         weights = math.prod(self.velocity_shape) * self.feature_count
         if weights > MAX_PROJECTION_ELEMENTS:
             raise ConfigError(
@@ -143,20 +155,33 @@ class DenoiseTrace:
 
 
 def generate_trace(config: TraceConfig) -> DenoiseTrace:
-    """Deterministically generate a trace; same (config, seed) gives identical bytes."""
+    """Deterministically generate a trace; same (config, seed) gives identical bytes.
+
+    The float32 payload is allocated once and filled step by step from one
+    float64 AR(1) state and one float64 noise buffer.  Each step's noise is
+    the next slice of the seeded stream, so the bytes equal drawing every
+    step's noise at once.
+    """
     config.validate()
     kappa, scale = head_parameters(config)
     c = config
     rng = np.random.default_rng(np.random.SeedSequence([c.seed, _NOISE_STREAM]))
-    noise = rng.standard_normal((c.steps, c.layers, c.heads, 3, c.tokens, c.head_dim))
-    feats = np.empty_like(noise)
-    feats[0] = noise[0]
+    data = np.empty((c.steps, c.layers, c.heads, 3, c.tokens, c.head_dim), dtype=np.float32)
     blend = kappa[:, :, None, None, None]
     fresh = np.sqrt(1.0 - blend ** 2)
+    scale = scale[:, :, None, None, None]
+    state = rng.standard_normal(data.shape[1:])
+    noise = np.empty_like(state)
+    np.multiply(state, scale, out=noise)
+    data[0] = noise
     for t in range(1, c.steps):
-        feats[t] = blend * feats[t - 1] + fresh * noise[t]
-    feats *= scale[None, :, :, None, None, None]
-    return DenoiseTrace(config=config, data=feats.astype(np.float32))
+        rng.standard_normal(out=noise)
+        state *= blend
+        noise *= fresh
+        state += noise
+        np.multiply(state, scale, out=noise)
+        data[t] = noise
+    return DenoiseTrace(config=config, data=data)
 
 
 def write_trace(trace: DenoiseTrace, path: str | os.PathLike) -> None:
@@ -180,50 +205,58 @@ def write_trace(trace: DenoiseTrace, path: str | os.PathLike) -> None:
         c.scale_range[1],
         c.seed,
     )
-    payload = np.ascontiguousarray(trace.data, dtype="<f4").tobytes()
-    tmp = f"{os.fspath(path)}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
+    payload = np.ascontiguousarray(trace.data, dtype="<f4")
+    with atomic_open(path) as fh:
         fh.write(header)
-        fh.write(payload)
-    os.replace(tmp, path)
+        fh.write(memoryview(payload).cast("B"))
 
 
 def read_trace(path: str | os.PathLike) -> DenoiseTrace:
+    """Read a SATR file into one writable float32 array, copying the payload once.
+
+    The header and the payload size, taken from the file size, are checked
+    before anything is allocated; the payload is then read straight into
+    the array.  ``path`` must name a regular file.
+    """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEADER.size:
-        raise TraceFormatError(f"{path}: truncated header")
-    fields = _HEADER.unpack_from(raw)
-    magic, version = fields[0], fields[1]
-    if magic != TRACE_MAGIC:
-        raise TraceFormatError(f"{path}: bad magic {magic!r}")
-    if version != TRACE_VERSION:
-        raise TraceFormatError(f"{path}: unsupported version {version}")
-    layers, heads, tokens, head_dim, steps, block_size, vt, vh, vw = fields[2:11]
-    kmin, kmax, smin, smax = fields[11:15]
-    seed = fields[15]
-    shape = (steps, layers, heads, 3, tokens, head_dim)
-    # Python ints: a numpy product of header counts wraps at 2**64.
-    expected = math.prod(shape) * 4
-    payload = raw[_HEADER.size:]
-    if len(payload) != expected:
-        raise TraceFormatError(
-            f"{path}: payload is {len(payload)} bytes, expected {expected}"
-        )
-    try:
-        config = TraceConfig(
-            layers=layers,
-            heads=heads,
-            tokens=tokens,
-            head_dim=head_dim,
-            steps=steps,
-            block_size=block_size,
-            kappa_range=(kmin, kmax),
-            scale_range=(smin, smax),
-            velocity_shape=(vt, vh, vw),
-            seed=seed,
-        )
-    except ConfigError as exc:
-        raise TraceFormatError(f"{path}: invalid header config: {exc}") from exc
-    data = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
+        info = os.fstat(fh.fileno())
+        if not stat.S_ISREG(info.st_mode):
+            raise TraceFormatError(f"{path}: not a regular file")
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise TraceFormatError(f"{path}: truncated header")
+        fields = _HEADER.unpack(head)
+        magic, version = fields[0], fields[1]
+        if magic != TRACE_MAGIC:
+            raise TraceFormatError(f"{path}: bad magic {magic!r}")
+        if version != TRACE_VERSION:
+            raise TraceFormatError(f"{path}: unsupported version {version}")
+        layers, heads, tokens, head_dim, steps, block_size, vt, vh, vw = fields[2:11]
+        kmin, kmax, smin, smax = fields[11:15]
+        seed = fields[15]
+        shape = (steps, layers, heads, 3, tokens, head_dim)
+        # Python ints: a numpy product of header counts wraps at 2**64.
+        expected = math.prod(shape) * 4
+        size = info.st_size - _HEADER.size
+        if size != expected:
+            raise TraceFormatError(f"{path}: payload is {size} bytes, expected {expected}")
+        try:
+            config = TraceConfig(
+                layers=layers,
+                heads=heads,
+                tokens=tokens,
+                head_dim=head_dim,
+                steps=steps,
+                block_size=block_size,
+                kappa_range=(kmin, kmax),
+                scale_range=(smin, smax),
+                velocity_shape=(vt, vh, vw),
+                seed=seed,
+            )
+        except ConfigError as exc:
+            raise TraceFormatError(f"{path}: invalid header config: {exc}") from exc
+        data = np.empty(shape, dtype="<f4")
+        size = fh.readinto(memoryview(data).cast("B"))
+    if size != expected:
+        raise TraceFormatError(f"{path}: payload is {size} bytes, expected {expected}")
     return DenoiseTrace(config=config, data=data)

@@ -483,6 +483,17 @@ class TestMeasureHead:
         assert [(p.sparsity, p.error, p.kept_blocks) for p in cold] == \
             [(p.sparsity, p.error, p.kept_blocks) for p in warm]
 
+    @pytest.mark.parametrize("taus", [
+        [0.9, math.nan, 1.5, -0.5], [0.9, math.nan], [1.5, 2.0, 0.5], [0.0, -0.0, 0.9],
+        [-0.0, 0.0], [math.inf, -math.inf], [0.7, 1.0 + 1e-16, 1.0 + 2e-16],
+    ])
+    def test_first_rejected_tau_is_the_least(self, measured_pipeline, taus):
+        # The order np.unique would give: ascending, NaN last.
+        first = next(t for t in np.unique(taus).tolist() if not 0.0 < t <= 1.0)
+        with pytest.raises(DomainError) as info:
+            measure_head(measured_pipeline, 0, 0, taus, steps=[0])
+        assert str(info.value) == f"tau must lie in (0, 1], got {first}"
+
     @pytest.mark.parametrize("steps", [[16], [-1], [0, 16]])
     def test_rejects_step_outside_trace(self, measured_pipeline, steps):
         with pytest.raises(DomainError):

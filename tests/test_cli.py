@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,6 +13,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import satool
 from satool.cli import main
 from satool.trace import _HEADER, TRACE_MAGIC, TRACE_VERSION
 
@@ -62,6 +66,25 @@ class TestGenTrace:
         result = runner.invoke(main, gen_args(tmp_path / "bad", tokens=15))
         assert result.exit_code == 1
         assert result.output.startswith("error:config:") or "error:config:" in result.output
+
+    @pytest.mark.parametrize("flag, value, named", [
+        ("layers", 2 ** 32, "layers"),
+        ("steps", 10 ** 10, "steps"),
+        ("block-size", 2 ** 32, "block_size"),
+        ("velocity-shape", "1,4294967296,1", "velocity shape"),
+    ])
+    def test_counts_beyond_u32_fail_cleanly(self, tmp_path, runner, flag, value, named):
+        # The header stores each count as a u32; 2**32 layers used to reach
+        # head_parameters and fail allocating 32 GiB with a traceback.
+        out = tmp_path / "big"
+        args = ["gen-trace", "--out", str(out), "--layers", "1", "--steps", "1", "--heads", "1",
+                "--tokens", "8", "--head-dim", "1", "--block-size", "8",
+                "--velocity-shape", "1,1,1", f"--{flag}", str(value)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert result.output.startswith(f"error:config: {named} ")
+        assert "must be at most 4294967295" in result.output
+        assert not out.exists()
 
 
 class TestAnalyze:
@@ -618,7 +641,22 @@ INT_VALUES = st.one_of(
 ).map(str)
 INT_LISTS = st.lists(INT_VALUES, max_size=3).map(",".join)
 FLOAT_LISTS = st.lists(FLOAT_VALUES, min_size=4, max_size=4).map(",".join)
+# Trace counts: rejected values, or ones small enough that any accepted
+# config is a tiny trace.  Counts just below 2**32 pass the check and
+# would allocate that much, so they are left out.
+COUNT_VALUES = st.one_of(
+    st.sampled_from([0, -1, 2 ** 32, 2 ** 32 + 1, 10 ** 10, 2 ** 63, -(2 ** 63), 10 ** 30]),
+    st.integers(1, 4),
+).map(str)
+# gen-trace's flags a draw leaves out take these tiny values, not the defaults.
+GEN_BASE = ["--layers", "1", "--heads", "1", "--tokens", "4", "--head-dim", "1", "--steps", "1",
+            "--block-size", "1", "--velocity-shape", "1,1,1"]
 NUMERIC_FLAGS = {
+    "gen-trace": {"--layers": COUNT_VALUES, "--heads": COUNT_VALUES, "--tokens": COUNT_VALUES,
+                  "--head-dim": COUNT_VALUES, "--steps": COUNT_VALUES,
+                  "--block-size": COUNT_VALUES,
+                  "--velocity-shape": st.lists(COUNT_VALUES, min_size=3, max_size=3).map(",".join),
+                  "--seed": INT_VALUES},
     "calibrate": {"--budget": FLOAT_VALUES, "--seed": INT_VALUES, "--intervals": INT_VALUES,
                   "--weights": FLOAT_LISTS},
     "perturb": {"--alpha": FLOAT_VALUES, "--seeds": INT_LISTS},
@@ -628,12 +666,12 @@ NUMERIC_FLAGS = {
 }
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=250, deadline=None)
 @given(data=st.data())
 def test_numeric_flags_exit_cleanly(tiny_trace, data):
     """Any numeric flag value ends in exit 0 or in one error:<code>: line, never a traceback."""
     command = data.draw(st.sampled_from(sorted(NUMERIC_FLAGS)))
-    args = [command, "--trace", str(tiny_trace)]
+    args = [command, *(GEN_BASE if command == "gen-trace" else ["--trace", str(tiny_trace)])]
     for flag, values in NUMERIC_FLAGS[command].items():
         value = data.draw(st.none() | values, label=flag)
         if value is not None:
@@ -648,6 +686,35 @@ def test_numeric_flags_exit_cleanly(tiny_trace, data):
                 (args, result.exception)
             assert re.match(r"error:[a-z-]+: ", result.output), (args, result.output)
             assert not out.exists(), args
+
+
+NO_MA_SCRIPT = """
+import sys
+import numpy
+if "numpy.ma" in sys.modules:
+    print("eager")
+    sys.exit(0)
+from click.testing import CliRunner
+from satool.cli import main
+trace, out = sys.argv[1:]
+# Low taus drop blocks, so calibrate measures residuals (single_head_residuals).
+for command, *extra in (["analyze"], ["calibrate", "--taus", "0.3,0.6,0.9"], ["run"], ["perturb"]):
+    result = CliRunner().invoke(main, [command, "--trace", trace, "--out", out + "/" + command, *extra])
+    assert result.exit_code == 0, (command, result.output)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_commands_do_not_import_numpy_ma(tiny_trace, tmp_path):
+    # numpy 2 imports numpy.ma on the first np.unique call, 13-21 ms per
+    # process; no command needs it.
+    env = {**os.environ, "PYTHONPATH": str(Path(satool.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", NO_MA_SCRIPT, str(tiny_trace), str(tmp_path)],
+                            capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+    if result.stdout.strip() == "eager":
+        pytest.skip("this numpy imports numpy.ma together with numpy")
+    assert result.stdout.strip() == "False"
 
 
 class TestFootprint:

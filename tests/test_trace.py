@@ -1,14 +1,20 @@
+import builtins
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from satool import runio
 from satool.errors import ConfigError, DomainError, ShapeMismatch, TraceFormatError
 from satool.surrogate import ForwardPipeline, SurrogateModel, masked_attention
 from satool.trace import (
     _HEADER,
+    _NOISE_STREAM,
+    MAX_COUNT,
     MAX_PROJECTION_ELEMENTS,
     TRACE_MAGIC,
     TRACE_VERSION,
@@ -19,6 +25,38 @@ from satool.trace import (
     write_trace,
 )
 from satool.blocksparse import full_mask, top_p_select
+
+
+def one_shot_payload(config):
+    """Reference generator: every step's float64 noise and features at once, then one cast."""
+    kappa, scale = head_parameters(config)
+    c = config
+    rng = np.random.default_rng(np.random.SeedSequence([c.seed, _NOISE_STREAM]))
+    noise = rng.standard_normal((c.steps, c.layers, c.heads, 3, c.tokens, c.head_dim))
+    feats = np.empty_like(noise)
+    feats[0] = noise[0]
+    blend = kappa[:, :, None, None, None]
+    fresh = np.sqrt(1.0 - blend ** 2)
+    for t in range(1, c.steps):
+        feats[t] = blend * feats[t - 1] + fresh * noise[t]
+    feats *= scale[None, :, :, None, None, None]
+    return feats.astype(np.float32)
+
+
+def traced_peak(fn, *args):
+    """Peak bytes traced during a second ``fn`` call, above what was allocated before it.
+
+    The first, untraced call takes the one-time costs, such as lazy imports.
+    """
+    fn(*args)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 def mean_adjacent_l1(trace):
@@ -44,6 +82,27 @@ class TestConfig:
     def test_rejects_zero_dims(self):
         with pytest.raises(ConfigError):
             TraceConfig(layers=0)
+
+    @pytest.mark.parametrize("field", ["layers", "heads", "tokens", "head_dim", "steps",
+                                       "block_size"])
+    def test_counts_must_fit_u32(self, field):
+        # Every count is a u32 in the SATR header; larger ones fail before
+        # anything is drawn (2**32 layers would ask head_parameters for 32 GiB).
+        small = dict(layers=1, heads=1, tokens=1, head_dim=1, steps=1, block_size=1,
+                     velocity_shape=(1, 1, 1))
+        for value in (MAX_COUNT + 1, 10 ** 10, 2 ** 64):
+            with pytest.raises(ConfigError, match=f"^{field} must be at most {MAX_COUNT}"):
+                TraceConfig(**{**small, field: value})
+
+    def test_largest_u32_count_accepted(self):
+        small = dict(heads=1, tokens=1, head_dim=1, block_size=1, velocity_shape=(1, 1, 1))
+        assert TraceConfig(**small, layers=MAX_COUNT, steps=MAX_COUNT).steps == 2 ** 32 - 1
+
+    @pytest.mark.parametrize("shape", [(2 ** 32, 1, 1), (1, 1, 2 ** 32), (1, 10 ** 10, 1)])
+    def test_velocity_counts_must_fit_u32(self, shape):
+        small = dict(layers=1, heads=1, tokens=1, head_dim=1, steps=1, block_size=1)
+        with pytest.raises(ConfigError, match="^velocity shape counts must be at most"):
+            TraceConfig(**small, velocity_shape=shape)
 
     def test_rejects_bad_kappa_range(self):
         with pytest.raises(ConfigError):
@@ -103,6 +162,24 @@ class TestGenerateTrace:
     def test_entries_finite(self, default_trace):
         assert np.isfinite(default_trace.data).all()
 
+    @settings(max_examples=80, deadline=None)
+    @given(steps=st.integers(1, 7), layers=st.integers(1, 3), heads=st.integers(1, 3),
+           block_size=st.integers(1, 4), blocks=st.integers(1, 3), head_dim=st.integers(1, 5),
+           kappa=st.one_of(st.sampled_from([(0.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.2, 0.999)]),
+                           st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2).map(sorted)),
+           scale=st.one_of(st.sampled_from([(0.8, 2.0), (1.0, 1.0), (3.0, 6.0), (1e-3, 1e4)]),
+                           st.lists(st.floats(1e-6, 1e6), min_size=2, max_size=2).map(sorted)),
+           seed=st.integers(0, 2 ** 64 - 1))
+    def test_step_by_step_equals_one_shot_bitwise(self, steps, layers, heads, block_size,
+                                                  blocks, head_dim, kappa, scale, seed):
+        cfg = TraceConfig(layers=layers, heads=heads, tokens=block_size * blocks,
+                          head_dim=head_dim, steps=steps, block_size=block_size,
+                          kappa_range=tuple(kappa), scale_range=tuple(scale),
+                          velocity_shape=(1, 1, 1), seed=seed)
+        data = generate_trace(cfg).data
+        assert data.dtype == np.float32 and data.flags.c_contiguous
+        assert data.tobytes() == one_shot_payload(cfg).tobytes()
+
 
 class TestAccessors:
     def test_index_arrays_gather_per_head_copies(self, default_trace):
@@ -119,6 +196,86 @@ class TestAccessors:
             grid = accessor(7, np.arange(cfg.layers)[:, None], np.arange(cfg.heads))
             assert grid.shape == (cfg.layers, cfg.heads, cfg.tokens, cfg.head_dim)
             np.testing.assert_array_equal(grid[2, 3], accessor(7, 2, 3))
+
+
+class TestTraceMemory:
+    """Each trace path holds the float32 payload once (tracemalloc sees numpy's buffers)."""
+
+    CONFIG = TraceConfig(layers=2, heads=4, tokens=32, head_dim=8, steps=40, block_size=4,
+                         velocity_shape=(2, 2, 2), seed=3)
+    SLACK = 64 * 1024
+
+    @property
+    def payload(self):
+        c = self.CONFIG
+        return c.steps * c.layers * c.heads * 3 * c.tokens * c.head_dim * 4
+
+    def test_generate_holds_payload_and_a_few_float64_steps(self):
+        trace, peak = traced_peak(generate_trace, self.CONFIG)
+        float64_step = 2 * self.payload // self.CONFIG.steps
+        assert trace.data.nbytes == self.payload
+        # The one-shot generator peaked at five payloads here (noise, features, cast).
+        assert peak <= self.payload + 4 * float64_step + self.SLACK
+
+    def test_write_copies_nothing(self, tmp_path):
+        trace = generate_trace(self.CONFIG)
+        _, peak = traced_peak(write_trace, trace, tmp_path / "t.satr")
+        assert peak <= self.SLACK
+        assert (tmp_path / "t.satr").stat().st_size == _HEADER.size + self.payload
+
+    def test_read_holds_payload_once(self, tmp_path):
+        path = tmp_path / "t.satr"
+        write_trace(generate_trace(self.CONFIG), path)
+        trace, peak = traced_peak(read_trace, path)
+        assert trace.data.nbytes == self.payload
+        assert peak <= self.payload + self.SLACK
+
+
+class FailingWriter:
+    """An open temp file whose writes fail, as on a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        raise OSError(28, "No space left on device")
+
+
+class TestAtomicWrites:
+    @pytest.fixture()
+    def failing_open(self, monkeypatch):
+        monkeypatch.setattr(runio, "open", lambda path, mode: FailingWriter(builtins.open(path, mode)),
+                            raising=False)
+
+    def test_failed_trace_write_leaves_no_files(self, tmp_path, small_trace, failing_open):
+        with pytest.raises(OSError, match="No space left"):
+            write_trace(small_trace, tmp_path / "trace.satr")
+        assert os.listdir(tmp_path) == []
+
+    def test_failed_byte_write_keeps_old_file(self, tmp_path, failing_open):
+        path = tmp_path / "out.json"
+        path.write_bytes(b"old")
+        with pytest.raises(OSError, match="No space left"):
+            runio.atomic_write_bytes(path, b"new")
+        assert os.listdir(tmp_path) == ["out.json"]
+        assert path.read_bytes() == b"old"
+
+    def test_failed_rename_removes_temp_file(self, tmp_path, small_trace, monkeypatch):
+        def refuse(src, dst):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(runio.os, "replace", refuse)
+        with pytest.raises(PermissionError):
+            write_trace(small_trace, tmp_path / "trace.satr")
+        with pytest.raises(PermissionError):
+            runio.atomic_write_bytes(tmp_path / "out.json", b"{}")
+        assert os.listdir(tmp_path) == []
 
 
 class TestTraceFile:
@@ -154,6 +311,37 @@ class TestTraceFile:
         path.write_bytes(data[:-8])
         with pytest.raises(TraceFormatError):
             read_trace(path)
+
+    @pytest.mark.parametrize("cut, message", [
+        (lambda raw: raw + b"\0" * 4, "payload is {n_plus_4} bytes, expected {n}"),
+        (lambda raw: raw[:-1], "payload is {n_minus_1} bytes, expected {n}"),
+        (lambda raw: raw[:_HEADER.size], "payload is 0 bytes, expected {n}"),
+        (lambda raw: raw[:_HEADER.size - 1], "truncated header"),
+        (lambda raw: b"", "truncated header"),
+    ], ids=["trailing-bytes", "short-payload", "header-only", "short-header", "empty"])
+    def test_size_errors_name_the_sizes(self, tmp_path, small_trace, cut, message):
+        path = tmp_path / "trace.satr"
+        write_trace(small_trace, path)
+        n = small_trace.data.nbytes
+        path.write_bytes(cut(path.read_bytes()))
+        expected = message.format(n=n, n_plus_4=n + 4, n_minus_1=n - 1)
+        with pytest.raises(TraceFormatError) as info:
+            read_trace(path)
+        assert str(info.value) == f"{path}: {expected}"
+
+    def test_rejects_a_file_that_is_not_regular(self):
+        with pytest.raises(TraceFormatError, match="not a regular file"):
+            read_trace(os.devnull)
+
+    def test_read_array_is_writable(self, tmp_path, small_trace):
+        path = tmp_path / "trace.satr"
+        write_trace(small_trace, path)
+        back = read_trace(path)
+        assert back.data.flags.writeable and back.data.flags.c_contiguous
+        assert back.data.dtype == np.dtype("<f4")
+        back.data[:, :, :, 2] = 0.0
+        assert not back.data[:, :, :, 2].any()
+        np.testing.assert_array_equal(back.data[:, :, :, :2], small_trace.data[:, :, :, :2])
 
     def test_rejects_payload_size_that_overflows_int64(self, tmp_path):
         # 2**16 layers, heads, tokens and steps: an int64 product of the
@@ -209,6 +397,13 @@ class TestSurrogateModel:
 class TestDenseForward:
     def test_zero_values_give_bias_field(self, small_config):
         trace = generate_trace(small_config)
+        trace.data[:, :, :, 2, :, :] = 0.0
+        pipe = ForwardPipeline(trace)
+        np.testing.assert_array_equal(pipe.dense_forward(0), pipe.model.bias_field)
+
+    def test_zero_values_of_a_read_trace_give_bias_field(self, small_trace, tmp_path):
+        write_trace(small_trace, tmp_path / "trace.satr")
+        trace = read_trace(tmp_path / "trace.satr")
         trace.data[:, :, :, 2, :, :] = 0.0
         pipe = ForwardPipeline(trace)
         np.testing.assert_array_equal(pipe.dense_forward(0), pipe.model.bias_field)
