@@ -29,7 +29,7 @@ from .blocksparse import (
 )
 from .errors import DomainError
 from .reuse import full_token_drift, mean_pool_drift
-from .surrogate import PROB_CHUNK_ELEMENTS, attention_probs
+from .surrogate import attention_probs, prob_chunks
 from .trace import DenoiseTrace
 
 
@@ -56,17 +56,16 @@ def _mean_row_iou(masks_a: np.ndarray, masks_b: np.ndarray) -> float | np.ndarra
 def _token_ious(q: np.ndarray, k: np.ndarray, p: float) -> np.ndarray:
     """Row-averaged token-mask IoU of each adjacent step pair of one head.
 
-    Row masks are computed for as many whole steps as PROB_CHUNK_ELEMENTS
-    attention probabilities allow (at least one), so the working set stays
-    flat as the step count grows.  Each chunk's last row masks carry into
-    the next chunk for the pair that straddles the boundary.
+    Row masks are computed in the step chunks of ``prob_chunks`` (at least
+    one step each), so the working set stays flat as the step count grows.
+    Each chunk's last row masks carry into the next chunk for the pair that
+    straddles the boundary.
     """
     steps, tokens = q.shape[0], q.shape[1]
-    chunk = max(1, PROB_CHUNK_ELEMENTS // (tokens * tokens))
     ious = np.empty(steps - 1)
     prev = None
-    for start in range(0, steps, chunk):
-        window = slice(start, start + chunk)
+    for window in prob_chunks(steps, tokens):
+        start = window.start
         rows = cumulative_prefix_mask(attention_probs(q[window], k[window]), p)
         if prev is not None:
             ious[start - 1] = _mean_row_iou(prev, rows[0])

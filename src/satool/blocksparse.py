@@ -51,22 +51,21 @@ class BlockGrid:
 
 @dataclass
 class BlockScores:
-    """Nonnegative per-block importance; ``normalized`` means they sum to one.
+    """Nonnegative per-block importance summing to one.
 
     ``values`` is (..., M): leading axes are independent heads, each checked
     on its own.
     """
 
     values: np.ndarray
-    normalized: bool = True
 
     def validate(self) -> None:
         if self.values.ndim < 1:
             raise ShapeMismatch("block scores need a block axis")
         if np.any(self.values < 0):
             raise DomainError("block scores must be nonnegative")
-        if self.normalized and np.any(np.abs(self.values.sum(axis=-1) - 1.0) > SCORE_SUM_TOL):
-            raise DomainError("scores flagged normalized but do not sum to 1")
+        if np.any(np.abs(self.values.sum(axis=-1) - 1.0) > SCORE_SUM_TOL):
+            raise DomainError("block scores must sum to 1")
 
 
 @dataclass
@@ -133,7 +132,7 @@ def block_scores(q: np.ndarray, k: np.ndarray, grid: BlockGrid) -> BlockScores:
         raise ShapeMismatch(
             f"expected Q and K of shape ({grid.tokens}, D), got {q.shape} and {k.shape}"
         )
-    return BlockScores(values=block_score_values(q, k, grid), normalized=True)
+    return BlockScores(values=block_score_values(q, k, grid))
 
 
 def cumulative_prefix_mask(values: np.ndarray, threshold: float | np.ndarray) -> np.ndarray:
@@ -206,8 +205,6 @@ def top_p_select(scores: BlockScores, tau: float) -> BlockMask:
     """Retain the minimal set of highest-scored blocks whose mass reaches tau."""
     check_tau(tau)
     scores.validate()
-    if not scores.normalized:
-        raise DomainError("top-p selection requires normalized scores")
     return BlockMask(retained=top_p_mask(scores.values, tau))
 
 

@@ -22,12 +22,12 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .blocksparse import BlockMask, BlockScores, block_score_values, check_tau, top_p_mask
+from .blocksparse import BlockScores, block_score_values, check_tau, top_p_mask
 from .blocksparse import (
     top_p_select,  # noqa: F401  -- re-exported; perfbench's smoke test rebinds it here
 )
 from .errors import ConfigError, DomainError, InfeasibleBudget, ShapeMismatch
-from .spectral import BandPartition, BandWeights, band_energy_ratios, band_partition, weighted_error
+from .spectral import BandWeights, band_energy_ratios, band_partition, weighted_error
 from .surrogate import ForwardPipeline
 
 _PROBE_STREAM = 505
@@ -242,16 +242,32 @@ def table_from_json_dict(payload: dict) -> CalibrationTable:
     )
 
 
+def _field_errors(pipeline: ForwardPipeline, step: int, changes: np.ndarray,
+                  weights: BandWeights | None, objective: str) -> float | np.ndarray:
+    """Error of the field after each pre-activation change (..., V) against the dense field.
+
+    ``fft`` is the weighted four-band error, ``mse`` the mean squared
+    difference.  One change gives a float; leading axes give an array.
+    """
+    dense = pipeline.dense_forward(step)
+    residual = pipeline.field_after(step, changes) - dense
+    if objective == "fft":
+        partition = band_partition(pipeline.trace.config.velocity_shape)
+        return weighted_error(band_energy_ratios(residual, dense, partition), weights)
+    return np.mean((residual ** 2).reshape(*residual.shape[:-3], -1), axis=-1)
+
+
 def _measure_step(pipeline: ForwardPipeline, step: int, layers: np.ndarray, heads: np.ndarray,
-                  taus: np.ndarray, weights: BandWeights | None, partition: BandPartition,
-                  objective: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Kept-block counts, errors and masks of every listed head at every threshold, at one step.
+                  taus: np.ndarray, weights: BandWeights | None,
+                  objective: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Kept-block counts, errors, masks and pre-activation changes of each head and tau at a step.
 
     ``layers`` and ``heads`` list n heads; ``taus`` is (K,) or one row per
-    head, (n, K).  Counts and errors are (n, K), masks (n, K, M).  One
-    scoring call covers every head and one ``top_p_mask`` call selects every
-    (head, threshold) row.  A row that keeps every block has error exactly
-    0; the others share one batched residual pass and one spectral pass.
+    head, (n, K).  Counts and errors are (n, K), masks (n, K, M) and
+    changes (n, K, V).  One scoring call covers every head and one
+    ``top_p_mask`` call selects every (head, threshold) row.  A row that
+    keeps every block has change 0 and error exactly 0; the others share
+    one batched change pass and one error pass.
     """
     trace, grid = pipeline.trace, pipeline.grid
     trace.check_step(step)
@@ -266,20 +282,17 @@ def _measure_step(pipeline: ForwardPipeline, step: int, layers: np.ndarray, head
     keep = masks.reshape(n * k, blocks)
     kept = keep.sum(axis=-1)
     error = np.zeros(n * k)
+    changes = np.zeros((n * k, pipeline.model.bias.size))
     rows = np.flatnonzero(kept < blocks)
     if rows.size:
         at = rows // k
-        residual = pipeline.single_head_residuals(step, layers[at], heads[at], keep[rows])
-        if objective == "fft":
-            ratios = band_energy_ratios(residual, pipeline.dense_forward(step), partition)
-            error[rows] = weighted_error(ratios, weights)
-        else:
-            error[rows] = np.mean((residual ** 2).reshape(rows.size, -1), axis=-1)
-    return kept.reshape(n, k), error.reshape(n, k), masks
+        partial = pipeline.preactivation_changes(step, layers[at], heads[at], keep[rows])
+        changes[rows] = partial
+        error[rows] = _field_errors(pipeline, step, partial, weights, objective)
+    return kept.reshape(n, k), error.reshape(n, k), masks, changes.reshape(n, k, -1)
 
 
-def _measure(pipeline: ForwardPipeline, layers, heads, taus, steps,
-             weights: BandWeights | None, partition: BandPartition | None,
+def _measure(pipeline: ForwardPipeline, layers, heads, taus, steps, weights: BandWeights | None,
              objective: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mean sparsity, mean error and summed kept blocks of the listed heads, each (n, K)."""
     taus = np.array([float(t) for t in taus])
@@ -288,20 +301,17 @@ def _measure(pipeline: ForwardPipeline, layers, heads, taus, steps,
         raise DomainError(f"objective must be 'fft' or 'mse', got {objective!r}")
     if not steps:
         raise DomainError("need at least one sampled step")
-    if partition is None:
-        partition = band_partition(pipeline.trace.config.velocity_shape)
     layers, heads = np.asarray(layers), np.asarray(heads)
-    per_step = [_measure_step(pipeline, step, layers, heads, taus, weights, partition, objective)
+    per_step = [_measure_step(pipeline, step, layers, heads, taus, weights, objective)[:2]
                 for step in steps]
-    kept = np.stack([counts for counts, _, _ in per_step], axis=-1)
-    error = np.stack([errors for _, errors, _ in per_step], axis=-1)
+    kept = np.stack([counts for counts, _ in per_step], axis=-1)
+    error = np.stack([errors for _, errors in per_step], axis=-1)
     sparsity = np.mean(1.0 - kept / pipeline.grid.total_blocks, axis=-1)
     return sparsity, np.mean(error, axis=-1), kept.sum(axis=-1)
 
 
 def measure_head(pipeline: ForwardPipeline, layer: int, head: int, taus,
                  steps, weights: BandWeights | None = None,
-                 partition: BandPartition | None = None,
                  objective: str = "fft") -> list[OperatingPoint]:
     """Measure one head at each candidate threshold over the sampled steps.
 
@@ -311,8 +321,7 @@ def measure_head(pipeline: ForwardPipeline, layer: int, head: int, taus,
     threshold, in ``taus`` order.
     """
     pipeline.check_head(layer, head)
-    sparsity, error, kept = _measure(pipeline, [layer], [head], taus, steps, weights,
-                                     partition, objective)
+    sparsity, error, kept = _measure(pipeline, [layer], [head], taus, steps, weights, objective)
     return [
         OperatingPoint(tau=float(tau), sparsity=float(s), error=float(e), kept_blocks=int(b))
         for tau, s, e, b in zip(taus, sparsity[0], error[0], kept[0])
@@ -339,7 +348,7 @@ def build_problem(pipeline: ForwardPipeline, taus, intervals: int, budget: float
     layers, heads = np.divmod(np.arange(cfg.layers * cfg.heads), cfg.heads)
     sparsity, error, kept = (
         values.reshape(shape)
-        for values in _measure(pipeline, layers, heads, taus, steps, weights, None, objective)
+        for values in _measure(pipeline, layers, heads, taus, steps, weights, objective)
     )
     return CalibrationProblem(taus=np.array(taus), sparsity=sparsity, error=error,
                               budget=float(budget), kept_blocks=kept,
@@ -653,35 +662,25 @@ def _probe_heads(pipeline: ForwardPipeline, heads) -> list[tuple[int, int]]:
     return heads
 
 
-def _spectral_error(field: np.ndarray, dense: np.ndarray, partition: BandPartition,
-                    weights: BandWeights | None) -> float:
-    return weighted_error(band_energy_ratios(field - dense, dense, partition), weights)
-
-
 def additive_surrogate_gap(pipeline: ForwardPipeline, head_taus, step: int,
-                           weights: BandWeights | None = None,
-                           partition: BandPartition | None = None) -> GapResult:
+                           weights: BandWeights | None = None) -> GapResult:
     """Joint multi-head sparsification error versus the sum of isolated errors.
 
-    Masks and isolated errors come from one calibration measurement of the
-    listed heads, each at its own threshold: each single error is the ``E``
-    calibration measures at this step.  The joint error is one sparse
-    forward with every mask.  A head may be listed once.  With one head the
-    gap is identically zero; interactions need two or more heads.
+    Masks, changes and isolated errors come from one calibration measurement
+    of the listed heads, each at its own threshold: each single error is the
+    ``E`` calibration measures at this step.  The joint error is that of the
+    field after the sum of the heads' pre-activation changes.  A head may be
+    listed once.  With one head the gap is identically zero; interactions
+    need two or more heads.
     """
     head_taus = list(head_taus)
     if not head_taus:
         raise DomainError("the additivity probe needs at least one head")
     keys = _probe_heads(pipeline, [key for key, _ in head_taus])
     taus = np.array([[float(tau)] for _, tau in head_taus])
-    if partition is None:
-        partition = band_partition(pipeline.trace.config.velocity_shape)
     layers, heads = np.array(keys).T
-    _, singles, masks = _measure_step(pipeline, step, layers, heads, taus, weights,
-                                      partition, "fft")
-    joint_field = pipeline.sparse_forward(
-        step, {key: BlockMask(mask) for key, mask in zip(keys, masks[:, 0])})
-    joint = _spectral_error(joint_field, pipeline.dense_forward(step), partition, weights)
+    _, singles, _, changes = _measure_step(pipeline, step, layers, heads, taus, weights, "fft")
+    joint = _field_errors(pipeline, step, changes[:, 0].sum(axis=0), weights, "fft")
     singles = singles[:, 0].tolist()
     additive = float(np.sum(singles))
     abs_gap = abs(joint - additive)
@@ -697,35 +696,31 @@ def additive_surrogate_gap(pipeline: ForwardPipeline, head_taus, step: int,
 
 def quadratic_scaling_probe(pipeline: ForwardPipeline, heads, step: int,
                             scales=(1.0, 0.5, 0.25), amplitude: float = 1e-3,
-                            seed: int = 0, weights: BandWeights | None = None,
-                            partition: BandPartition | None = None) -> dict:
+                            seed: int = 0, weights: BandWeights | None = None) -> dict:
     """Replace masks with tiny injected head perturbations and sweep their scale.
 
-    Returns per-scale joint errors and per-head single errors; for a smooth
-    error functional both shrink approximately fourfold per halving.
+    Each head's noise is projected to a pre-activation change once and then
+    scaled.  Returns per-scale joint errors and per-head single errors; for
+    a smooth error functional both shrink approximately fourfold per halving.
     """
     heads = _probe_heads(pipeline, heads)
     if len(heads) < 2:
         raise DomainError("the scaling probe needs at least two heads")
-    if partition is None:
-        partition = band_partition(pipeline.trace.config.velocity_shape)
     cfg = pipeline.trace.config
-    dense = pipeline.dense_forward(step)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), _PROBE_STREAM]))
-    base = {}
-    for (layer, head) in heads:
+    base = np.empty((len(heads), pipeline.model.bias.size))
+    for row, (layer, head) in enumerate(heads):
         reference = pipeline.dense_head_output(step, layer, head)
         noise = rng.standard_normal((cfg.tokens, cfg.head_dim))
         noise *= amplitude * np.linalg.norm(reference) / np.linalg.norm(noise)
-        base[(layer, head)] = noise
+        base[row] = pipeline.model.head_columns(head, head + 1) @ noise.reshape(-1)
 
     joint = {}
-    single = {key: {} for key in base}
+    single = {key: {} for key in heads}
     for s in scales:
-        scaled = {key: s * delta for key, delta in base.items()}
-        joint[s] = _spectral_error(pipeline.perturbed_forward(step, scaled), dense,
-                                   partition, weights)
-        for key, delta in scaled.items():
-            single[key][s] = _spectral_error(pipeline.perturbed_forward(step, {key: delta}),
-                                             dense, partition, weights)
+        scaled = s * base
+        joint[s] = _field_errors(pipeline, step, scaled.sum(axis=0), weights, "fft")
+        errors = _field_errors(pipeline, step, scaled, weights, "fft")
+        for key, error in zip(heads, errors.tolist()):
+            single[key][s] = error
     return {"joint": joint, "single": single, "scales": list(scales)}

@@ -155,7 +155,20 @@ def cmd_analyze(trace_path, out, token_p, tau):
     """Adjacent-step mask stability report at prompt/layer/head granularity."""
     trace = read_trace(trace_path)
     cfg = trace.config
+    pairs = (cfg.steps - 1) * cfg.layers * cfg.heads
+    if pairs < 2:
+        raise DomainError(
+            f"analyze needs at least two adjacent-step pairs; {cfg.steps} steps of "
+            f"{cfg.layers}x{cfg.heads} heads give {pairs}"
+        )
     samples = adjacent_pair_samples(trace, token_p=token_p, tau=tau)
+    summary = {
+        "drift_iou_spearman": spearman(
+            [s.pool_drift for s in samples], [s.token_iou for s in samples]
+        ),
+        "bound_constants": two_step_bound_constants(samples),
+        "pairs": len(samples),
+    }
     out_dir = _ensure_out(out)
     stability_path = out_dir / "stability.csv"
     write_csv(
@@ -173,13 +186,7 @@ def cmd_analyze(trace_path, out, token_p, tau):
           s.token_iou, s.block_iou, s.changed_ratio] for s in samples],
     )
     summary_path = out_dir / "summary.json"
-    write_json(summary_path, {
-        "drift_iou_spearman": spearman(
-            [s.pool_drift for s in samples], [s.token_iou for s in samples]
-        ),
-        "bound_constants": two_step_bound_constants(samples),
-        "pairs": len(samples),
-    })
+    write_json(summary_path, summary)
     params = {"trace": str(trace_path), "token_p": token_p, "tau": tau}
     write_manifest(out_dir, "analyze", params, inputs=[Path(trace_path)],
                    outputs=[stability_path, scatter_path, summary_path])

@@ -9,7 +9,6 @@ refreshes (predicts a new mask, resetting the anchor) otherwise.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -137,8 +136,7 @@ class RunResult:
 
 
 def simulate(pipeline, taus: np.ndarray, delta: float,
-             gate: tuple[float, float] = DEFAULT_GATE,
-             velocity_error: bool = True) -> RunResult:
+             gate: tuple[float, float] = DEFAULT_GATE) -> RunResult:
     """Full-trajectory reuse simulation with per-head thresholds.
 
     The layer gate acts as a barrier: all head drift flags in a (layer, step)
@@ -208,21 +206,20 @@ def simulate(pipeline, taus: np.ndarray, delta: float,
                     changed_ratio=None if step == 0 else c,
                 ))
         del qk  # the forward below makes its own float64 copies
-        if velocity_error:
-            step_masks = {(layer, head): BlockMask(anchor_keep[layer, head])
-                          for layer in range(cfg.layers) for head in range(cfg.heads)}
-            dense = pipeline.dense_forward(step)
-            sparse = pipeline.sparse_forward(step, step_masks)
-            denom = float(np.linalg.norm(dense))
-            err = float(np.linalg.norm(sparse - dense))
-            velocity_errors.append(err / denom if denom > 0 else err)
+        step_masks = {(layer, head): BlockMask(anchor_keep[layer, head])
+                      for layer in range(cfg.layers) for head in range(cfg.heads)}
+        dense = pipeline.dense_forward(step)
+        sparse = pipeline.sparse_forward(step, step_masks)
+        denom = float(np.linalg.norm(dense))
+        err = float(np.linalg.norm(sparse - dense))
+        velocity_errors.append(err / denom if denom > 0 else err)
     total = cfg.steps * cfg.layers * cfg.heads
     return RunResult(
         records=records,
         predictions=predictions,
         reuse_rate=(total - predictions) / total,
         mean_sparsity=float(np.mean([r.sparsity for r in records])),
-        mean_velocity_rel_l2=float(np.mean(velocity_errors)) if velocity_errors else math.nan,
+        mean_velocity_rel_l2=float(np.mean(velocity_errors)),
         taus=taus,
         gate_forced=gate_forced,
         anchor_step=anchor_step,

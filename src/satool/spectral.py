@@ -1,10 +1,11 @@
 """Four-band 3D-FFT decomposition of velocity-field error and controlled in-band perturbations.
 
 The shifted spectrum of a (T, H, W) field is split into four regions by a
-temporal cut and a spatial max-norm box: LL, LH, HL, HH, where the first letter
-is the temporal band and the second the spatial band.  Region labels depend
-only on |frequency| per axis, so they are symmetric under frequency negation
-and masking a real field's spectrum by one region preserves conjugate symmetry.
+temporal cut and a spatial max-norm box, both at half the Nyquist frequency:
+LL, LH, HL, HH, where the first letter is the temporal band and the second
+the spatial band.  Region labels depend only on |frequency| per axis, so they
+are symmetric under frequency negation and masking a real field's spectrum by
+one region preserves conjugate symmetry.
 """
 
 from __future__ import annotations
@@ -17,7 +18,11 @@ import numpy as np
 from .errors import DomainError, ShapeMismatch
 
 REGIONS = ("LL", "LH", "HL", "HH")
-DEFAULT_STABILIZER = 1e-8
+# Band cut, as a fraction of the Nyquist frequency, on the temporal axis and
+# on the spatial max-norm.
+BAND_CUT = 0.5
+# Added to the reference energy so an all-zero reference gives finite ratios.
+STABILIZER = 1e-8
 
 _PERTURB_STREAM = 404
 
@@ -46,8 +51,6 @@ class BandPartition:
     """Per-frequency-bin region labels (0..3 in REGIONS order), natural FFT layout."""
 
     shape: tuple[int, int, int]
-    temporal_frac: float
-    spatial_frac: float
     labels: np.ndarray
 
     def mask(self, region: str) -> np.ndarray:
@@ -57,42 +60,34 @@ class BandPartition:
         return {r: int((self.labels == i).sum()) for i, r in enumerate(REGIONS)}
 
 
-def band_partition(shape, temporal_frac: float = 0.5, spatial_frac: float = 0.5) -> BandPartition:
+def band_partition(shape) -> BandPartition:
     """Label every FFT bin of a (T, H, W) field as LL/LH/HL/HH.
 
-    A bin is temporally low iff |f_t| <= temporal_frac * (T/2); spatially low
-    iff max(|f_h| / (H/2), |f_w| / (W/2)) <= spatial_frac.
+    A bin is temporally low iff |f_t| <= BAND_CUT * (T/2); spatially low
+    iff max(|f_h| / (H/2), |f_w| / (W/2)) <= BAND_CUT.
     """
     shape = tuple(int(v) for v in shape)
     if len(shape) != 3 or any(v <= 0 for v in shape):
         raise DomainError(f"expected three positive dimensions, got {shape}")
-    if not (0.0 < temporal_frac <= 1.0) or not (0.0 < spatial_frac <= 1.0):
-        raise DomainError("band cut fractions must lie in (0, 1]")
     nt, nh, nw = shape
     ft = np.abs(np.fft.fftfreq(nt) * nt)
     fh = np.abs(np.fft.fftfreq(nh) * nh)
     fw = np.abs(np.fft.fftfreq(nw) * nw)
-    t_low = ft <= temporal_frac * (nt / 2.0)
-    s_low = (
-        np.maximum(fh[:, None] / (nh / 2.0), fw[None, :] / (nw / 2.0)) <= spatial_frac
-    )
+    t_low = ft <= BAND_CUT * (nt / 2.0)
+    s_low = np.maximum(fh[:, None] / (nh / 2.0), fw[None, :] / (nw / 2.0)) <= BAND_CUT
     labels = (
         2 * (~t_low[:, None, None]).astype(np.uint8)
         + (~s_low[None, :, :]).astype(np.uint8)
     )
-    return BandPartition(
-        shape=shape, temporal_frac=float(temporal_frac), spatial_frac=float(spatial_frac),
-        labels=labels,
-    )
+    return BandPartition(shape=shape, labels=labels)
 
 
 def band_energy_ratios(error: np.ndarray, reference: np.ndarray,
-                       partition: BandPartition,
-                       stabilizer: float = DEFAULT_STABILIZER) -> np.ndarray:
+                       partition: BandPartition) -> np.ndarray:
     """Band-wise spectral error energy normalized by total reference spectral energy.
 
     Returns the four ratios in REGIONS order:
-    r_q = sum_{bins in region q} |FFT(error)|^2 / (sum |FFT(reference)|^2 + stabilizer).
+    r_q = sum_{bins in region q} |FFT(error)|^2 / (sum |FFT(reference)|^2 + STABILIZER).
     Both fields are (..., T, H, W); leading axes are independent fields and
     broadcast against each other, and the result is (..., 4).  Each field's
     ratios are those of transforming it alone, and a reference without
@@ -112,7 +107,7 @@ def band_energy_ratios(error: np.ndarray, reference: np.ndarray,
     axes = (-3, -2, -1)
     err_power = (np.abs(np.fft.fftn(error, axes=axes)) ** 2).reshape(*error.shape[:-3], -1)
     ref_power = (np.abs(np.fft.fftn(reference, axes=axes)) ** 2).reshape(*reference.shape[:-3], -1)
-    denom = ref_power.sum(axis=-1) + stabilizer
+    denom = ref_power.sum(axis=-1) + STABILIZER
     labels = partition.labels.reshape(-1)
     # ``take`` keeps each field's bins contiguous, so every band sums in the
     # order of a lone field's.
@@ -201,8 +196,7 @@ class StudyRow:
     rel_l2: float
 
 
-def perturbation_study(pipeline, alpha: float, seeds, steps=None,
-                       partition: BandPartition | None = None) -> list[StudyRow]:
+def perturbation_study(pipeline, alpha: float, seeds, steps=None) -> list[StudyRow]:
     """Equal-relative-magnitude in-band perturbations of the dense velocities.
 
     For each region and seed, every measured step's dense velocity receives an
@@ -222,8 +216,7 @@ def perturbation_study(pipeline, alpha: float, seeds, steps=None,
     steps = list(steps)
     if not steps:
         raise DomainError("the perturbation study needs at least one step")
-    if partition is None:
-        partition = band_partition(cfg.velocity_shape)
+    partition = band_partition(cfg.velocity_shape)
     dense = [pipeline.dense_forward(t) for t in steps]
     reference = np.sum(dense, axis=0)
     peak = float(np.abs(reference).max())

@@ -8,8 +8,9 @@ by 1/sqrt(fan-in), so the map is Lipschitz with an explicitly computable bound
 
 The weight is stored head-major: each head's (tokens x head_dim) features own
 one contiguous block of columns.  The map is linear before the tanh, so a
-forward that changes a few heads adds ``W[:, head columns] @ (new - dense)``
-to the cached dense pre-activation; changing one head reads 1/heads of the
+head's effect is one pre-activation change, ``W[:, head columns] @ (new -
+dense)``, and the field after any set of changes is the tanh of the cached
+dense pre-activation plus their sum; changing one head reads 1/heads of the
 weight.
 """
 
@@ -39,12 +40,12 @@ def attention_probs(q: np.ndarray, k: np.ndarray) -> np.ndarray:
 # Cap on the float64 (tokens x tokens) logits one attention call handles:
 # batched callers split their heads into chunks of at most this many
 # elements (at least one head each), so temporaries stay flat as the head
-# count grows.  ``analysis`` uses the same cap for its token masks.
+# count grows.  ``analysis`` chunks its token masks' steps the same way.
 PROB_CHUNK_ELEMENTS = 1 << 17
 
 
-def _head_chunks(count: int, tokens: int) -> list[slice]:
-    """Slices over ``count`` heads of ``tokens`` tokens, each within PROB_CHUNK_ELEMENTS."""
+def prob_chunks(count: int, tokens: int) -> list[slice]:
+    """Slices over ``count`` (tokens x tokens) logit arrays, each within PROB_CHUNK_ELEMENTS."""
     size = max(1, PROB_CHUNK_ELEMENTS // (tokens * tokens))
     return [slice(start, start + size) for start in range(0, count, size)]
 
@@ -195,11 +196,12 @@ class ForwardPipeline:
     Dense results are cached per step: the field, the pre-activation
     ``W f + b`` and every head's attention output.  All heads of a step go
     through batched attention calls of at most PROB_CHUNK_ELEMENTS logits
-    each.  Sparse and perturbed forwards are exact increments on that cache:
-    each changed head's output differences are summed over layers and
-    projected through the weight columns of the changed heads only, then
-    tanh is applied once.  Heads whose mask keeps every block are skipped,
-    so an all-full forward returns the dense field bit for bit.
+    each.  Every other field is ``field_after`` a pre-activation change on
+    that cache: ``preactivation_changes`` gives one per masked head, and a
+    sparse forward sums each changed head's output differences over layers
+    and projects them through the weight columns of the changed heads only.
+    Heads whose mask keeps every block are skipped, so an all-full forward
+    returns the dense field bit for bit.
     """
 
     def __init__(self, trace: DenoiseTrace, model: SurrogateModel | None = None):
@@ -225,7 +227,7 @@ class ForwardPipeline:
         qkv = self.trace.data[step].astype(np.float64)
         q, k, v = (qkv[:, :, i].reshape(-1, c.tokens, c.head_dim) for i in range(3))
         out = np.empty((c.layers * c.heads, c.tokens, c.head_dim))
-        for window in _head_chunks(len(out), c.tokens):
+        for window in prob_chunks(len(out), c.tokens):
             out[window] = masked_attention(q[window], k[window], v[window], None)
         out = out.reshape(c.layers, c.heads, c.tokens, c.head_dim)
         self._head_out[step] = out
@@ -237,19 +239,6 @@ class ForwardPipeline:
         self._fields[step] = self.model.project(features, preactivation=pre)
         self._pre[step] = pre
 
-    def _incremental_field(self, step: int, change: np.ndarray, heads: set[int]) -> np.ndarray:
-        """Dense pre-activation plus the output change of ``heads``, through tanh.
-
-        ``change`` is (heads, tokens, head_dim): each head's output change
-        summed over layers.  Only the weight columns spanning the changed
-        heads are read; with none changed this is the dense field bitwise.
-        """
-        pre = self._pre[step].copy()
-        if heads:
-            start, stop = min(heads), max(heads) + 1
-            pre += self.model.head_columns(start, stop) @ change[start:stop].reshape(-1)
-        return self.model.field(pre)
-
     def _output_changes(self, step: int, layers: np.ndarray, heads: np.ndarray,
                         retained: np.ndarray) -> np.ndarray:
         """Masked minus dense attention output of each (layer, head, mask) row.
@@ -259,17 +248,13 @@ class ForwardPipeline:
         """
         c = self.trace.config
         out = np.empty((len(heads), c.tokens, c.head_dim))
-        for window in _head_chunks(len(heads), c.tokens):
+        for window in prob_chunks(len(heads), c.tokens):
             at = (layers[window], heads[window])
             allow = _token_masks(retained[window], self.grid)
             out[window] = masked_attention(self.trace.q(step, *at), self.trace.k(step, *at),
                                            self.trace.v(step, *at), allow)
             out[window] -= self._head_out[step][at]
         return out
-
-    def _head_changes(self) -> np.ndarray:
-        c = self.trace.config
-        return np.zeros((c.heads, c.tokens, c.head_dim))
 
     def dense_forward(self, step: int) -> np.ndarray:
         self.trace.check_step(step)
@@ -294,7 +279,8 @@ class ForwardPipeline:
         """Forward with the listed heads masked; heads absent (or None) stay dense.
 
         Every head with a non-full mask runs through one batched attention
-        call per chunk; output changes are summed per head in ``masks`` order.
+        call per chunk; output changes are summed per head in ``masks`` order
+        and projected with one matrix-vector product.
         """
         self.trace.check_step(step)
         self.dense_forward(step)
@@ -306,29 +292,32 @@ class ForwardPipeline:
                 _check_mask_size(mask, self.grid)
                 keys.append((layer, head))
                 given.append(mask.retained)
-        change = self._head_changes()
         retained = np.array(given, dtype=bool).reshape(len(given), self.grid.total_blocks)
         partial = ~retained.all(axis=-1)
-        if not partial.any():
-            return self._incremental_field(step, change, set())
-        layers, heads = np.array(keys)[partial].T
-        out = self._output_changes(step, layers, heads, retained[partial])
-        for row, head in enumerate(heads.tolist()):
-            change[head] += out[row]
-        return self._incremental_field(step, change, set(heads.tolist()))
+        change = np.zeros_like(self.model.bias)
+        if partial.any():
+            layers, heads = np.array(keys)[partial].T
+            out = self._output_changes(step, layers, heads, retained[partial])
+            c = self.trace.config
+            by_head = np.zeros((c.heads, c.tokens, c.head_dim))
+            for row, head in enumerate(heads.tolist()):
+                by_head[head] += out[row]
+            start, stop = int(heads.min()), int(heads.max()) + 1
+            change = self.model.head_columns(start, stop) @ by_head[start:stop].reshape(-1)
+        return self.field_after(step, change)
 
-    def single_head_residuals(self, step: int, layers: np.ndarray, heads: np.ndarray,
+    def preactivation_changes(self, step: int, layers: np.ndarray, heads: np.ndarray,
                               retained: np.ndarray) -> np.ndarray:
-        """Sparse minus dense field of each row's one-head forward, as (rows, T, H, W).
+        """Pre-activation change of each row's one-head forward, as (rows, V).
 
         Row ``i`` masks only head ``(layers[i], heads[i])`` with the block
         bitset ``retained[i]``.  All rows share the chunked attention of
-        ``sparse_forward``; a full mask gives an exactly zero residual, so
+        ``sparse_forward``; a full mask gives an exactly zero change, so
         callers save its attention by leaving it out.  Each head's rows are
-        projected with one matmul through that head's weight columns, added
-        to the cached dense pre-activation, and passed through tanh.  The
+        projected with one matmul through that head's weight columns.  The
         matmul may order its sums unlike ``sparse_forward``'s matrix-vector
-        product, so a residual can differ from it in the last bits.
+        product, so ``field_after`` a change (or a sum of changes) can
+        differ from the sparse forward in the last bits.
         """
         self.trace.check_step(step)
         self.dense_forward(step)
@@ -341,30 +330,29 @@ class ForwardPipeline:
                 f"masks of shape {retained.shape} do not give one "
                 f"{self.grid.total_blocks}-block mask per row"
             )
-        change = self._output_changes(step, layers, heads, retained).reshape(len(heads), -1)
-        pre = np.empty((len(heads), self.model.bias.size))
+        out = self._output_changes(step, layers, heads, retained)
+        out = out.reshape(len(heads), self.model.head_width)
+        changes = np.empty((len(heads), self.model.bias.size))
         for head in sorted(set(heads.tolist())):
             rows = np.flatnonzero(heads == head)
-            pre[rows] = change[rows] @ self.model.head_columns(head, head + 1).T
-        pre += self._pre[step]
-        return self.model.field(pre) - self._fields[step]
+            changes[rows] = out[rows] @ self.model.head_columns(head, head + 1).T
+        return changes
 
-    def perturbed_forward(self, step: int,
-                          deltas: Mapping[tuple[int, int], np.ndarray]) -> np.ndarray:
-        """Forward with additive perturbations injected on head attention outputs."""
-        self.trace.check_step(step)
-        self.dense_forward(step)
-        c = self.trace.config
-        change = self._head_changes()
-        for (layer, head), delta in deltas.items():
-            self.check_head(layer, head)
-            if delta.shape != (c.tokens, c.head_dim):
-                raise ShapeMismatch(
-                    f"perturbation for head ({layer}, {head}) must be "
-                    f"({c.tokens}, {c.head_dim}), got {delta.shape}"
-                )
-            change[head] += delta
-        return self._incremental_field(step, change, {head for _, head in deltas})
+    def field_after(self, step: int, changes: np.ndarray) -> np.ndarray:
+        """The field of the dense pre-activation at ``step`` plus ``changes``.
+
+        ``changes`` is (..., V) for V velocity values; leading axes are
+        batches, one field each.  Zero changes give the dense field.
+        """
+        changes = np.asarray(changes)
+        if changes.shape[-1:] != self.model.bias.shape:
+            raise ShapeMismatch(
+                f"pre-activation changes of shape {changes.shape} do not end in "
+                f"the {self.model.bias.size} velocity values"
+            )
+        if step not in self._pre:
+            self.dense_forward(step)
+        return self.model.field(self._pre[step] + changes)
 
     def scores(self, step: int, layer: int, head: int) -> BlockScores:
         self.trace.check_step(step)

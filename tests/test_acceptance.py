@@ -143,16 +143,16 @@ def test_criterion_5_drift_iou_negative_correlation(default_samples):
 def test_criterion_6_reuse_endpoints_and_monotonicity(default_pipeline):
     cfg = default_pipeline.trace.config
     taus = np.full((cfg.layers, cfg.heads), 0.9)
-    zero = simulate(default_pipeline, taus, 0.0, velocity_error=False)
+    zero = simulate(default_pipeline, taus, 0.0)
     assert zero.reuse_rate == 0.0
 
     frozen_cfg = TraceConfig(kappa_range=(1.0, 1.0))
     frozen_pipe = ForwardPipeline(generate_trace(frozen_cfg))
-    frozen = simulate(frozen_pipe, taus, 5.0, velocity_error=False)
+    frozen = simulate(frozen_pipe, taus, 5.0)
     assert frozen.reuse_rate == (frozen_cfg.steps - 1) / frozen_cfg.steps
 
     rates = [
-        simulate(default_pipeline, taus, delta, velocity_error=False).reuse_rate
+        simulate(default_pipeline, taus, delta).reuse_rate
         for delta in (0.0, 5.0, 10.0, 30.0, 100.0)
     ]
     assert all(rates[i] <= rates[i + 1] for i in range(len(rates) - 1))

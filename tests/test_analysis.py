@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from satool import analysis
+from satool import analysis, surrogate
 from satool.analysis import (
     PairSample,
     adjacent_pair_samples,
@@ -152,7 +152,7 @@ class TestBatchedPassMatchesPerStep:
                              seed=6)
         trace = generate_trace(config)
         expected = per_step_pair_samples(trace)
-        monkeypatch.setattr(analysis, "PROB_CHUNK_ELEMENTS", chunk_steps * 32 * 32 + 5)
+        monkeypatch.setattr(surrogate, "PROB_CHUNK_ELEMENTS", chunk_steps * 32 * 32 + 5)
         assert adjacent_pair_samples(trace) == expected
 
     def test_invalid_tau_rejected(self, short_trace):
@@ -171,7 +171,7 @@ class TestBatchedPassMatchesPerStep:
         trace = generate_trace(config)
         expected = per_step_pair_samples(trace, token_p, tau)
         chunk = chunk_steps * config.tokens * config.tokens
-        with mock.patch.object(analysis, "PROB_CHUNK_ELEMENTS", chunk):
+        with mock.patch.object(surrogate, "PROB_CHUNK_ELEMENTS", chunk):
             got = adjacent_pair_samples(trace, token_p, tau)
         assert len(got) == (config.steps - 1) * config.layers * config.heads
         assert exact_fields(got) == exact_fields(expected)

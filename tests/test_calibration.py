@@ -923,6 +923,32 @@ class TestAdditivityProbes:
                                step=3)
         assert scored == [(3,)]
 
+    def test_joint_error_makes_no_sparse_forward(self, measured_pipeline, monkeypatch):
+        # The joint field is the dense pre-activation plus the summed changes
+        # the measurement already holds; no second forward runs.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the probe ran a sparse forward")
+
+        probed = [((0, 0), 0.9), ((1, 0), 0.85), ((2, 2), 0.95), ((3, 5), 1.0)]
+        expected = additive_surrogate_gap(measured_pipeline, probed, step=1)
+        monkeypatch.setattr(ForwardPipeline, "sparse_forward", forbidden)
+        result = additive_surrogate_gap(measured_pipeline, probed, step=1)
+        assert result == expected and result.joint_error > 0
+
+    def test_measured_changes_are_the_pipeline_changes(self, measured_pipeline):
+        taus = np.array([0.85, 0.9, 1.0])
+        layers, heads = np.array([0, 1, 3]), np.array([2, 2, 5])
+        kept, _, masks, changes = calibration._measure_step(
+            measured_pipeline, 2, layers, heads, taus, None, "fft")
+        assert changes.shape == (3, 3, measured_pipeline.model.bias.size)
+        full = kept == measured_pipeline.grid.total_blocks
+        assert full[:, 2].all() and not full[:, 0].any()
+        assert not changes[full].any()
+        rows = np.argwhere(~full)
+        expected = measured_pipeline.preactivation_changes(
+            2, layers[rows[:, 0]], heads[rows[:, 0]], masks[~full])
+        np.testing.assert_array_equal(changes[~full], expected)
+
     def test_quadratic_scaling_repeated_head_rejected(self, measured_pipeline):
         with pytest.raises(DomainError):
             quadratic_scaling_probe(measured_pipeline, [(0, 0), (0, 0)], step=2)

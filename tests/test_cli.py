@@ -136,6 +136,20 @@ class TestAnalyze:
         assert "error:trace-format:" in result.output
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize("shape, pairs", [
+        (dict(layers=1, heads=1, steps=2), 1),
+        (dict(steps=1), 0),
+    ], ids=["one-pair", "one-step"])
+    def test_fewer_than_two_pairs_rejected_before_writing(self, tmp_path, runner, shape, pairs):
+        src, out = tmp_path / "trace", tmp_path / "report"
+        assert runner.invoke(main, gen_args(src, **shape)).exit_code == 0
+        result = runner.invoke(main, ["analyze", "--trace", str(src / "trace.satr"),
+                                      "--out", str(out)])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert result.output.startswith("error:domain: analyze needs at least two adjacent-step")
+        assert f"give {pairs}" in result.output
+        assert not out.exists()
+
     def test_seed_option_removed(self, trace_dir, tmp_path, runner):
         result = runner.invoke(main, [
             "analyze", "--trace", str(trace_dir / "trace.satr"), "--out", str(tmp_path / "r"),
@@ -697,7 +711,7 @@ if "numpy.ma" in sys.modules:
 from click.testing import CliRunner
 from satool.cli import main
 trace, out = sys.argv[1:]
-# Low taus drop blocks, so calibrate measures residuals (single_head_residuals).
+# Low taus drop blocks, so calibrate measures pre-activation changes.
 for command, *extra in (["analyze"], ["calibrate", "--taus", "0.3,0.6,0.9"], ["run"], ["perturb"]):
     result = CliRunner().invoke(main, [command, "--trace", trace, "--out", out + "/" + command, *extra])
     assert result.exit_code == 0, (command, result.output)

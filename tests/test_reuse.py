@@ -145,21 +145,21 @@ class TestSimulate:
     def test_zero_delta_never_reuses(self, sim_pipeline):
         cfg = sim_pipeline.trace.config
         taus = np.full((cfg.layers, cfg.heads), 0.9)
-        result = simulate(sim_pipeline, taus, 0.0, velocity_error=False)
+        result = simulate(sim_pipeline, taus, 0.0)
         assert result.reuse_rate == 0.0
         assert result.predictions == cfg.steps * cfg.layers * cfg.heads
 
     def test_infinite_delta_reuses_after_cold_start(self, sim_pipeline):
         cfg = sim_pipeline.trace.config
         taus = np.full((cfg.layers, cfg.heads), 0.9)
-        result = simulate(sim_pipeline, taus, math.inf, velocity_error=False)
+        result = simulate(sim_pipeline, taus, math.inf)
         assert result.reuse_rate == pytest.approx((cfg.steps - 1) / cfg.steps)
 
     def test_frozen_trace_reuses_every_later_step(self):
         cfg = TraceConfig(kappa_range=(1.0, 1.0), steps=10)
         pipe = ForwardPipeline(generate_trace(cfg))
         taus = np.full((cfg.layers, cfg.heads), 0.9)
-        result = simulate(pipe, taus, 0.5, velocity_error=False)
+        result = simulate(pipe, taus, 0.5)
         assert result.reuse_rate == pytest.approx((cfg.steps - 1) / cfg.steps)
         # Zero drift also means a fresh mask would be identical: every
         # refreshed-vs-cached comparison would flip nothing.
@@ -173,7 +173,7 @@ class TestSimulate:
         cfg = sim_pipeline.trace.config
         taus = np.full((cfg.layers, cfg.heads), 0.9)
         delta = 3.0
-        result = simulate(sim_pipeline, taus, delta, gate=(0.0, 1.0), velocity_error=False)
+        result = simulate(sim_pipeline, taus, delta, gate=(0.0, 1.0))
         assert result.gate_forced == 0
         assert {r.decision for r in result.records} == {COLD_START, REFRESH, REUSE}
         for record in result.records:
@@ -184,7 +184,7 @@ class TestSimulate:
         cfg = sim_pipeline.trace.config
         taus = np.full((cfg.layers, cfg.heads), 0.9)
         rates = [
-            simulate(sim_pipeline, taus, d, velocity_error=False).reuse_rate
+            simulate(sim_pipeline, taus, d).reuse_rate
             for d in (0.0, 5.0, 10.0, 30.0, 100.0)
         ]
         assert all(rates[i] <= rates[i + 1] for i in range(len(rates) - 1))
@@ -206,24 +206,22 @@ class TestSimulate:
         taus = np.full((cfg.layers, cfg.heads), 0.9)
         taus[cfg.layers - 1, cfg.heads - 1] = bad
         with pytest.raises(DomainError):
-            simulate(sim_pipeline, taus, 1.0, velocity_error=False)
+            simulate(sim_pipeline, taus, 1.0)
 
     @pytest.mark.parametrize("delta", [-1.0, math.nan])
     def test_invalid_delta_rejected(self, sim_pipeline, delta):
         cfg = sim_pipeline.trace.config
         with pytest.raises(DomainError):
-            simulate(sim_pipeline, np.full((cfg.layers, cfg.heads), 0.9), delta,
-                     velocity_error=False)
+            simulate(sim_pipeline, np.full((cfg.layers, cfg.heads), 0.9), delta)
 
     @pytest.mark.parametrize("gate", [(0.9, 0.1), (-0.1, 0.5), (0.5, 1.5)])
     def test_invalid_gate_rejected(self, sim_pipeline, gate):
         cfg = sim_pipeline.trace.config
         with pytest.raises(DomainError):
-            simulate(sim_pipeline, np.full((cfg.layers, cfg.heads), 0.9), 1.0, gate=gate,
-                     velocity_error=False)
+            simulate(sim_pipeline, np.full((cfg.layers, cfg.heads), 0.9), 1.0, gate=gate)
 
 
-def reference_simulate(pipeline, taus, delta, gate=DEFAULT_GATE, velocity_error=True):
+def reference_simulate(pipeline, taus, delta, gate=DEFAULT_GATE):
     """The per-(layer, head) simulation loop: pool, score and select one head at a time.
 
     Anchors live in a plain dict, (layer, head) -> (step, q_mean, k_mean, mask).
@@ -282,17 +280,16 @@ def reference_simulate(pipeline, taus, delta, gate=DEFAULT_GATE, velocity_error=
                     step=step, layer=layer, head=head, decision=decision,
                     drift=drift, sparsity=realized_sparsity(mask), changed_ratio=changed,
                 ))
-        if velocity_error:
-            dense = pipeline.dense_forward(step)
-            sparse = pipeline.sparse_forward(step, step_masks)
-            denom = float(np.linalg.norm(dense))
-            err = float(np.linalg.norm(sparse - dense))
-            velocity_errors.append(err / denom if denom > 0 else err)
+        dense = pipeline.dense_forward(step)
+        sparse = pipeline.sparse_forward(step, step_masks)
+        denom = float(np.linalg.norm(dense))
+        err = float(np.linalg.norm(sparse - dense))
+        velocity_errors.append(err / denom if denom > 0 else err)
     total = cfg.steps * cfg.layers * cfg.heads
     return dict(
         records=records, predictions=predictions, reuse_rate=reuse_count / total,
         mean_sparsity=float(np.mean([r.sparsity for r in records])),
-        mean_velocity_rel_l2=float(np.mean(velocity_errors)) if velocity_errors else math.nan,
+        mean_velocity_rel_l2=float(np.mean(velocity_errors)),
         cache=cache, gate_forced=forced,
     )
 
@@ -341,9 +338,9 @@ class TestSimulateOracle:
     def test_cases_exercise_reuse_refresh_and_forcing(self, oracle_pipeline):
         cfg = ORACLE_CONFIG
         taus = mixed_taus()
-        ungated = simulate(oracle_pipeline, taus, 2.5, gate=(0.0, 1.0), velocity_error=False)
+        ungated = simulate(oracle_pipeline, taus, 2.5, gate=(0.0, 1.0))
         assert {r.decision for r in ungated.records} == {COLD_START, REFRESH, REUSE}
-        forced = simulate(oracle_pipeline, taus, 2.5, gate=(0.3, 0.6), velocity_error=False)
+        forced = simulate(oracle_pipeline, taus, 2.5, gate=(0.3, 0.6))
         assert forced.gate_forced > 0
         assert ungated.gate_forced == 0
         assert 0 < forced.predictions < cfg.steps * cfg.layers * cfg.heads
@@ -355,8 +352,7 @@ class TestGateForced:
         # cold or its drift exceeds delta; the gate forced it when the
         # final decision disagrees.
         delta = 2.5
-        result = simulate(oracle_pipeline, mixed_taus(), delta, gate=(0.3, 0.6),
-                          velocity_error=False)
+        result = simulate(oracle_pipeline, mixed_taus(), delta, gate=(0.3, 0.6))
         by_hand = 0
         for record in result.records:
             proposed = record.drift is None or record.drift > delta
@@ -365,5 +361,5 @@ class TestGateForced:
         assert result.gate_forced == by_hand
 
     def test_no_gate_forces_nothing(self, oracle_pipeline):
-        result = simulate(oracle_pipeline, mixed_taus(), 2.5, gate=(0.0, 1.0), velocity_error=False)
+        result = simulate(oracle_pipeline, mixed_taus(), 2.5, gate=(0.0, 1.0))
         assert result.gate_forced == 0

@@ -1,5 +1,5 @@
-"""Batched masked attention, the head-major surrogate weight and the incremental
-sparse/perturbed forwards.
+"""Batched masked attention, the head-major surrogate weight, the incremental
+sparse forward and the pre-activation changes behind calibration.
 
 The references below are the full-projection forwards: rebuild the dense
 token-major features from the per-head outputs, add each masked head's output
@@ -168,15 +168,30 @@ class TestIncrementalForward:
            seed=st.integers(0, 2 ** 32 - 1),
            amplitude=st.sampled_from([0.0, 1e-3, 1.0]))
     def test_perturbed_matches_full_projection(self, pipeline, step, keys, seed, amplitude):
+        # Output perturbations enter as pre-activation changes: each head's
+        # delta projected through that head's weight columns, summed.
         rng = np.random.default_rng(seed)
         deltas = {key: amplitude * rng.standard_normal((CONFIG.tokens, CONFIG.head_dim))
                   for key in keys}
-        before = {key: delta.copy() for key, delta in deltas.items()}
-        np.testing.assert_allclose(pipeline.perturbed_forward(step, deltas),
+        change = np.zeros(pipeline.model.bias.size)
+        for (_, head), delta in deltas.items():
+            change += pipeline.model.head_columns(head, head + 1) @ delta.reshape(-1)
+        np.testing.assert_allclose(pipeline.field_after(step, change),
                                    reference_perturbed(pipeline, step, deltas),
                                    rtol=RTOL, atol=ATOL)
-        for key in keys:
-            np.testing.assert_array_equal(deltas[key], before[key])
+
+    def test_field_after_batches_and_checks_the_value_axis(self, pipeline, rng):
+        values = pipeline.model.bias.size
+        changes = rng.standard_normal((2, 3, values))
+        fields = pipeline.field_after(1, changes)
+        assert fields.shape == (2, 3) + CONFIG.velocity_shape
+        for index in np.ndindex(2, 3):
+            np.testing.assert_array_equal(fields[index], pipeline.field_after(1, changes[index]))
+        np.testing.assert_array_equal(pipeline.field_after(1, np.zeros(values)),
+                                      pipeline.dense_forward(1))
+        for bad in (np.zeros(values + 1), np.zeros((values, 1)), np.float64(0.0)):
+            with pytest.raises(ShapeMismatch):
+                pipeline.field_after(1, bad)
 
     def test_full_none_and_absent_masks_equal_dense_bitwise(self, pipeline):
         masks = {key: (full_mask(CONFIG.grid) if i % 2 else None)
@@ -205,6 +220,8 @@ class TestIncrementalForward:
 
 
 class TestSingleHeadResiduals:
+    """``field_after`` of ``preactivation_changes`` rows against sparse forwards."""
+
     @settings(max_examples=60, deadline=None)
     @given(step=st.integers(0, CONFIG.steps - 1),
            rows=st.lists(st.tuples(st.sampled_from(HEADS), mask_strategy()), min_size=1,
@@ -215,24 +232,38 @@ class TestSingleHeadResiduals:
             return
         layers, heads = np.array([key for key, _ in rows]).T
         retained = np.array([mask.retained for _, mask in rows])
-        residuals = pipeline.single_head_residuals(step, layers, heads, retained)
-        dense = pipeline.dense_forward(step)
-        assert residuals.shape == (len(rows),) + CONFIG.velocity_shape
-        for residual, (key, mask) in zip(residuals, rows):
-            expected = pipeline.sparse_forward(step, {key: mask}) - dense
-            np.testing.assert_allclose(residual, expected, rtol=RTOL, atol=ATOL)
+        changes = pipeline.preactivation_changes(step, layers, heads, retained)
+        assert changes.shape == (len(rows), pipeline.model.bias.size)
+        fields = pipeline.field_after(step, changes)
+        assert fields.shape == (len(rows),) + CONFIG.velocity_shape
+        for change, field, (key, mask) in zip(changes, fields, rows):
+            np.testing.assert_allclose(field, pipeline.sparse_forward(step, {key: mask}),
+                                       rtol=RTOL, atol=ATOL)
             if mask.retained.all():
-                assert not residual.any()
+                assert not change.any()
+
+    @settings(max_examples=60, deadline=None)
+    @given(step=st.integers(0, CONFIG.steps - 1),
+           choices=st.lists(mask_strategy(), min_size=len(HEADS), max_size=len(HEADS)))
+    def test_summed_rows_match_the_multi_head_sparse_forward(self, pipeline, step, choices):
+        # With no mask drawn there are no rows, and the sum is the dense field.
+        masks = {key: mask for key, mask in zip(HEADS, choices) if isinstance(mask, BlockMask)}
+        layers, heads = np.array(list(masks), dtype=int).reshape(-1, 2).T
+        retained = np.array([mask.retained for mask in masks.values()]).reshape(-1, BLOCKS)
+        changes = pipeline.preactivation_changes(step, layers, heads, retained)
+        assert changes.shape == (len(masks), pipeline.model.bias.size)
+        np.testing.assert_allclose(pipeline.field_after(step, changes.sum(axis=0)),
+                                   pipeline.sparse_forward(step, masks), rtol=RTOL, atol=ATOL)
 
     def test_rejects_bad_rows(self, pipeline):
         keep = np.zeros((1, BLOCKS), dtype=bool)
         with pytest.raises(ShapeMismatch):
-            pipeline.single_head_residuals(0, [0], [0], np.zeros((1, BLOCKS + 1), dtype=bool))
+            pipeline.preactivation_changes(0, [0], [0], np.zeros((1, BLOCKS + 1), dtype=bool))
         with pytest.raises(ShapeMismatch):
-            pipeline.single_head_residuals(0, [0, 1], [0, 1], keep)
+            pipeline.preactivation_changes(0, [0, 1], [0, 1], keep)
         for layers, heads in (([CONFIG.layers], [0]), ([0], [-1])):
             with pytest.raises(ShapeMismatch):
-                pipeline.single_head_residuals(0, layers, heads, keep)
+                pipeline.preactivation_changes(0, layers, heads, keep)
 
 
 def live_rows_reference(q, k, v, allow):
