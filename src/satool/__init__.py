@@ -9,8 +9,6 @@ from .blocksparse import (  # noqa: F401
     block_scores,
     changed_block_ratio,
     mask_iou,
-    realized_sparsity,
-    token_mask,
     top_p_select,
 )
 from .trace import DenoiseTrace, TraceConfig, generate_trace, read_trace, write_trace  # noqa: F401

@@ -21,7 +21,6 @@ from .blocksparse import (
     block_score_values,
     changed_block_ratio,
     check_tau,
-    cumulative_prefix_mask,
     mask_iou,
     scalar_if_unbatched,
     top_p_mask,
@@ -56,17 +55,18 @@ def _mean_row_iou(masks_a: np.ndarray, masks_b: np.ndarray) -> float | np.ndarra
 def _token_ious(q: np.ndarray, k: np.ndarray, p: float) -> np.ndarray:
     """Row-averaged token-mask IoU of each adjacent step pair of one head.
 
-    Row masks are computed in the step chunks of ``prob_chunks`` (at least
-    one step each), so the working set stays flat as the step count grows.
-    Each chunk's last row masks carry into the next chunk for the pair that
-    straddles the boundary.
+    Row masks come from ``top_p_mask``, so ``p = 1`` keeps every key of
+    positive probability.  They are computed in the step chunks of
+    ``prob_chunks`` (at least one step each), so the working set stays flat
+    as the step count grows.  Each chunk's last row masks carry into the
+    next chunk for the pair that straddles the boundary.
     """
     steps, tokens = q.shape[0], q.shape[1]
     ious = np.empty(steps - 1)
     prev = None
     for window in prob_chunks(steps, tokens):
         start = window.start
-        rows = cumulative_prefix_mask(attention_probs(q[window], k[window]), p)
+        rows = top_p_mask(attention_probs(q[window], k[window]), p)
         if prev is not None:
             ious[start - 1] = _mean_row_iou(prev, rows[0])
         if len(rows) > 1:

@@ -15,7 +15,6 @@ import numpy as np
 from .errors import ConfigError, DomainError, ShapeMismatch
 
 SCORE_SUM_TOL = 1e-9
-ROW_SUM_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -41,12 +40,6 @@ class BlockGrid:
     @property
     def total_blocks(self) -> int:
         return self.blocks_per_side ** 2
-
-    def block_coords(self, index: int) -> tuple[int, int]:
-        return divmod(index, self.blocks_per_side)
-
-    def block_index(self, row: int, col: int) -> int:
-        return row * self.blocks_per_side + col
 
 
 @dataclass
@@ -82,9 +75,6 @@ class BlockMask:
     def count(self) -> int:
         return int(self.retained.sum())
 
-    def indices(self) -> np.ndarray:
-        return np.flatnonzero(self.retained)
-
     def to_hex(self) -> str:
         return np.packbits(self.retained.astype(np.uint8)).tobytes().hex()
 
@@ -94,10 +84,6 @@ def mask_from_hex(text: str, size: int) -> BlockMask:
     if bits.size < size:
         raise ShapeMismatch(f"hex bitset too short for {size} blocks")
     return BlockMask(retained=bits[:size].astype(bool))
-
-
-def full_mask(grid: BlockGrid) -> BlockMask:
-    return BlockMask(np.ones(grid.total_blocks, dtype=bool))
 
 
 def block_score_values(q: np.ndarray, k: np.ndarray, grid: BlockGrid) -> np.ndarray:
@@ -206,26 +192,6 @@ def top_p_select(scores: BlockScores, tau: float) -> BlockMask:
     check_tau(tau)
     scores.validate()
     return BlockMask(retained=top_p_mask(scores.values, tau))
-
-
-def realized_sparsity(mask: BlockMask, grid: BlockGrid | None = None) -> float:
-    """Fraction of candidate blocks skipped: 1 - |S| / M."""
-    if grid is not None and mask.size != grid.total_blocks:
-        raise ShapeMismatch(
-            f"mask has {mask.size} blocks but grid expects {grid.total_blocks}"
-        )
-    return 1.0 - mask.count / mask.size
-
-
-def token_mask(attention_row: np.ndarray, p: float = 0.95) -> np.ndarray:
-    """Minimal key set (boolean over keys) whose cumulative probability reaches p."""
-    check_tau(p, "p")
-    row = np.asarray(attention_row, dtype=np.float64)
-    if row.ndim != 1:
-        raise ShapeMismatch("attention row must be one-dimensional")
-    if abs(float(row.sum()) - 1.0) > ROW_SUM_TOL:
-        raise DomainError(f"attention row must sum to 1 +- {ROW_SUM_TOL}")
-    return cumulative_prefix_mask(row, p)
 
 
 def _mask_pair(mask_a: np.ndarray, mask_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -69,6 +69,10 @@ class OperatingPoint:
 # Measured sparsity is 1 - kept / denominator, up to the rounding of a mean.
 _COUNT_TOL = 1e-12
 
+# Thresholds at most this far apart are one candidate: ``shared:<tau>`` and
+# ``shared_threshold_baseline`` match a threshold with this tolerance.
+TAU_MATCH_TOL = 1e-12
+
 
 @dataclass
 class CalibrationProblem:
@@ -328,23 +332,38 @@ def measure_head(pipeline: ForwardPipeline, layer: int, head: int, taus,
     ]
 
 
+def check_candidates(taus) -> list[float]:
+    """Calibration's candidate thresholds as floats, checked before anything is measured.
+
+    There must be at least one, each in (0, 1], and no two within
+    TAU_MATCH_TOL of each other, which would be one threshold to
+    ``shared_threshold_baseline``.
+    """
+    taus = [float(t) for t in taus]
+    if not taus:
+        raise DomainError("need at least one candidate threshold")
+    for tau in taus:
+        check_tau(tau, "candidate threshold")
+    ordered = sorted(taus)
+    for low, high in zip(ordered, ordered[1:]):
+        if high - low <= TAU_MATCH_TOL:
+            raise DomainError(f"candidate thresholds {low!r} and {high!r} must differ "
+                              f"by more than {TAU_MATCH_TOL:g}")
+    return taus
+
+
 def build_problem(pipeline: ForwardPipeline, taus, intervals: int, budget: float,
                   weights: BandWeights | None = None, seed: int = 0,
                   objective: str = "fft") -> CalibrationProblem:
     """Measure every (layer, head, candidate) and assemble the assignment problem.
 
-    The dense forwards of the sampled steps run first; then each sampled
-    step measures all heads at every candidate together.
+    Each sampled step measures all heads at every candidate together; its
+    dense forward runs on demand.
     """
-    taus = [float(t) for t in taus]
-    if len(set(taus)) != len(taus):
-        raise DomainError("candidate thresholds must be distinct")
-    for tau in taus:
-        check_tau(tau, "candidate threshold")
+    taus = check_candidates(taus)
     cfg = pipeline.trace.config
     steps = sample_timesteps(cfg.steps, intervals, seed)
     shape = (cfg.layers, cfg.heads, len(taus))
-    pipeline.precompute_dense(steps)
     layers, heads = np.divmod(np.arange(cfg.layers * cfg.heads), cfg.heads)
     sparsity, error, kept = (
         values.reshape(shape)
@@ -629,7 +648,7 @@ def solve_budgeted_assignment(problem: CalibrationProblem) -> CalibrationTable:
 
 def shared_threshold_baseline(problem: CalibrationProblem, tau: float) -> dict:
     """Objective and achieved sparsity when every head uses the same threshold."""
-    matches = np.flatnonzero(np.isclose(problem.taus, tau, rtol=0, atol=1e-12))
+    matches = np.flatnonzero(np.isclose(problem.taus, tau, rtol=0, atol=TAU_MATCH_TOL))
     if matches.size == 0:
         raise DomainError(f"threshold {tau} was not measured; candidates: {list(problem.taus)}")
     k = int(matches[0])

@@ -20,8 +20,10 @@ import numpy as np
 from .analysis import adjacent_pair_samples, spearman, stability_rows, two_step_bound_constants
 from .blocksparse import BlockMask
 from .calibration import (
+    TAU_MATCH_TOL,
     brute_force_assignment,
     build_problem,
+    check_candidates,
     shared_threshold_baseline,
     solve_budgeted_assignment,
     table_from_json_dict,
@@ -198,7 +200,7 @@ def _resolve_budget(budget_text: str, taus):
     try:
         if budget_text.startswith("shared:"):
             tau = float(budget_text.split(":", 1)[1])
-            if not any(abs(tau - t) < 1e-12 for t in taus):
+            if not any(abs(tau - t) <= TAU_MATCH_TOL for t in taus):
                 raise DomainError(f"shared budget threshold {tau} must be a candidate")
             return None, tau
         return float(budget_text), None
@@ -224,7 +226,7 @@ def _resolve_budget(budget_text: str, taus):
 def cmd_calibrate(trace_path, out, budget, taus, intervals, weights, objective,
                   check_oracle, seed):
     """Select one measured operating point per head under a sparsity budget."""
-    tau_list = _parse_floats(taus, "thresholds")
+    tau_list = check_candidates(_parse_floats(taus, "thresholds"))
     weight_list = _parse_floats(weights, "band weights")
     if len(weight_list) != 4:
         raise DomainError(f"need four band weights, got {weights!r}")

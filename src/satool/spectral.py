@@ -56,9 +56,6 @@ class BandPartition:
     def mask(self, region: str) -> np.ndarray:
         return self.labels == REGIONS.index(region)
 
-    def counts(self) -> dict[str, int]:
-        return {r: int((self.labels == i).sum()) for i, r in enumerate(REGIONS)}
-
 
 def band_partition(shape) -> BandPartition:
     """Label every FFT bin of a (T, H, W) field as LL/LH/HL/HH.
@@ -124,11 +121,6 @@ def weighted_error(ratios, weights: BandWeights | None = None):
     """
     if weights is None:
         weights = BandWeights()
-    elif not isinstance(weights, BandWeights):
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != (4,):
-            raise ShapeMismatch(f"expected four band weights, got shape {w.shape}")
-        weights = BandWeights(*w.tolist())
     w = weights.as_array()
     r = np.asarray(ratios, dtype=np.float64)
     if r.shape[-1:] != (4,):
@@ -204,6 +196,7 @@ def perturbation_study(pipeline, alpha: float, seeds, steps=None) -> list[StudyR
     reported on the step-integrated output (the sum of per-step velocities,
     i.e. the accumulated trajectory), as PSNR and relative L2 against the
     unperturbed integral; norm_ratio echoes the per-step input-side ratio.
+    Each step may be listed once.
     """
     if not (0.0 <= alpha <= MAX_ALPHA):
         raise DomainError(f"alpha must lie in [0, {MAX_ALPHA:g}], got {alpha}")
@@ -216,6 +209,8 @@ def perturbation_study(pipeline, alpha: float, seeds, steps=None) -> list[StudyR
     steps = list(steps)
     if not steps:
         raise DomainError("the perturbation study needs at least one step")
+    if len(set(steps)) != len(steps):
+        raise DomainError(f"the perturbation study lists each step at most once, got {steps}")
     partition = band_partition(cfg.velocity_shape)
     dense = [pipeline.dense_forward(t) for t in steps]
     reference = np.sum(dense, axis=0)

@@ -3,8 +3,8 @@
 The surrogate stands in for the rest of a denoising network: per-layer head
 outputs are concatenated along the feature axis, summed over layers, and pushed
 through a single seeded linear projection followed by tanh.  Weights are scaled
-by 1/sqrt(fan-in), so the map is Lipschitz with an explicitly computable bound
-(spectral norm of the projection; tanh is 1-Lipschitz).
+by 1/sqrt(fan-in).  tanh is 1-Lipschitz, so the map's Lipschitz constant is
+at most the projection's spectral norm, ``np.linalg.norm(weight, 2)``.
 
 The weight is stored head-major: each head's (tokens x head_dim) features own
 one contiguous block of columns.  The map is linear before the tanh, so a
@@ -149,11 +149,6 @@ class SurrogateModel:
     def fan_in(self) -> int:
         return int(self.weight.shape[1])
 
-    @property
-    def bias_field(self) -> np.ndarray:
-        """Output produced by an all-zero attention feature (V = 0 everywhere)."""
-        return self.field(self.bias)
-
     def head_columns(self, start: int, stop: int) -> np.ndarray:
         """Weight columns of heads ``start .. stop - 1``: a view, contiguous per row."""
         return self.weight[:, start * self.head_width:stop * self.head_width]
@@ -177,17 +172,6 @@ class SurrogateModel:
         pre = np.matmul(self.weight, head_major.reshape(-1), out=preactivation)
         pre += self.bias
         return self.field(pre)
-
-    def lipschitz_bound(self, iterations: int = 60) -> float:
-        """Upper bound on the map's Lipschitz constant: ||W||_2 (tanh is 1-Lipschitz)."""
-        v = np.full(self.fan_in, 1.0 / math.sqrt(self.fan_in))
-        for _ in range(iterations):
-            w = self.weight.T @ (self.weight @ v)
-            norm = np.linalg.norm(w)
-            if norm == 0.0:
-                return 0.0
-            v = w / norm
-        return float(np.linalg.norm(self.weight @ v))
 
 
 class ForwardPipeline:
@@ -264,10 +248,6 @@ class ForwardPipeline:
             self.last_dense_cached = False
             self._compute_dense(step)
         return self._fields[step]
-
-    def precompute_dense(self, steps) -> None:
-        for step in steps:
-            self.dense_forward(step)
 
     def dense_head_output(self, step: int, layer: int, head: int) -> np.ndarray:
         self.check_head(layer, head)

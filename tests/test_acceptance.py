@@ -7,6 +7,7 @@ lines; every tolerance is pinned here, nothing is deferred to calibration.
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -197,7 +198,7 @@ def test_criterion_8_top_p_properties(default_pipeline):
         scores = BlockScores(values)
         t1, t2 = sorted(rng.uniform(0.02, 1.0, size=2))
         m1, m2 = top_p_select(scores, t1), top_p_select(scores, t2)
-        assert set(m1.indices()) <= set(m2.indices())
+        assert not (m1.retained & ~m2.retained).any()
         for mask, tau in ((m1, t1), (m2, t2)):
             kept = values[mask.retained]
             assert kept.sum() >= tau - 1e-12
@@ -235,3 +236,12 @@ def test_criterion_9_additive_surrogate_scaling(default_pipeline):
     assert math.isfinite(gap.rel_gap)
     report(9, f"error ratios per halving in [{min(ratios):.3f}, {max(ratios):.3f}] "
               f"subset of [3.5, 4.5]; joint-vs-sum gap reported: rel {gap.rel_gap:.3g}")
+
+
+def test_readme_library_use_runs(capsys):
+    # The block runs as written, so a name it uses cannot vanish unnoticed.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    assert "blocks kept" in capsys.readouterr().out

@@ -21,6 +21,7 @@ from satool.blocksparse import (
     changed_block_ratio,
     cumulative_prefix_mask,
     mask_iou,
+    top_p_mask,
     top_p_select,
 )
 from satool.errors import DomainError, ShapeMismatch
@@ -48,7 +49,7 @@ def per_step_pair_samples(trace, token_p=0.95, tau=0.95):
                 q, k = trace.q(step, layer, head), trace.k(step, layer, head)
                 scores = block_scores(q, k, cfg.grid)
                 state = {
-                    "rows": cumulative_prefix_mask(attention_probs(q, k), token_p),
+                    "rows": top_p_mask(attention_probs(q, k), token_p),
                     "mask": top_p_select(scores, tau),
                     "scores": scores.values,
                     "q": q, "k": k,
@@ -154,6 +155,27 @@ class TestBatchedPassMatchesPerStep:
         expected = per_step_pair_samples(trace)
         monkeypatch.setattr(surrogate, "PROB_CHUNK_ELEMENTS", chunk_steps * 32 * 32 + 5)
         assert adjacent_pair_samples(trace) == expected
+
+    def test_token_p_one_keeps_every_positive_key(self, monkeypatch):
+        # A long-attn-shaped trace, where the rounded mass before a tiny
+        # probability already reaches 1 on many rows.
+        config = TraceConfig(layers=1, heads=1, tokens=384, head_dim=32, steps=3,
+                             block_size=32, kappa_range=(0.95, 0.999), scale_range=(3.0, 6.0),
+                             velocity_shape=(4, 4, 4), seed=3)
+        token_masks = []
+
+        def spy(values, tau):
+            keep = top_p_mask(values, tau)
+            if np.ndim(values) == 3:
+                token_masks.append((values, keep))
+            return keep
+
+        monkeypatch.setattr(analysis, "top_p_mask", spy)
+        adjacent_pair_samples(generate_trace(config), token_p=1.0)
+        probs = token_masks[0][0]
+        assert not np.array_equal(cumulative_prefix_mask(probs, 1.0), probs > 0)
+        for probs, keep in token_masks:
+            np.testing.assert_array_equal(keep, probs > 0)
 
     def test_invalid_tau_rejected(self, short_trace):
         with pytest.raises(DomainError):

@@ -14,15 +14,13 @@ from satool.blocksparse import (
     block_scores,
     changed_block_ratio,
     cumulative_prefix_mask,
-    full_mask,
     mask_from_hex,
     mask_iou,
-    realized_sparsity,
-    token_mask,
     top_p_mask,
     top_p_select,
 )
 from satool.errors import ConfigError, DomainError, ShapeMismatch
+from satool.surrogate import expand_block_mask
 
 
 def make_mask(indices, size):
@@ -38,10 +36,14 @@ class TestBlockGrid:
         assert grid.total_blocks == 64
 
     def test_index_round_trip(self):
+        # Block m covers query-block row and key-block column divmod(m, blocks_per_side).
         grid = BlockGrid(tokens=16, block_size=4)
         for idx in range(grid.total_blocks):
-            row, col = grid.block_coords(idx)
-            assert grid.block_index(row, col) == idx
+            row, col = divmod(idx, grid.blocks_per_side)
+            allow = expand_block_mask(make_mask([idx], grid.total_blocks), grid)
+            expected = np.zeros((16, 16), dtype=bool)
+            expected[4 * row:4 * row + 4, 4 * col:4 * col + 4] = True
+            np.testing.assert_array_equal(allow, expected)
 
     def test_rejects_indivisible(self):
         with pytest.raises(ConfigError):
@@ -92,7 +94,7 @@ class TestTopPSelect:
     def test_forced_prefix(self):
         scores = BlockScores(np.array([0.5, 0.3, 0.2]))
         mask = top_p_select(scores, 0.7)
-        assert list(mask.indices()) == [0, 1]
+        assert list(np.flatnonzero(mask.retained)) == [0, 1]
 
     def test_tau_one_keeps_all_positive_mass(self):
         scores = BlockScores(np.array([0.25, 0.25, 0.25, 0.25]))
@@ -103,7 +105,7 @@ class TestTopPSelect:
         # Positive mass already sums to 1, so zero-score blocks stay excluded.
         scores = BlockScores(np.array([0.5, 0.5, 0.0, 0.0]))
         mask = top_p_select(scores, 1.0)
-        assert list(mask.indices()) == [0, 1]
+        assert list(np.flatnonzero(mask.retained)) == [0, 1]
 
     def test_uniform_count_matches_ceiling(self):
         scores = BlockScores(np.full(64, 1.0 / 64.0))
@@ -113,7 +115,7 @@ class TestTopPSelect:
     def test_tie_break_by_ascending_index(self):
         scores = BlockScores(np.array([0.25, 0.25, 0.25, 0.25]))
         mask = top_p_select(scores, 0.5)
-        assert list(mask.indices()) == [0, 1]
+        assert list(np.flatnonzero(mask.retained)) == [0, 1]
 
     def test_domain_errors(self):
         scores = BlockScores(np.array([0.5, 0.5]))
@@ -144,7 +146,7 @@ class TestTopPSelect:
             t1, t2 = sorted(rng.uniform(0.05, 1.0, size=2))
             m1 = top_p_select(scores, t1)
             m2 = top_p_select(scores, t2)
-            assert set(m1.indices()) <= set(m2.indices())
+            assert not (m1.retained & ~m2.retained).any()
             assert 1.0 - m1.count / n >= 1.0 - m2.count / n
             for mask, tau in ((m1, t1), (m2, t2)):
                 kept = values[mask.retained]
@@ -294,7 +296,6 @@ class TestTauOneKeepsEveryBlock:
         from satool.calibration import measure_head
 
         steps = [1, 5]
-        pipe.precompute_dense(steps)
         [point] = measure_head(pipe, 0, 0, [1.0], steps=steps)
         assert point.kept_blocks == 16 * len(steps)
         assert point.sparsity == 0.0 and point.error == 0.0
@@ -332,39 +333,34 @@ class TestBatchedBlockScores:
 
 
 class TestRealizedSparsity:
+    # Realized sparsity is 1 - mask.count / mask.size.
     def test_full_and_empty(self):
         grid = BlockGrid(tokens=8, block_size=2)
-        assert realized_sparsity(full_mask(grid), grid) == 0.0
-        assert realized_sparsity(make_mask([], grid.total_blocks), grid) == 1.0
+        full = BlockMask(np.ones(grid.total_blocks, dtype=bool))
+        empty = make_mask([], grid.total_blocks)
+        assert 1 - full.count / full.size == 0.0
+        assert 1 - empty.count / empty.size == 1.0
 
     def test_arithmetic(self):
         grid = BlockGrid(tokens=64, block_size=8)
         mask = make_mask(range(16), grid.total_blocks)
-        assert realized_sparsity(mask, grid) == 0.75
-
-    def test_grid_mismatch(self):
-        grid = BlockGrid(tokens=8, block_size=2)
-        with pytest.raises(ShapeMismatch):
-            realized_sparsity(make_mask([0], 5), grid)
+        assert 1 - mask.count / mask.size == 0.75
 
 
 class TestTokenMask:
+    # Token masks are top_p_mask over one attention row.
     def test_one_hot_row(self):
         row = np.zeros(10)
         row[3] = 1.0
-        assert list(np.flatnonzero(token_mask(row))) == [3]
+        assert list(np.flatnonzero(top_p_mask(row, 0.95))) == [3]
 
     def test_uniform_twenty_keys(self):
         row = np.full(20, 0.05)
-        assert token_mask(row, 0.95).sum() == 19
+        assert top_p_mask(row, 0.95).sum() == 19
 
     def test_exact_cumulative_boundary(self):
         row = np.array([0.6, 0.25, 0.1, 0.05])
-        assert list(np.flatnonzero(token_mask(row, 0.95))) == [0, 1, 2]
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(DomainError):
-            token_mask(np.array([0.5, 0.2]))
+        assert list(np.flatnonzero(top_p_mask(row, 0.95))) == [0, 1, 2]
 
 
 class TestMaskSimilarity:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from satool import calibration, surrogate
-from satool.blocksparse import block_score_values, block_scores, realized_sparsity, top_p_select
+from satool.blocksparse import block_score_values, block_scores, top_p_select
 from satool.calibration import (
     CalibrationProblem,
     CalibrationTable,
@@ -478,7 +478,8 @@ class TestMeasureHead:
         steps, taus = [0, 5, 9], (0.85, 0.9, 1.0)
         fresh = ForwardPipeline(measured_pipeline.trace, measured_pipeline.model)
         cold = measure_head(fresh, 1, 4, taus, steps=steps, objective=objective)
-        measured_pipeline.precompute_dense(steps)
+        for step in steps:
+            measured_pipeline.dense_forward(step)
         warm = measure_head(measured_pipeline, 1, 4, taus, steps=steps, objective=objective)
         assert [(p.sparsity, p.error, p.kept_blocks) for p in cold] == \
             [(p.sparsity, p.error, p.kept_blocks) for p in warm]
@@ -501,21 +502,18 @@ class TestMeasureHead:
 
     def test_tau_one_gives_zero_error_and_full_retention(self, measured_pipeline):
         steps = [0, 5]
-        measured_pipeline.precompute_dense(steps)
         [point] = measure_head(measured_pipeline, 1, 2, [1.0], steps=steps)
         assert point.error == 0.0
         assert point.sparsity == 0.0
 
     def test_sparsity_grows_as_tau_drops(self, measured_pipeline):
         steps = [0, 5, 9]
-        measured_pipeline.precompute_dense(steps)
         points = measure_head(measured_pipeline, 0, 1, (0.95, 0.9, 0.85), steps=steps)
         assert points[0].sparsity <= points[1].sparsity <= points[2].sparsity
 
     def test_taus_share_one_scoring_per_step(self, measured_pipeline, monkeypatch):
         steps = [0, 5, 9]
         taus = (0.95, 0.9, 0.85, 1.0)
-        measured_pipeline.precompute_dense(steps)
         singles = [measure_head(measured_pipeline, 2, 3, [tau], steps=steps)[0] for tau in taus]
         scored = []
 
@@ -538,7 +536,6 @@ class TestMeasureHead:
         assert scored == [(cfg.layers * cfg.heads,)] * 3
 
     def test_rejects_head_outside_trace(self, measured_pipeline):
-        measured_pipeline.precompute_dense([0])
         for layer, head in ((4, 0), (0, 6), (-1, 0)):
             with pytest.raises(ShapeMismatch):
                 measure_head(measured_pipeline, layer, head, [0.9], steps=[0])
@@ -551,7 +548,6 @@ class TestMeasureHead:
                           block_size=2, velocity_shape=(2, 2, 2), seed=21)
         trace = generate_trace(cfg)
         pipe = ForwardPipeline(trace)
-        pipe.precompute_dense([0])
         tau = 0.6
         [point] = measure_head(pipe, 0, 0, [tau], steps=[0])
 
@@ -607,7 +603,7 @@ def oracle_measure_head(pipeline, layer, head, taus, steps, weights, partition, 
                 )
             else:
                 errors[j].append(float(np.mean(residual ** 2)))
-            sparsities[j].append(realized_sparsity(mask))
+            sparsities[j].append(1.0 - mask.count / mask.size)
             kept[j] += mask.count
     return ([float(np.mean(s)) for s in sparsities], [float(np.mean(e)) for e in errors], kept)
 
@@ -619,7 +615,6 @@ def oracle_problem(pipeline, taus, intervals, seed, objective):
     partition = band_partition(cfg.velocity_shape)
     shape = (cfg.layers, cfg.heads, len(taus))
     sparsity, error, kept = np.empty(shape), np.empty(shape), np.empty(shape, dtype=np.int64)
-    pipeline.precompute_dense(steps)
     for layer in range(cfg.layers):
         for head in range(cfg.heads):
             sparsity[layer, head], error[layer, head], kept[layer, head] = oracle_measure_head(
@@ -724,11 +719,11 @@ class TestStepBatchedCounts:
         spy(surrogate, "masked_attention", "attention")
         taus = [0.85, 0.9, 0.95]
         build_problem(pipe, taus, intervals=4, budget=0.0)
-        # Dense forwards run before the first step is scored; each step
-        # starts with its scoring call.
-        first = next(i for i, (tag, _, _) in enumerate(events) if tag == "score")
+        # Each step starts with its scoring call; its dense forward runs
+        # within the step, on demand.
+        assert events[0][0] == "score"
         per_step = []
-        for event in events[first:]:
+        for event in events:
             if event[0] == "score":
                 per_step.append([])
             per_step[-1].append(event)
@@ -744,7 +739,9 @@ class TestStepBatchedCounts:
             [keep] = [result for tag, _, result in step_events if tag == "select"]
             assert keep.shape == (64, len(taus), blocks)
             partial = int((keep.sum(axis=-1) < blocks).sum())
-            assert 0 < tags.count("attention") <= math.ceil(partial / chunk)
+            allows = [args[3] for tag, args, _ in step_events if tag == "attention"]
+            assert sum(allow is None for allow in allows) == math.ceil(64 / chunk)
+            assert 0 < sum(allow is not None for allow in allows) <= math.ceil(partial / chunk)
 
 
 class TestBlockCounts:
@@ -815,15 +812,23 @@ class TestBuildProblem:
         assert solve_budgeted_assignment(prob).selection_indices() == tuple([0] * 24)
 
     def test_duplicate_candidates_rejected(self, measured_pipeline):
-        with pytest.raises(DomainError):
-            build_problem(measured_pipeline, [0.9, 0.9], intervals=2, budget=0.0)
+        # Within 1e-12 is one threshold to shared_threshold_baseline.
+        for taus in ([0.9, 0.9], [0.95, 0.9, 0.9 + 1e-13]):
+            with pytest.raises(DomainError, match="candidate thresholds .* must differ"):
+                build_problem(measured_pipeline, taus, intervals=2, budget=0.0)
+        assert build_problem(measured_pipeline, [0.9, 0.9 + 1e-11], intervals=1,
+                             budget=0.0).taus.size == 2
+
+    def test_empty_candidates_rejected(self, measured_pipeline):
+        with pytest.raises(DomainError, match="at least one candidate threshold"):
+            build_problem(measured_pipeline, [], intervals=2, budget=0.0)
 
     @pytest.mark.parametrize("bad", [0.0, -0.5, 1.5, math.nan, math.inf])
     def test_invalid_candidate_rejected_before_dense_forwards(self, measured_pipeline,
                                                               monkeypatch, bad):
         calls = []
         fresh = ForwardPipeline(measured_pipeline.trace, measured_pipeline.model)
-        monkeypatch.setattr(fresh, "precompute_dense", calls.append)
+        monkeypatch.setattr(fresh, "dense_forward", calls.append)
         with pytest.raises(DomainError, match="candidate threshold must lie in"):
             build_problem(fresh, [0.9, bad], intervals=2, budget=0.0)
         assert calls == []

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import satool
 from satool.cli import main
+from satool.surrogate import ForwardPipeline
 from satool.trace import _HEADER, TRACE_MAGIC, TRACE_VERSION
 
 
@@ -570,8 +571,10 @@ class TestPerturb:
     ("perturb", ["--alpha", "1e308"]),
     ("perturb", ["--seeds", ""]),
     ("perturb", ["--steps", ","]),
+    ("perturb", ["--steps", "1,1,2"]),
 ], ids=["budget-nan", "budget-neg-inf", "calibrate-seed-negative",
-        "seeds-negative", "alpha-nan", "alpha-inf", "alpha-huge", "seeds-empty", "steps-empty"])
+        "seeds-negative", "alpha-nan", "alpha-inf", "alpha-huge", "seeds-empty", "steps-empty",
+        "steps-repeated"])
 def test_invalid_value_fails_cleanly(trace_dir, tmp_path, runner, command, flags):
     out = tmp_path / "out"
     result = runner.invoke(main, [command, "--trace", str(trace_dir / "trace.satr"),
@@ -579,6 +582,21 @@ def test_invalid_value_fails_cleanly(trace_dir, tmp_path, runner, command, flags
     assert result.exit_code == 1, result.output
     assert result.output.startswith("error:domain:"), result.output
     assert not out.exists()
+
+
+@pytest.mark.parametrize("taus, budget", [
+    (",", "0"), ("nan", "shared:0.9"), ("0.9,0.9000000000001", "shared:0.9"),
+], ids=["empty", "nan", "near-duplicate"])
+def test_bad_candidates_blame_the_thresholds(trace_dir, tmp_path, runner, monkeypatch,
+                                             taus, budget):
+    dense = []
+    monkeypatch.setattr(ForwardPipeline, "dense_forward", lambda self, step: dense.append(step))
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["calibrate", "--trace", str(trace_dir / "trace.satr"),
+                                  "--out", str(out), "--taus", taus, "--budget", budget])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.output
+    assert re.match(r"error:domain: .*candidate threshold", result.output), result.output
+    assert dense == [] and not out.exists()
 
 
 @pytest.mark.parametrize("weights", ["inf,1,1,1", "nan,1,1,1", "1,1,-inf,1"])
@@ -655,6 +673,12 @@ INT_VALUES = st.one_of(
 ).map(str)
 INT_LISTS = st.lists(INT_VALUES, max_size=3).map(",".join)
 FLOAT_LISTS = st.lists(FLOAT_VALUES, min_size=4, max_size=4).map(",".join)
+# Candidate lists: empty, NaN, near-duplicate (within the 1e-12 match tolerance),
+# or up to three arbitrary values.
+TAU_LISTS = st.one_of(
+    st.sampled_from([",", "nan", "0.9,0.9000000000001", "0.9,1.0", "0.5,0.9,1.0"]),
+    st.lists(FLOAT_VALUES, max_size=3).map(",".join),
+)
 # Trace counts: rejected values, or ones small enough that any accepted
 # config is a tiny trace.  Counts just below 2**32 pass the check and
 # would allocate that much, so they are left out.
@@ -672,7 +696,7 @@ NUMERIC_FLAGS = {
                   "--velocity-shape": st.lists(COUNT_VALUES, min_size=3, max_size=3).map(",".join),
                   "--seed": INT_VALUES},
     "calibrate": {"--budget": FLOAT_VALUES, "--seed": INT_VALUES, "--intervals": INT_VALUES,
-                  "--weights": FLOAT_LISTS},
+                  "--weights": FLOAT_LISTS, "--taus": TAU_LISTS},
     "perturb": {"--alpha": FLOAT_VALUES, "--seeds": INT_LISTS},
     "run": {"--delta": FLOAT_VALUES, "--tau": FLOAT_VALUES, "--gate-lo": FLOAT_VALUES,
             "--gate-hi": FLOAT_VALUES},

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from satool.blocksparse import changed_block_ratio, realized_sparsity, top_p_select
+from satool.blocksparse import changed_block_ratio, top_p_select
 from satool.errors import DomainError, ShapeMismatch, StateError
 from satool.reuse import (
     COLD_START,
@@ -278,7 +278,7 @@ def reference_simulate(pipeline, taus, delta, gate=DEFAULT_GATE):
                 step_masks[(layer, head)] = mask
                 records.append(StepRecord(
                     step=step, layer=layer, head=head, decision=decision,
-                    drift=drift, sparsity=realized_sparsity(mask), changed_ratio=changed,
+                    drift=drift, sparsity=1.0 - mask.count / mask.size, changed_ratio=changed,
                 ))
         dense = pipeline.dense_forward(step)
         sparse = pipeline.sparse_forward(step, step_masks)

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satool import surrogate
-from satool.blocksparse import BlockMask, full_mask
+from satool.blocksparse import BlockMask
 from satool.errors import ShapeMismatch
 from satool.surrogate import (
     PROB_CHUNK_ELEMENTS,
@@ -194,7 +194,7 @@ class TestIncrementalForward:
                 pipeline.field_after(1, bad)
 
     def test_full_none_and_absent_masks_equal_dense_bitwise(self, pipeline):
-        masks = {key: (full_mask(CONFIG.grid) if i % 2 else None)
+        masks = {key: (BlockMask(np.ones(BLOCKS, dtype=bool)) if i % 2 else None)
                  for i, key in enumerate(HEADS[:-2])}
         for step in range(CONFIG.steps):
             field = pipeline.sparse_forward(step, masks)

@@ -24,7 +24,7 @@ from satool.trace import (
     read_trace,
     write_trace,
 )
-from satool.blocksparse import full_mask, top_p_select
+from satool.blocksparse import BlockMask, top_p_select
 
 
 def one_shot_payload(config):
@@ -377,14 +377,10 @@ class TestSurrogateModel:
         np.testing.assert_array_equal(a.weight, b.weight)
         np.testing.assert_array_equal(a.bias, b.bias)
 
-    def test_lipschitz_bound_matches_spectral_norm(self, small_config):
-        model = SurrogateModel.from_config(small_config)
-        exact = float(np.linalg.svd(model.weight, compute_uv=False)[0])
-        assert model.lipschitz_bound() == pytest.approx(exact, rel=1e-6)
-
     def test_output_displacement_within_lipschitz_bound(self, small_config, rng):
+        # tanh is 1-Lipschitz, so the projection's spectral norm bounds the map.
         model = SurrogateModel.from_config(small_config)
-        bound = model.lipschitz_bound()
+        bound = np.linalg.norm(model.weight, 2)
         cfg = small_config
         for _ in range(20):
             a = rng.standard_normal((cfg.tokens, cfg.heads * cfg.head_dim))
@@ -399,14 +395,14 @@ class TestDenseForward:
         trace = generate_trace(small_config)
         trace.data[:, :, :, 2, :, :] = 0.0
         pipe = ForwardPipeline(trace)
-        np.testing.assert_array_equal(pipe.dense_forward(0), pipe.model.bias_field)
+        np.testing.assert_array_equal(pipe.dense_forward(0), pipe.model.field(pipe.model.bias))
 
     def test_zero_values_of_a_read_trace_give_bias_field(self, small_trace, tmp_path):
         write_trace(small_trace, tmp_path / "trace.satr")
         trace = read_trace(tmp_path / "trace.satr")
         trace.data[:, :, :, 2, :, :] = 0.0
         pipe = ForwardPipeline(trace)
-        np.testing.assert_array_equal(pipe.dense_forward(0), pipe.model.bias_field)
+        np.testing.assert_array_equal(pipe.dense_forward(0), pipe.model.field(pipe.model.bias))
 
     def test_cache_hit_flag_and_identity(self, small_trace):
         pipe = ForwardPipeline(small_trace)
@@ -453,7 +449,7 @@ class TestSparseForward:
         pipe = default_pipeline
         cfg = pipe.trace.config
         masks = {
-            (l, h): full_mask(cfg.grid)
+            (l, h): BlockMask(np.ones(cfg.grid.total_blocks, dtype=bool))
             for l in range(cfg.layers) for h in range(cfg.heads)
         }
         dense = pipe.dense_forward(2)
@@ -475,9 +471,7 @@ class TestSparseForward:
         grid = pipe.trace.config.grid
         retained = np.zeros(grid.total_blocks, dtype=bool)
         for i in range(grid.blocks_per_side):
-            retained[grid.block_index(i, i)] = True
-        from satool.blocksparse import BlockMask
-
+            retained[i * grid.blocks_per_side + i] = True
         sparse = pipe.sparse_forward(0, {(0, 0): BlockMask(retained)})
         dense = pipe.dense_forward(0)
         assert float(np.abs(sparse - dense).max()) > 0
@@ -487,8 +481,6 @@ class TestSparseForward:
         np.testing.assert_array_equal(sparse, default_pipeline.dense_forward(1))
 
     def test_grid_mismatch_rejected(self, default_pipeline):
-        from satool.blocksparse import BlockMask
-
         with pytest.raises(ShapeMismatch):
             default_pipeline.sparse_forward(0, {(0, 0): BlockMask(np.ones(5, bool))})
 
