@@ -301,6 +301,8 @@ def _measure(pipeline: ForwardPipeline, layers, heads, taus, steps, weights: Ban
     """Mean sparsity, mean error and summed kept blocks of the listed heads, each (n, K)."""
     taus = np.array([float(t) for t in taus])
     steps = list(steps)
+    if not taus.size:
+        raise DomainError("need at least one candidate threshold")
     if objective not in ("fft", "mse"):
         raise DomainError(f"objective must be 'fft' or 'mse', got {objective!r}")
     if not steps:
@@ -322,7 +324,8 @@ def measure_head(pipeline: ForwardPipeline, layer: int, head: int, taus,
     This is the one-head case of the step-batched measurement
     ``build_problem`` makes: each step scores the head once and selects
     every threshold from those scores.  Returns one operating point per
-    threshold, in ``taus`` order.
+    threshold, in ``taus`` order; a threshold listed twice gives two equal
+    points.  An empty list raises DomainError.
     """
     pipeline.check_head(layer, head)
     sparsity, error, kept = _measure(pipeline, [layer], [head], taus, steps, weights, objective)

@@ -75,19 +75,17 @@ def _ensure_out(path: str) -> Path:
     return out
 
 
-def _load_pipeline(trace_path: str) -> ForwardPipeline:
-    return ForwardPipeline(read_trace(trace_path))
-
-
 def _keep_temporaries_on_heap() -> None:
     """Serve numpy temporaries below 32 MiB from glibc's heap and keep freed pages.
 
     glibc maps every block above its mmap threshold with fresh pages. The
     threshold starts at 128 KiB and rises, up to 32 MiB, only when a larger
-    mapped block is freed, with the trim threshold at twice it. A command
-    that frees no large block before its per-head loop (``analyze``) would
-    fault its per-head temporaries in anew for every head. These are the
-    values glibc's own rule reaches. Without glibc's ``mallopt`` nothing changes.
+    mapped block is freed, with the trim threshold at twice it. No command
+    frees a large block before its per-step or per-head loop (a trace is
+    read a step at a time), so without this ``analyze`` faults its per-head
+    temporaries in anew: about three times the minor page faults on the
+    benchmark shapes. These are the values glibc's own rule reaches.
+    Without glibc's ``mallopt`` nothing changes.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -155,15 +153,15 @@ def cmd_gen_trace(out, layers, heads, tokens, head_dim, steps, block_size,
 @tool_command
 def cmd_analyze(trace_path, out, token_p, tau):
     """Adjacent-step mask stability report at prompt/layer/head granularity."""
-    trace = read_trace(trace_path)
-    cfg = trace.config
-    pairs = (cfg.steps - 1) * cfg.layers * cfg.heads
-    if pairs < 2:
-        raise DomainError(
-            f"analyze needs at least two adjacent-step pairs; {cfg.steps} steps of "
-            f"{cfg.layers}x{cfg.heads} heads give {pairs}"
-        )
-    samples = adjacent_pair_samples(trace, token_p=token_p, tau=tau)
+    with read_trace(trace_path) as trace:
+        cfg = trace.config
+        pairs = (cfg.steps - 1) * cfg.layers * cfg.heads
+        if pairs < 2:
+            raise DomainError(
+                f"analyze needs at least two adjacent-step pairs; {cfg.steps} steps of "
+                f"{cfg.layers}x{cfg.heads} heads give {pairs}"
+            )
+        samples = adjacent_pair_samples(trace, token_p=token_p, tau=tau)
     summary = {
         "drift_iou_spearman": spearman(
             [s.pool_drift for s in samples], [s.token_iou for s in samples]
@@ -231,10 +229,11 @@ def cmd_calibrate(trace_path, out, budget, taus, intervals, weights, objective,
     if len(weight_list) != 4:
         raise DomainError(f"need four band weights, got {weights!r}")
     band_weights = BandWeights(*weight_list)
-    pipeline = _load_pipeline(trace_path)
-    budget_value, budget_tau = _resolve_budget(budget, tau_list)
-    problem = build_problem(pipeline, tau_list, intervals, budget=0.0, weights=band_weights,
-                            seed=seed, objective=objective)
+    with read_trace(trace_path) as trace:
+        pipeline = ForwardPipeline(trace)
+        budget_value, budget_tau = _resolve_budget(budget, tau_list)
+        problem = build_problem(pipeline, tau_list, intervals, budget=0.0, weights=band_weights,
+                                seed=seed, objective=objective)
     if budget_tau is not None:
         budget_value = shared_threshold_baseline(problem, budget_tau)["achieved_sparsity"]
     problem.budget = float(budget_value)
@@ -281,18 +280,18 @@ def cmd_run(trace_path, out, table_path, tau, delta, gate_lo, gate_hi):
         delta_value = float(delta)
     except ValueError as exc:
         raise DomainError(f"could not parse --delta from {delta!r}") from exc
-    pipeline = _load_pipeline(trace_path)
-    cfg = pipeline.trace.config
-    if table_path is not None:
-        try:
-            payload = json.loads(Path(table_path).read_text())
-            table = table_from_json_dict(payload)
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise DomainError(f"invalid calibration table {table_path}: {exc}") from exc
-        taus = table.tau_grid(cfg.layers, cfg.heads)
-    else:
-        taus = np.full((cfg.layers, cfg.heads), tau)
-    result = simulate(pipeline, taus, delta_value, gate=(gate_lo, gate_hi))
+    with read_trace(trace_path) as trace:
+        cfg = trace.config
+        if table_path is not None:
+            try:
+                payload = json.loads(Path(table_path).read_text())
+                table = table_from_json_dict(payload)
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                raise DomainError(f"invalid calibration table {table_path}: {exc}") from exc
+            taus = table.tau_grid(cfg.layers, cfg.heads)
+        else:
+            taus = np.full((cfg.layers, cfg.heads), tau)
+        result = simulate(ForwardPipeline(trace), taus, delta_value, gate=(gate_lo, gate_hi))
     out_dir = _ensure_out(out)
     run_path = out_dir / "run.csv"
     write_csv(
@@ -340,8 +339,8 @@ def cmd_perturb(trace_path, out, alpha, seeds, steps):
     """Equal-relative-magnitude in-band perturbation study over the four regions."""
     seed_list = _parse_ints(seeds, "seeds")
     step_list = _parse_ints(steps, "steps") if steps else None
-    pipeline = _load_pipeline(trace_path)
-    rows = perturbation_study(pipeline, alpha, seed_list, steps=step_list)
+    with read_trace(trace_path) as trace:
+        rows = perturbation_study(ForwardPipeline(trace), alpha, seed_list, steps=step_list)
     out_dir = _ensure_out(out)
     csv_path = out_dir / "perturb.csv"
     write_csv(

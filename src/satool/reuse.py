@@ -173,7 +173,7 @@ def simulate(pipeline, taus: np.ndarray, delta: float,
     gate_forced = 0
     velocity_errors: list[float] = []
     for step in range(cfg.steps):
-        qk = pipeline.trace.data[step, :, :, :2].astype(np.float64)
+        qk = pipeline.trace.step(step)[:, :, :2].astype(np.float64)
         pooled = qk.mean(axis=-2)
         for layer in range(cfg.layers):
             cold = anchor_step[layer] < 0

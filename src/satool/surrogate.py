@@ -177,10 +177,11 @@ class SurrogateModel:
 class ForwardPipeline:
     """Dense/sparse forwards of a trace through the surrogate, with a dense cache.
 
-    Dense results are cached per step: the field, the pre-activation
-    ``W f + b`` and every head's attention output.  All heads of a step go
-    through batched attention calls of at most PROB_CHUNK_ELEMENTS logits
-    each.  Every other field is ``field_after`` a pre-activation change on
+    Dense results are cached: the field and the pre-activation ``W f + b``
+    of every step, and every head's attention output of the latest dense
+    step only (an older step's are computed again if asked for).  All
+    heads of a step go through batched attention calls of at most
+    PROB_CHUNK_ELEMENTS logits each.  Every other field is ``field_after`` a pre-activation change on
     that cache: ``preactivation_changes`` gives one per masked head, and a
     sparse forward sums each changed head's output differences over layers
     and projects them through the weight columns of the changed heads only.
@@ -198,23 +199,34 @@ class ForwardPipeline:
         self.last_dense_cached = False
         self._fields: dict[int, np.ndarray] = {}
         self._pre: dict[int, np.ndarray] = {}
-        self._head_out: dict[int, np.ndarray] = {}
+        self._head_out: tuple[int, np.ndarray] | None = None
 
     def check_head(self, layer: int, head: int) -> None:
         c = self.trace.config
         if not (0 <= layer < c.layers and 0 <= head < c.heads):
             raise ShapeMismatch(f"head ({layer}, {head}) outside {c.layers}x{c.heads}")
 
+    def _head_outputs(self, step: int) -> np.ndarray:
+        """Every head's dense attention output at ``step``, (layers, heads, tokens, head_dim).
+
+        Only the latest step's are kept.  All layers x heads go through
+        attention in chunks.
+        """
+        if self._head_out is None or self._head_out[0] != step:
+            c = self.trace.config
+            self._head_out = None
+            qkv = self.trace.step(step).astype(np.float64)
+            q, k, v = (qkv[:, :, i].reshape(-1, c.tokens, c.head_dim) for i in range(3))
+            out = np.empty((c.layers * c.heads, c.tokens, c.head_dim))
+            for window in prob_chunks(len(out), c.tokens):
+                out[window] = masked_attention(q[window], k[window], v[window], None)
+            self._head_out = (step, out.reshape(c.layers, c.heads, c.tokens, c.head_dim))
+        return self._head_out[1]
+
     def _compute_dense(self, step: int) -> None:
-        """Attention for all layers x heads of a step, in chunks, then one projection."""
+        """Every head's attention at ``step``, then one projection."""
         c = self.trace.config
-        qkv = self.trace.data[step].astype(np.float64)
-        q, k, v = (qkv[:, :, i].reshape(-1, c.tokens, c.head_dim) for i in range(3))
-        out = np.empty((c.layers * c.heads, c.tokens, c.head_dim))
-        for window in prob_chunks(len(out), c.tokens):
-            out[window] = masked_attention(q[window], k[window], v[window], None)
-        out = out.reshape(c.layers, c.heads, c.tokens, c.head_dim)
-        self._head_out[step] = out
+        out = self._head_outputs(step)
         features = np.zeros((c.tokens, c.heads * c.head_dim), dtype=np.float64)
         by_head = features.reshape(c.tokens, c.heads, c.head_dim)
         for layer_out in out:
@@ -231,13 +243,14 @@ class ForwardPipeline:
         its rows' Q, K and V from the trace.
         """
         c = self.trace.config
+        dense = self._head_outputs(step)
         out = np.empty((len(heads), c.tokens, c.head_dim))
         for window in prob_chunks(len(heads), c.tokens):
             at = (layers[window], heads[window])
             allow = _token_masks(retained[window], self.grid)
             out[window] = masked_attention(self.trace.q(step, *at), self.trace.k(step, *at),
                                            self.trace.v(step, *at), allow)
-            out[window] -= self._head_out[step][at]
+            out[window] -= dense[at]
         return out
 
     def dense_forward(self, step: int) -> np.ndarray:
@@ -251,9 +264,9 @@ class ForwardPipeline:
 
     def dense_head_output(self, step: int, layer: int, head: int) -> np.ndarray:
         self.check_head(layer, head)
-        if step not in self._head_out:
+        if step not in self._fields:
             self.dense_forward(step)
-        return self._head_out[step][layer, head]
+        return self._head_outputs(step)[layer, head]
 
     def sparse_forward(self, step: int, masks: Mapping[tuple[int, int], BlockMask | None]) -> np.ndarray:
         """Forward with the listed heads masked; heads absent (or None) stay dense.

@@ -495,6 +495,19 @@ class TestMeasureHead:
             measure_head(measured_pipeline, 0, 0, taus, steps=[0])
         assert str(info.value) == f"tau must lie in (0, 1], got {first}"
 
+    def test_empty_candidates_rejected_before_measuring(self, measured_pipeline, monkeypatch):
+        measured = []
+        monkeypatch.setattr(calibration, "_measure_step",
+                            lambda *args: measured.append(args))
+        with pytest.raises(DomainError, match="^need at least one candidate threshold$"):
+            measure_head(measured_pipeline, 0, 0, [], steps=[0])
+        assert measured == []
+
+    def test_repeated_candidate_gives_a_point_per_listing(self, measured_pipeline):
+        points = measure_head(measured_pipeline, 0, 1, [0.9, 0.85, 0.9], steps=[0, 5])
+        assert [p.tau for p in points] == [0.9, 0.85, 0.9]
+        assert points[0] == points[2]
+
     @pytest.mark.parametrize("steps", [[16], [-1], [0, 16]])
     def test_rejects_step_outside_trace(self, measured_pipeline, steps):
         with pytest.raises(DomainError):

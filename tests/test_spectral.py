@@ -1,7 +1,10 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from satool.errors import DomainError, ShapeMismatch
 from satool.spectral import (
@@ -10,6 +13,7 @@ from satool.spectral import (
     band_energy_ratios,
     band_partition,
     band_perturbation,
+    StudyRow,
     perturbation_study,
     psnr,
     weighted_error,
@@ -259,3 +263,83 @@ class TestPerturbationStudy:
             assert row.rel_l2 > 0.0
             assert np.isfinite(row.psnr_db)
         assert all(v == 2 for v in per_region.values())
+
+
+class FieldPipeline:
+    """Stands in for a pipeline: ``dense_forward(t)`` returns the t-th given field."""
+
+    def __init__(self, fields):
+        self.fields = fields
+        self.trace = SimpleNamespace(config=SimpleNamespace(steps=len(fields),
+                                                            velocity_shape=fields[0].shape))
+
+    def dense_forward(self, step):
+        return self.fields[step]
+
+
+def reference_study(pipeline, alpha, seeds, steps):
+    """The study one field at a time through ``band_perturbation``."""
+    partition = band_partition(pipeline.trace.config.velocity_shape)
+    dense = [pipeline.dense_forward(t) for t in steps]
+    reference = np.sum(dense, axis=0)
+    peak = float(np.abs(reference).max())
+    rows = []
+    for region in REGIONS:
+        for seed in seeds:
+            total_delta = np.zeros(partition.shape)
+            ratios = []
+            for field, t in zip(dense, steps):
+                if alpha == 0.0:
+                    ratios.append(0.0)
+                    continue
+                delta = band_perturbation(field, region, alpha, seed=seed * 1_000_003 + t,
+                                          partition=partition)
+                ratios.append(float(np.linalg.norm(delta) / np.linalg.norm(field)))
+                total_delta += delta
+            rows.append(StudyRow(
+                region=region, alpha=float(alpha), seed=seed,
+                norm_ratio=float(np.mean(ratios)) if ratios else 0.0,
+                psnr_db=psnr(reference + total_delta, reference, peak=peak if peak > 0 else 1.0),
+                rel_l2=float(np.linalg.norm(total_delta) / np.linalg.norm(reference)),
+            ))
+    return rows
+
+
+def outcome(study, *args):
+    try:
+        return study(*args)
+    except DomainError as exc:
+        return str(exc)
+
+
+class TestBatchedStudy:
+    """The study's one batched transform per (region, seed) equals the per-field reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)),
+           steps=st.integers(1, 5), zero_steps=st.sets(st.integers(0, 4)),
+           alpha=st.sampled_from([0.0, 0.05, 1.0, 1e6]),
+           seeds=st.lists(st.integers(0, 2 ** 20), min_size=1, max_size=3),
+           seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    def test_equals_per_field_reference(self, shape, steps, zero_steps, alpha, seeds, seed,
+                                        data):
+        rng = np.random.default_rng(seed)
+        fields = [np.zeros(shape) if t in zero_steps else np.tanh(rng.standard_normal(shape))
+                  for t in range(steps)]
+        pipeline = FieldPipeline(fields)
+        chosen = data.draw(st.lists(st.integers(0, steps - 1), min_size=1, unique=True))
+        # Unperturbed zero fields have no relative L2 (0 / 0).
+        assume(alpha > 0 or not zero_steps.issuperset(chosen))
+        expected = outcome(reference_study, pipeline, alpha, seeds, chosen)
+        assert outcome(perturbation_study, pipeline, alpha, seeds, chosen) == expected
+
+    @pytest.mark.parametrize("shape, region", [((8, 8, 8), "LL"), ((1, 1, 1), "LH")])
+    def test_errors_keep_their_messages(self, shape, region):
+        if region == "LL":
+            fields, message = [np.ones(shape), np.zeros(shape)], \
+                "relative perturbation is undefined for an all-zero reference"
+        else:
+            fields, message = [np.ones(shape)], "region LH produced a degenerate perturbation"
+        with pytest.raises(DomainError) as info:
+            perturbation_study(FieldPipeline(fields), 0.1, seeds=[0])
+        assert str(info.value) == message

@@ -199,7 +199,8 @@ class TestAccessors:
 
 
 class TestTraceMemory:
-    """Each trace path holds the float32 payload once (tracemalloc sees numpy's buffers)."""
+    """Generating holds the float32 payload once; writing and reading hold at most
+    one step of it (tracemalloc sees numpy's buffers)."""
 
     CONFIG = TraceConfig(layers=2, heads=4, tokens=32, head_dim=8, steps=40, block_size=4,
                          velocity_shape=(2, 2, 2), seed=3)
@@ -223,12 +224,28 @@ class TestTraceMemory:
         assert peak <= self.SLACK
         assert (tmp_path / "t.satr").stat().st_size == _HEADER.size + self.payload
 
-    def test_read_holds_payload_once(self, tmp_path):
+    def test_read_holds_one_step(self, tmp_path):
         path = tmp_path / "t.satr"
         write_trace(generate_trace(self.CONFIG), path)
-        trace, peak = traced_peak(read_trace, path)
-        assert trace.data.nbytes == self.payload
-        assert peak <= self.payload + self.SLACK
+
+        def read_every_step(path):
+            with read_trace(path) as trace:
+                return [trace.step(t).nbytes for t in range(trace.config.steps)]
+
+        sizes, peak = traced_peak(read_every_step, path)
+        assert sizes == [self.payload // self.CONFIG.steps] * self.CONFIG.steps
+        assert peak <= self.payload // self.CONFIG.steps + self.SLACK
+
+    def test_write_from_a_read_trace_holds_one_step(self, tmp_path):
+        write_trace(generate_trace(self.CONFIG), tmp_path / "a.satr")
+
+        def copy(source, target):
+            with read_trace(source) as trace:
+                write_trace(trace, target)
+
+        _, peak = traced_peak(copy, tmp_path / "a.satr", tmp_path / "b.satr")
+        assert peak <= self.payload // self.CONFIG.steps + self.SLACK
+        assert (tmp_path / "a.satr").read_bytes() == (tmp_path / "b.satr").read_bytes()
 
 
 class FailingWriter:
@@ -282,9 +299,10 @@ class TestTraceFile:
     def test_round_trip(self, tmp_path, small_trace):
         path = tmp_path / "trace.satr"
         write_trace(small_trace, path)
-        back = read_trace(path)
-        assert back.config == small_trace.config
-        np.testing.assert_array_equal(back.data, small_trace.data)
+        with read_trace(path) as back:
+            assert back.config == small_trace.config
+            for t in range(back.config.steps):
+                np.testing.assert_array_equal(back.step(t), small_trace.step(t))
 
     def test_magic_bytes(self, tmp_path, small_trace):
         path = tmp_path / "trace.satr"
@@ -336,12 +354,17 @@ class TestTraceFile:
     def test_read_array_is_writable(self, tmp_path, small_trace):
         path = tmp_path / "trace.satr"
         write_trace(small_trace, path)
-        back = read_trace(path)
-        assert back.data.flags.writeable and back.data.flags.c_contiguous
-        assert back.data.dtype == np.dtype("<f4")
-        back.data[:, :, :, 2] = 0.0
-        assert not back.data[:, :, :, 2].any()
-        np.testing.assert_array_equal(back.data[:, :, :, :2], small_trace.data[:, :, :, :2])
+        with read_trace(path) as back:
+            for t in range(back.config.steps):
+                step = back.step(t)
+                assert step.flags.writeable and step.flags.c_contiguous
+                assert step.dtype == np.dtype("<f4")
+                step[:, :, 2] = 0.0
+                assert not back.v(t, 0, 0).any()
+                np.testing.assert_array_equal(step[:, :, :2], small_trace.step(t)[:, :, :2])
+        # Writing to a step changes nothing on disk.
+        with read_trace(path) as again:
+            np.testing.assert_array_equal(again.step(0), small_trace.step(0))
 
     def test_rejects_payload_size_that_overflows_int64(self, tmp_path):
         # 2**16 layers, heads, tokens and steps: an int64 product of the
@@ -367,7 +390,9 @@ class TestTraceFile:
         except TraceFormatError:
             return
         layers, heads, tokens, head_dim, steps = counts[:5]
-        assert trace.data.shape == (steps, layers, heads, 3, tokens, head_dim)
+        with trace:
+            assert trace.config.steps == steps
+            assert trace.step(steps - 1).shape == (layers, heads, 3, tokens, head_dim)
 
 
 class TestSurrogateModel:
@@ -397,12 +422,15 @@ class TestDenseForward:
         pipe = ForwardPipeline(trace)
         np.testing.assert_array_equal(pipe.dense_forward(0), pipe.model.field(pipe.model.bias))
 
-    def test_zero_values_of_a_read_trace_give_bias_field(self, small_trace, tmp_path):
-        write_trace(small_trace, tmp_path / "trace.satr")
-        trace = read_trace(tmp_path / "trace.satr")
-        trace.data[:, :, :, 2, :, :] = 0.0
-        pipe = ForwardPipeline(trace)
-        np.testing.assert_array_equal(pipe.dense_forward(0), pipe.model.field(pipe.model.bias))
+    def test_zero_values_of_a_read_trace_give_bias_field(self, small_config, tmp_path):
+        zero_v = generate_trace(small_config)
+        zero_v.data[:, :, :, 2, :, :] = 0.0
+        write_trace(zero_v, tmp_path / "trace.satr")
+        with read_trace(tmp_path / "trace.satr") as trace:
+            pipe = ForwardPipeline(trace)
+            for t in range(small_config.steps):
+                np.testing.assert_array_equal(pipe.dense_forward(t),
+                                              pipe.model.field(pipe.model.bias))
 
     def test_cache_hit_flag_and_identity(self, small_trace):
         pipe = ForwardPipeline(small_trace)
