@@ -33,7 +33,7 @@ from .reuse import DEFAULT_GATE, cache_footprint, simulate
 from .runio import write_csv, write_json, write_manifest
 from .spectral import BandWeights, perturbation_study
 from .surrogate import ForwardPipeline
-from .trace import TraceConfig, generate_trace, read_trace, write_trace
+from .trace import TraceConfig, read_trace, write_trace
 
 
 def _fail(exc: ToolkitError) -> None:
@@ -132,7 +132,7 @@ def cmd_gen_trace(out, layers, heads, tokens, head_dim, steps, block_size,
     )
     out_dir = _ensure_out(out)
     trace_path = out_dir / "trace.satr"
-    write_trace(generate_trace(config), trace_path)
+    write_trace(config, trace_path)
     params = {
         "layers": layers, "heads": heads, "tokens": tokens, "head_dim": head_dim,
         "steps": steps, "block_size": block_size,

@@ -73,8 +73,9 @@ def write_json(path: Path, payload) -> None:
 
 def sha256_path(path: Path) -> str:
     digest = hashlib.sha256()
+    # 64 KiB reads: hashing a trace adds no more than that to a command's peak.
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
             digest.update(chunk)
     return digest.hexdigest()
 

@@ -196,7 +196,8 @@ def perturbation_study(pipeline, alpha: float, seeds, steps=None) -> list[StudyR
     reported on the step-integrated output (the sum of per-step velocities,
     i.e. the accumulated trajectory), as PSNR and relative L2 against the
     unperturbed integral; norm_ratio echoes the per-step input-side ratio.
-    Each step may be listed once.  Each (region, seed) transforms all its
+    Each step may be listed once, and the summed reference must not be all
+    zero, whatever ``alpha``.  Each (region, seed) transforms all its
     steps' noise in one batched pass; every perturbation is the one
     ``band_perturbation`` gives that step's field and seed.
     """
@@ -216,6 +217,9 @@ def perturbation_study(pipeline, alpha: float, seeds, steps=None) -> list[StudyR
     partition = band_partition(cfg.velocity_shape)
     dense = [pipeline.dense_forward(t) for t in steps]
     reference = np.sum(dense, axis=0)
+    reference_norm = np.linalg.norm(reference)
+    if reference_norm == 0.0:
+        raise DomainError("relative L2 is undefined for an all-zero step-integrated reference")
     peak = float(np.abs(reference).max())
     ref_norms = [float(np.linalg.norm(field)) for field in dense]
     rows: list[StudyRow] = []
@@ -240,8 +244,8 @@ def perturbation_study(pipeline, alpha: float, seeds, steps=None) -> list[StudyR
                 alpha=float(alpha),
                 seed=int(seed),
                 norm_ratio=float(np.mean(ratios)) if ratios else 0.0,
-                psnr_db=psnr(reference + total_delta, reference, peak=peak if peak > 0 else 1.0),
-                rel_l2=float(np.linalg.norm(total_delta) / np.linalg.norm(reference)),
+                psnr_db=psnr(reference + total_delta, reference, peak=peak),
+                rel_l2=float(np.linalg.norm(total_delta) / reference_norm),
             ))
     return rows
 

@@ -7,12 +7,14 @@ so that per-head smoothness is tunable: ``kappa = 1`` freezes a head across step
 smoothness ``kappa`` and feature scale from seeded config ranges, which makes
 temporal stability and score peakedness heterogeneous across heads.
 
-A generated trace holds its whole payload in memory; a trace read from a
-SATR file leaves the payload on disk and reads it a step at a time.
+Every trace is SATR bytes in a seekable stream, read a step at a time:
+``read_trace`` opens a file, and ``generate_trace`` draws into memory.
+``write_trace`` draws straight into a file, one step at a time.
 """
 
 from __future__ import annotations
 
+import io
 import math
 import os
 import stat
@@ -43,11 +45,20 @@ MAX_PROJECTION_ELEMENTS = 2 ** 28
 # Every count is stored as a u32 in the SATR header.
 MAX_COUNT = 2 ** 32 - 1
 
+# Largest feature scale.  Features are the scale times a unit-variance AR(1)
+# state, stored as float32, whose largest finite value is about 2**128.  Up
+# to 2**64 a feature overflows only for a state beyond 2**64, which no normal
+# draw comes near, and a product of two features (an attention logit) stays
+# far inside float64.  One inf feature would turn every later output NaN.
+MAX_SCALE = 2.0 ** 64
+
 
 def _f32(x: float) -> float:
     # Range floats round-trip through the f32 header fields; normalize up front
-    # so a written-and-reloaded config is bit-identical to the original.
-    return float(np.float32(x))
+    # so a written-and-reloaded config is bit-identical to the original.  A
+    # value beyond float32's range becomes inf, which validate rejects.
+    with np.errstate(over="ignore"):
+        return float(np.float32(x))
 
 
 @dataclass(frozen=True)
@@ -84,8 +95,9 @@ class TraceConfig:
         if not (0.0 <= lo <= hi <= 1.0):
             raise ConfigError(f"kappa range must satisfy 0 <= lo <= hi <= 1, got {self.kappa_range}")
         slo, shi = self.scale_range
-        if not (0.0 < slo <= shi):
-            raise ConfigError(f"scale range must satisfy 0 < lo <= hi, got {self.scale_range}")
+        if not (0.0 < slo <= shi <= MAX_SCALE):
+            raise ConfigError(
+                f"scale range must satisfy 0 < lo <= hi <= 2**64, got {self.scale_range}")
         if len(self.velocity_shape) != 3 or any(v <= 0 for v in self.velocity_shape):
             raise ConfigError(f"velocity shape must be three positive counts, got {self.velocity_shape}")
         if any(v > MAX_COUNT for v in self.velocity_shape):
@@ -122,26 +134,58 @@ def head_parameters(config: TraceConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 class DenoiseTrace:
-    """Per-(step, layer, head) Q/K/V features, stored float32 and served a step at a time.
+    """Per-(step, layer, head) Q/K/V features over a seekable stream of SATR bytes.
 
-    ``step(t)`` is step t's float32 ``(layers, heads, 3, tokens, head_dim)``
-    array, with the tensor axis ordered Q, K, V.  Accessors return float64
-    copies so downstream arithmetic runs in double precision.  ``q``, ``k``
-    and ``v`` also take index arrays for ``layer`` and ``head``, broadcast
-    together: they gather those heads into one (..., tokens, head_dim) copy,
-    whose entries equal the per-head calls bitwise.  A trace is a context
-    manager; ``close()`` releases what it holds open.
+    The header and the payload size, taken from the stream's end, are
+    checked before any payload is read.  ``step(t)`` reads step t's float32
+    ``(layers, heads, 3, tokens, head_dim)`` array, tensor axis ordered Q,
+    K, V, with one seek and ``readinto`` into a fresh array, and drops the
+    step before it; asking for the same step again reads nothing.
+    ``head_qk`` reads only that head's Q/K slab of each step.  Accessors
+    return float64 copies so downstream arithmetic runs in double
+    precision.  ``q``, ``k`` and ``v`` also take index arrays for ``layer``
+    and ``head``, broadcast together: they gather those heads into one
+    (..., tokens, head_dim) copy, whose entries equal the per-head calls
+    bitwise.  A read that finds the stream shorter than its header says
+    raises TraceFormatError naming both sizes; any read after ``close()``
+    raises StateError.  A trace is a context manager; ``close()`` closes
+    the stream.
     """
 
-    config: TraceConfig
+    def __init__(self, stream: BinaryIO, name: str | os.PathLike):
+        self.name = name
+        self._stream = stream
+        self.config = _read_header(stream, name)
+        c = self.config
+        self._step_shape = (c.layers, c.heads, 3, c.tokens, c.head_dim)
+        self._step_bytes = math.prod(self._step_shape) * 4
+        self._current: tuple[int, np.ndarray] | None = None
+
+    def _read_into(self, offset: int, out: np.ndarray) -> None:
+        """Fill ``out`` from the payload bytes that start ``offset`` bytes in."""
+        if self._stream.closed:
+            raise StateError(f"{self.name}: the trace is closed")
+        view = memoryview(out).cast("B")
+        self._stream.seek(_HEADER.size + offset)
+        got = 0
+        while got < len(view):
+            count = self._stream.readinto(view[got:])
+            if not count:
+                size = self._stream.seek(0, io.SEEK_END) - _HEADER.size
+                expected = self._step_bytes * self.config.steps
+                raise TraceFormatError(
+                    f"{self.name}: payload is {size} bytes, expected {expected}")
+            got += count
 
     def step(self, t: int) -> np.ndarray:
         """Step t's float32 (layers, heads, 3, tokens, head_dim) array."""
-        raise NotImplementedError
-
-    def _head_slabs(self, layer: int, head: int) -> np.ndarray:
-        """One head's float32 Q and K over all steps, (steps, 2, tokens, head_dim)."""
-        raise NotImplementedError
+        self.check_step(t)
+        if self._current is None or self._current[0] != t:
+            self._current = None  # drop the old step before the new one is allocated
+            data = np.empty(self._step_shape, dtype="<f4")
+            self._read_into(t * self._step_bytes, data)
+            self._current = (t, data)
+        return self._current[1]
 
     def q(self, step: int, layer: int, head: int) -> np.ndarray:
         return self.step(step)[layer, head, 0].astype(np.float64)
@@ -160,7 +204,11 @@ class DenoiseTrace:
         c = self.config
         if not (0 <= layer < c.layers and 0 <= head < c.heads):
             raise ShapeMismatch(f"head ({layer}, {head}) outside {c.layers}x{c.heads}")
-        qk = self._head_slabs(layer, head).astype(np.float64)
+        slabs = np.empty((c.steps, 2, c.tokens, c.head_dim), dtype="<f4")
+        start = (layer * c.heads + head) * 3 * c.tokens * c.head_dim * 4
+        for t in range(c.steps):
+            self._read_into(t * self._step_bytes + start, slabs[t])
+        qk = slabs.astype(np.float64)
         return qk[:, 0], qk[:, 1]
 
     def check_step(self, step: int) -> None:
@@ -168,7 +216,8 @@ class DenoiseTrace:
             raise DomainError(f"step {step} out of range [0, {self.config.steps})")
 
     def close(self) -> None:
-        pass
+        self._current = None
+        self._stream.close()
 
     def __enter__(self) -> DenoiseTrace:
         return self
@@ -177,181 +226,93 @@ class DenoiseTrace:
         self.close()
 
 
-class InMemoryTrace(DenoiseTrace):
-    """A trace whose whole payload is one array: ``data[t]`` is ``step(t)``.
+def _draw(config: TraceConfig, out: BinaryIO) -> None:
+    """Write the SATR header, then each float32 step as soon as it is drawn.
 
-    ``data`` has shape (steps, layers, heads, 3, tokens, head_dim).
-    """
-
-    def __init__(self, config: TraceConfig, data: np.ndarray):
-        self.config = config
-        self.data = data
-
-    def step(self, t: int) -> np.ndarray:
-        self.check_step(t)
-        return self.data[t]
-
-    def _head_slabs(self, layer: int, head: int) -> np.ndarray:
-        return self.data[:, layer, head, :2]
-
-
-class TraceFile(DenoiseTrace):
-    """A trace over an open SATR file that holds only the step read last.
-
-    ``step(t)`` reads step t with one seek and ``readinto`` into a fresh
-    array and drops the step before it; asking for the same step again
-    reads nothing.  ``head_qk`` reads only that head's Q/K slab of each
-    step.  A read that finds the file shorter than its header says raises
-    TraceFormatError naming both sizes; any read after ``close()`` raises
-    StateError.
-    """
-
-    def __init__(self, config: TraceConfig, file: BinaryIO, path: str | os.PathLike):
-        self.config = config
-        self.path = path
-        self._file = file
-        c = config
-        self._step_shape = (c.layers, c.heads, 3, c.tokens, c.head_dim)
-        self._step_bytes = math.prod(self._step_shape) * 4
-        self._current: tuple[int, np.ndarray] | None = None
-
-    def _read_into(self, offset: int, out: np.ndarray) -> None:
-        """Fill ``out`` from the payload bytes that start ``offset`` bytes in."""
-        if self._file.closed:
-            raise StateError(f"{self.path}: the trace file is closed")
-        view = memoryview(out).cast("B")
-        self._file.seek(_HEADER.size + offset)
-        got = 0
-        while got < len(view):
-            count = self._file.readinto(view[got:])
-            if not count:
-                size = os.fstat(self._file.fileno()).st_size - _HEADER.size
-                expected = self._step_bytes * self.config.steps
-                raise TraceFormatError(
-                    f"{self.path}: payload is {size} bytes, expected {expected}")
-            got += count
-
-    def step(self, t: int) -> np.ndarray:
-        self.check_step(t)
-        if self._current is None or self._current[0] != t:
-            self._current = None  # drop the old step before the new one is allocated
-            data = np.empty(self._step_shape, dtype="<f4")
-            self._read_into(t * self._step_bytes, data)
-            self._current = (t, data)
-        return self._current[1]
-
-    def _head_slabs(self, layer: int, head: int) -> np.ndarray:
-        c = self.config
-        slabs = np.empty((c.steps, 2, c.tokens, c.head_dim), dtype="<f4")
-        start = (layer * c.heads + head) * 3 * c.tokens * c.head_dim * 4
-        for t in range(c.steps):
-            self._read_into(t * self._step_bytes + start, slabs[t])
-        return slabs
-
-    def close(self) -> None:
-        self._current = None
-        self._file.close()
-
-
-def generate_trace(config: TraceConfig) -> InMemoryTrace:
-    """Deterministically generate a trace; same (config, seed) gives identical bytes.
-
-    The float32 payload is allocated once and filled step by step from one
-    float64 AR(1) state and one float64 noise buffer.  Each step's noise is
-    the next slice of the seeded stream, so the bytes equal drawing every
-    step's noise at once.
+    One float64 AR(1) state and one float64 noise buffer carry the
+    trajectory, and one float32 step is written at a time.  Each step's
+    noise is the next slice of the seeded stream, so the bytes equal drawing
+    every step's noise at once.
     """
     config.validate()
-    kappa, scale = head_parameters(config)
     c = config
+    kappa, scale = head_parameters(c)
     rng = np.random.default_rng(np.random.SeedSequence([c.seed, _NOISE_STREAM]))
-    data = np.empty((c.steps, c.layers, c.heads, 3, c.tokens, c.head_dim), dtype=np.float32)
     blend = kappa[:, :, None, None, None]
     fresh = np.sqrt(1.0 - blend ** 2)
     scale = scale[:, :, None, None, None]
-    state = rng.standard_normal(data.shape[1:])
+    out.write(_HEADER.pack(
+        TRACE_MAGIC, TRACE_VERSION, c.layers, c.heads, c.tokens, c.head_dim, c.steps,
+        c.block_size, *c.velocity_shape, *c.kappa_range, *c.scale_range, c.seed))
+    step = np.empty((c.layers, c.heads, 3, c.tokens, c.head_dim), dtype="<f4")
+    state = rng.standard_normal(step.shape)
     noise = np.empty_like(state)
-    np.multiply(state, scale, out=noise)
-    data[0] = noise
-    for t in range(1, c.steps):
-        rng.standard_normal(out=noise)
-        state *= blend
-        noise *= fresh
-        state += noise
-        np.multiply(state, scale, out=noise)
-        data[t] = noise
-    return InMemoryTrace(config, data)
+    for t in range(c.steps):
+        if t:
+            rng.standard_normal(out=noise)
+            state *= blend
+            noise *= fresh
+            state += noise
+        np.multiply(state, scale, out=step)
+        out.write(memoryview(step).cast("B"))
 
 
-def write_trace(trace: DenoiseTrace, path: str | os.PathLike) -> None:
-    """Write the little-endian SATR container (header + f32 payload), atomically.
+def generate_trace(config: TraceConfig) -> DenoiseTrace:
+    """Deterministically generate a trace in memory; same (config, seed) gives identical bytes.
 
-    The payload is written one step at a time, from either kind of trace.
+    The SATR bytes ``write_trace`` would write go into an ``io.BytesIO``,
+    and the trace reads them as ``read_trace`` reads a file.
     """
-    c = trace.config
-    header = _HEADER.pack(
-        TRACE_MAGIC,
-        TRACE_VERSION,
-        c.layers,
-        c.heads,
-        c.tokens,
-        c.head_dim,
-        c.steps,
-        c.block_size,
-        c.velocity_shape[0],
-        c.velocity_shape[1],
-        c.velocity_shape[2],
-        c.kappa_range[0],
-        c.kappa_range[1],
-        c.scale_range[0],
-        c.scale_range[1],
-        c.seed,
-    )
+    stream = io.BytesIO()
+    _draw(config, stream)
+    return DenoiseTrace(stream, "<generated trace>")
+
+
+def write_trace(config: TraceConfig, path: str | os.PathLike) -> None:
+    """Generate the trace of ``config`` into a little-endian SATR file, atomically.
+
+    Each step is written as soon as it is drawn, so writing holds one step.
+    """
     with atomic_open(path) as fh:
-        fh.write(header)
-        for t in range(c.steps):
-            payload = np.ascontiguousarray(trace.step(t), dtype="<f4")
-            fh.write(memoryview(payload).cast("B"))
+        _draw(config, fh)
 
 
-def read_trace(path: str | os.PathLike) -> TraceFile:
+def read_trace(path: str | os.PathLike) -> DenoiseTrace:
     """Open a SATR file as a trace that reads its payload a step at a time.
 
-    The header and the payload size, taken from the file size, are checked
-    before the trace is returned; the payload stays on disk.  ``path`` must
-    name a regular file.  Use the trace in a ``with`` block, or ``close()``
-    it, to close the file.
+    ``path`` must name a regular file.  Use the trace in a ``with`` block,
+    or ``close()`` it, to close the file.
     """
     fh = open(path, "rb", buffering=0)
     try:
-        return TraceFile(_read_header(fh, path), fh, path)
+        if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            raise TraceFormatError(f"{path}: not a regular file")
+        return DenoiseTrace(fh, path)
     except BaseException:
         fh.close()
         raise
 
 
-def _read_header(fh: BinaryIO, path: str | os.PathLike) -> TraceConfig:
-    info = os.fstat(fh.fileno())
-    if not stat.S_ISREG(info.st_mode):
-        raise TraceFormatError(f"{path}: not a regular file")
-    head = fh.read(_HEADER.size)
+def _read_header(stream: BinaryIO, name: str | os.PathLike) -> TraceConfig:
+    stream.seek(0)
+    head = stream.read(_HEADER.size)
     if len(head) < _HEADER.size:
-        raise TraceFormatError(f"{path}: truncated header")
+        raise TraceFormatError(f"{name}: truncated header")
     fields = _HEADER.unpack(head)
     magic, version = fields[0], fields[1]
     if magic != TRACE_MAGIC:
-        raise TraceFormatError(f"{path}: bad magic {magic!r}")
+        raise TraceFormatError(f"{name}: bad magic {magic!r}")
     if version != TRACE_VERSION:
-        raise TraceFormatError(f"{path}: unsupported version {version}")
+        raise TraceFormatError(f"{name}: unsupported version {version}")
     layers, heads, tokens, head_dim, steps, block_size, vt, vh, vw = fields[2:11]
     kmin, kmax, smin, smax = fields[11:15]
     seed = fields[15]
     shape = (steps, layers, heads, 3, tokens, head_dim)
     # Python ints: a numpy product of header counts wraps at 2**64.
     expected = math.prod(shape) * 4
-    size = info.st_size - _HEADER.size
+    size = stream.seek(0, io.SEEK_END) - _HEADER.size
     if size != expected:
-        raise TraceFormatError(f"{path}: payload is {size} bytes, expected {expected}")
+        raise TraceFormatError(f"{name}: payload is {size} bytes, expected {expected}")
     try:
         return TraceConfig(
             layers=layers,
@@ -366,4 +327,4 @@ def _read_header(fh: BinaryIO, path: str | os.PathLike) -> TraceConfig:
             seed=seed,
         )
     except ConfigError as exc:
-        raise TraceFormatError(f"{path}: invalid header config: {exc}") from exc
+        raise TraceFormatError(f"{name}: invalid header config: {exc}") from exc

@@ -87,6 +87,34 @@ class TestGenTrace:
         assert "must be at most 4294967295" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("scale_min, scale_max", [
+        ("0.8", "inf"), ("0.8", "1e39"), ("3e38", "3.4e38"), ("1", "1.9e19"), ("0.8", "nan"),
+    ], ids=["inf", "beyond-float32", "overflowing-features", "above-2-64", "nan"])
+    def test_scale_range_that_could_overflow_fails_cleanly(self, tmp_path, runner,
+                                                          scale_min, scale_max):
+        # An infinite range used to end in an OverflowError traceback, and
+        # 3e38..3.4e38 wrote inf features that made every later output NaN.
+        out = tmp_path / "big"
+        result = runner.invoke(main, gen_args(out, scale_min=scale_min, scale_max=scale_max))
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert result.output.startswith("error:config: scale range must satisfy 0 < lo <= hi")
+        assert not out.exists()
+
+    def test_largest_scale_gives_finite_outputs(self, tmp_path, runner):
+        trace = tmp_path / "trace"
+        assert runner.invoke(main, gen_args(trace, scale_min=2 ** 63, scale_max=2 ** 64)
+                             ).exit_code == 0
+        result = runner.invoke(main, ["perturb", "--trace", str(trace / "trace.satr"),
+                                      "--out", str(tmp_path / "pert")])
+        assert result.exit_code == 0, result.output
+        _, rows = read_csv(tmp_path / "pert" / "perturb.csv")
+        assert all(math.isfinite(float(cell)) for row in rows for cell in row[1:])
+        result = runner.invoke(main, ["run", "--trace", str(trace / "trace.satr"),
+                                      "--out", str(tmp_path / "run")])
+        assert result.exit_code == 0, result.output
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        assert math.isfinite(summary["mean_velocity_rel_l2"])
+
 
 class TestAnalyze:
     def test_row_counts_and_frozen_iou(self, tmp_path, runner):
@@ -503,6 +531,21 @@ class TestGateForcedSummary:
         assert counts["gated"] > 0
 
 
+@pytest.mark.parametrize("scale_range", [(0.8, math.inf), (3e38, 3.4e38)],
+                         ids=["inf", "overflowing-features"])
+@pytest.mark.parametrize("command", ["analyze", "calibrate", "run", "perturb"])
+def test_header_scale_range_that_could_overflow_fails_cleanly(tmp_path, runner, command,
+                                                              scale_range):
+    path = tmp_path / "trace.satr"
+    path.write_bytes(_HEADER.pack(TRACE_MAGIC, TRACE_VERSION, 1, 1, 1, 1, 1, 1, 1, 1, 1,
+                                  0.2, 0.9, *scale_range, 0) + bytes(12))
+    result = runner.invoke(main, [command, "--trace", str(path), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert result.output.startswith(f"error:trace-format: {path}: invalid header config: "
+                                    "scale range must satisfy")
+    assert not (tmp_path / "out").exists()
+
+
 class TestOversizedProjection:
     @pytest.fixture()
     def huge_field_trace(self, tmp_path):
@@ -694,6 +737,8 @@ NUMERIC_FLAGS = {
                   "--head-dim": COUNT_VALUES, "--steps": COUNT_VALUES,
                   "--block-size": COUNT_VALUES,
                   "--velocity-shape": st.lists(COUNT_VALUES, min_size=3, max_size=3).map(",".join),
+                  "--kappa-min": FLOAT_VALUES, "--kappa-max": FLOAT_VALUES,
+                  "--scale-min": FLOAT_VALUES, "--scale-max": FLOAT_VALUES,
                   "--seed": INT_VALUES},
     "calibrate": {"--budget": FLOAT_VALUES, "--seed": INT_VALUES, "--intervals": INT_VALUES,
                   "--weights": FLOAT_LISTS, "--taus": TAU_LISTS},

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satool.errors import DomainError, ShapeMismatch
@@ -282,6 +282,8 @@ def reference_study(pipeline, alpha, seeds, steps):
     partition = band_partition(pipeline.trace.config.velocity_shape)
     dense = [pipeline.dense_forward(t) for t in steps]
     reference = np.sum(dense, axis=0)
+    if not reference.any():
+        raise DomainError("relative L2 is undefined for an all-zero step-integrated reference")
     peak = float(np.abs(reference).max())
     rows = []
     for region in REGIONS:
@@ -299,7 +301,7 @@ def reference_study(pipeline, alpha, seeds, steps):
             rows.append(StudyRow(
                 region=region, alpha=float(alpha), seed=seed,
                 norm_ratio=float(np.mean(ratios)) if ratios else 0.0,
-                psnr_db=psnr(reference + total_delta, reference, peak=peak if peak > 0 else 1.0),
+                psnr_db=psnr(reference + total_delta, reference, peak=peak),
                 rel_l2=float(np.linalg.norm(total_delta) / np.linalg.norm(reference)),
             ))
     return rows
@@ -328,18 +330,24 @@ class TestBatchedStudy:
                   for t in range(steps)]
         pipeline = FieldPipeline(fields)
         chosen = data.draw(st.lists(st.integers(0, steps - 1), min_size=1, unique=True))
-        # Unperturbed zero fields have no relative L2 (0 / 0).
-        assume(alpha > 0 or not zero_steps.issuperset(chosen))
         expected = outcome(reference_study, pipeline, alpha, seeds, chosen)
         assert outcome(perturbation_study, pipeline, alpha, seeds, chosen) == expected
 
-    @pytest.mark.parametrize("shape, region", [((8, 8, 8), "LL"), ((1, 1, 1), "LH")])
-    def test_errors_keep_their_messages(self, shape, region):
-        if region == "LL":
+    @pytest.mark.parametrize("shape, case", [((8, 8, 8), "LL"), ((1, 1, 1), "LH"),
+                                             ((1, 1, 1), "zero-sum")])
+    def test_errors_keep_their_messages(self, shape, case):
+        alphas = [0.1]
+        if case == "LL":
             fields, message = [np.ones(shape), np.zeros(shape)], \
                 "relative perturbation is undefined for an all-zero reference"
-        else:
+        elif case == "LH":
             fields, message = [np.ones(shape)], "region LH produced a degenerate perturbation"
-        with pytest.raises(DomainError) as info:
-            perturbation_study(FieldPipeline(fields), 0.1, seeds=[0])
-        assert str(info.value) == message
+        else:
+            # Fields that cancel leave no relative L2 (0 / 0 at alpha 0, x / 0 above it).
+            fields, message = [np.ones(shape), -np.ones(shape)], \
+                "relative L2 is undefined for an all-zero step-integrated reference"
+            alphas = [0.0, 0.1]
+        for alpha in alphas:
+            with pytest.raises(DomainError) as info:
+                perturbation_study(FieldPipeline(fields), alpha, seeds=[0])
+            assert str(info.value) == message

@@ -1,4 +1,7 @@
 import builtins
+import dataclasses
+import hashlib
+import io
 import math
 import os
 import tracemalloc
@@ -18,6 +21,7 @@ from satool.trace import (
     MAX_PROJECTION_ELEMENTS,
     TRACE_MAGIC,
     TRACE_VERSION,
+    DenoiseTrace,
     TraceConfig,
     generate_trace,
     head_parameters,
@@ -59,8 +63,24 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
+def payload(trace):
+    """Every step of a trace, (steps, layers, heads, 3, tokens, head_dim) float32."""
+    return np.stack([trace.step(t) for t in range(trace.config.steps)])
+
+
+def zero_values_satr(config, tmp_path):
+    """The SATR bytes of ``config``'s trace with every V entry set to zero."""
+    path = tmp_path / "zero_v.satr"
+    write_trace(config, path)
+    raw = bytearray(path.read_bytes())
+    c = config
+    steps = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size)
+    steps.reshape(c.steps, c.layers, c.heads, 3, c.tokens, c.head_dim)[:, :, :, 2] = 0.0
+    return bytes(raw)
+
+
 def mean_adjacent_l1(trace):
-    diffs = np.abs(np.diff(trace.data.astype(np.float64), axis=0))
+    diffs = np.abs(np.diff(payload(trace).astype(np.float64), axis=0))
     return float(diffs.mean())
 
 
@@ -121,18 +141,18 @@ class TestGenerateTrace:
     def test_frozen_heads_have_constant_features(self):
         trace = generate_trace(TraceConfig(kappa_range=(1.0, 1.0), steps=5))
         for t in range(1, 5):
-            np.testing.assert_array_equal(trace.data[t], trace.data[0])
+            np.testing.assert_array_equal(trace.step(t), trace.step(0))
 
     def test_determinism(self):
         cfg = TraceConfig(steps=4)
         a = generate_trace(cfg)
         b = generate_trace(cfg)
-        np.testing.assert_array_equal(a.data, b.data)
+        np.testing.assert_array_equal(payload(a), payload(b))
 
     def test_seed_changes_trace(self):
         a = generate_trace(TraceConfig(steps=4, seed=0))
         b = generate_trace(TraceConfig(steps=4, seed=1))
-        assert not np.array_equal(a.data, b.data)
+        assert not np.array_equal(payload(a), payload(b))
 
     def test_adjacent_distance_smaller_for_smoother_heads(self):
         smooth = generate_trace(TraceConfig(kappa_range=(0.99, 0.99), steps=10))
@@ -160,7 +180,7 @@ class TestGenerateTrace:
         assert drifts[-1] == 0.0
 
     def test_entries_finite(self, default_trace):
-        assert np.isfinite(default_trace.data).all()
+        assert np.isfinite(payload(default_trace)).all()
 
     @settings(max_examples=80, deadline=None)
     @given(steps=st.integers(1, 7), layers=st.integers(1, 3), heads=st.integers(1, 3),
@@ -176,8 +196,8 @@ class TestGenerateTrace:
                           head_dim=head_dim, steps=steps, block_size=block_size,
                           kappa_range=tuple(kappa), scale_range=tuple(scale),
                           velocity_shape=(1, 1, 1), seed=seed)
-        data = generate_trace(cfg).data
-        assert data.dtype == np.float32 and data.flags.c_contiguous
+        data = payload(generate_trace(cfg))
+        assert data.dtype == np.float32
         assert data.tobytes() == one_shot_payload(cfg).tobytes()
 
 
@@ -199,53 +219,60 @@ class TestAccessors:
 
 
 class TestTraceMemory:
-    """Generating holds the float32 payload once; writing and reading hold at most
-    one step of it (tracemalloc sees numpy's buffers)."""
+    """Writing holds one float32 step beside the float64 AR(1) state and noise;
+    reading holds one step (tracemalloc sees numpy's buffers)."""
 
     CONFIG = TraceConfig(layers=2, heads=4, tokens=32, head_dim=8, steps=40, block_size=4,
                          velocity_shape=(2, 2, 2), seed=3)
+    STEP = 2 * 4 * 3 * 32 * 8 * 4  # bytes of one float32 step
     SLACK = 64 * 1024
 
-    @property
-    def payload(self):
-        c = self.CONFIG
-        return c.steps * c.layers * c.heads * 3 * c.tokens * c.head_dim * 4
-
-    def test_generate_holds_payload_and_a_few_float64_steps(self):
-        trace, peak = traced_peak(generate_trace, self.CONFIG)
-        float64_step = 2 * self.payload // self.CONFIG.steps
-        assert trace.data.nbytes == self.payload
-        # The one-shot generator peaked at five payloads here (noise, features, cast).
-        assert peak <= self.payload + 4 * float64_step + self.SLACK
-
-    def test_write_copies_nothing(self, tmp_path):
-        trace = generate_trace(self.CONFIG)
-        _, peak = traced_peak(write_trace, trace, tmp_path / "t.satr")
-        assert peak <= self.SLACK
-        assert (tmp_path / "t.satr").stat().st_size == _HEADER.size + self.payload
+    def test_write_holds_one_step(self, tmp_path):
+        peaks = []
+        for steps in (8, 32):
+            path = tmp_path / f"t{steps}.satr"
+            _, peak = traced_peak(write_trace, dataclasses.replace(self.CONFIG, steps=steps), path)
+            assert path.stat().st_size == _HEADER.size + steps * self.STEP
+            # One float32 step, the float64 state and noise (two steps each),
+            # and numpy's buffer of 8192 float64 for the cast into the step.
+            assert peak <= 5 * self.STEP + 8192 * 8 + self.SLACK
+            peaks.append(peak)
+        assert abs(peaks[1] - peaks[0]) < self.STEP
 
     def test_read_holds_one_step(self, tmp_path):
         path = tmp_path / "t.satr"
-        write_trace(generate_trace(self.CONFIG), path)
+        write_trace(self.CONFIG, path)
 
         def read_every_step(path):
             with read_trace(path) as trace:
                 return [trace.step(t).nbytes for t in range(trace.config.steps)]
 
         sizes, peak = traced_peak(read_every_step, path)
-        assert sizes == [self.payload // self.CONFIG.steps] * self.CONFIG.steps
-        assert peak <= self.payload // self.CONFIG.steps + self.SLACK
+        assert sizes == [self.STEP] * self.CONFIG.steps
+        assert peak <= self.STEP + self.SLACK
 
-    def test_write_from_a_read_trace_holds_one_step(self, tmp_path):
-        write_trace(generate_trace(self.CONFIG), tmp_path / "a.satr")
 
-        def copy(source, target):
-            with read_trace(source) as trace:
-                write_trace(trace, target)
+class TestPinnedBytes:
+    """SATR bytes recorded before the generator wrote each step as it drew it.
 
-        _, peak = traced_peak(copy, tmp_path / "a.satr", tmp_path / "b.satr")
-        assert peak <= self.payload // self.CONFIG.steps + self.SLACK
-        assert (tmp_path / "a.satr").read_bytes() == (tmp_path / "b.satr").read_bytes()
+    Repeats within one version cannot see a generator change that moves
+    every trace; these hashes can.
+    """
+
+    QUICKSTART = TraceConfig(layers=2, heads=3, tokens=16, steps=6, block_size=4)
+    MANY_HEADS = TraceConfig(layers=4, heads=16, tokens=32, head_dim=8, steps=40, block_size=4,
+                             velocity_shape=(4, 4, 4), seed=3)
+
+    @pytest.mark.parametrize("config, sha256", [
+        (QUICKSTART, "0af5b4887100f9b0d05af61efe174296178ca0b26cdbc6f183f18fcd2e840c44"),
+        (MANY_HEADS, "73616e153247026b121419e276d9a5d94539bbcf5da461d0889627d0d0f247a0"),
+    ], ids=["quickstart", "many-heads-seed-3"])
+    def test_bytes_match_the_recorded_hash(self, tmp_path, config, sha256):
+        path = tmp_path / "trace.satr"
+        write_trace(config, path)
+        raw = path.read_bytes()
+        assert hashlib.sha256(raw).hexdigest() == sha256
+        assert payload(generate_trace(config)).tobytes() == raw[_HEADER.size:]
 
 
 class FailingWriter:
@@ -270,9 +297,9 @@ class TestAtomicWrites:
         monkeypatch.setattr(runio, "open", lambda path, mode: FailingWriter(builtins.open(path, mode)),
                             raising=False)
 
-    def test_failed_trace_write_leaves_no_files(self, tmp_path, small_trace, failing_open):
+    def test_failed_trace_write_leaves_no_files(self, tmp_path, small_config, failing_open):
         with pytest.raises(OSError, match="No space left"):
-            write_trace(small_trace, tmp_path / "trace.satr")
+            write_trace(small_config, tmp_path / "trace.satr")
         assert os.listdir(tmp_path) == []
 
     def test_failed_byte_write_keeps_old_file(self, tmp_path, failing_open):
@@ -283,13 +310,13 @@ class TestAtomicWrites:
         assert os.listdir(tmp_path) == ["out.json"]
         assert path.read_bytes() == b"old"
 
-    def test_failed_rename_removes_temp_file(self, tmp_path, small_trace, monkeypatch):
+    def test_failed_rename_removes_temp_file(self, tmp_path, small_config, monkeypatch):
         def refuse(src, dst):
             raise PermissionError(13, "Permission denied")
 
         monkeypatch.setattr(runio.os, "replace", refuse)
         with pytest.raises(PermissionError):
-            write_trace(small_trace, tmp_path / "trace.satr")
+            write_trace(small_config, tmp_path / "trace.satr")
         with pytest.raises(PermissionError):
             runio.atomic_write_bytes(tmp_path / "out.json", b"{}")
         assert os.listdir(tmp_path) == []
@@ -298,22 +325,22 @@ class TestAtomicWrites:
 class TestTraceFile:
     def test_round_trip(self, tmp_path, small_trace):
         path = tmp_path / "trace.satr"
-        write_trace(small_trace, path)
+        write_trace(small_trace.config, path)
         with read_trace(path) as back:
             assert back.config == small_trace.config
             for t in range(back.config.steps):
                 np.testing.assert_array_equal(back.step(t), small_trace.step(t))
 
-    def test_magic_bytes(self, tmp_path, small_trace):
+    def test_magic_bytes(self, tmp_path, small_config):
         path = tmp_path / "trace.satr"
-        write_trace(small_trace, path)
+        write_trace(small_config, path)
         assert path.read_bytes()[:4] == TRACE_MAGIC
 
     def test_byte_identical_rewrites(self, tmp_path, small_config):
         p1 = tmp_path / "a.satr"
         p2 = tmp_path / "b.satr"
-        write_trace(generate_trace(small_config), p1)
-        write_trace(generate_trace(small_config), p2)
+        write_trace(small_config, p1)
+        write_trace(small_config, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_rejects_bad_magic(self, tmp_path):
@@ -322,9 +349,9 @@ class TestTraceFile:
         with pytest.raises(TraceFormatError):
             read_trace(path)
 
-    def test_rejects_truncated_payload(self, tmp_path, small_trace):
+    def test_rejects_truncated_payload(self, tmp_path, small_config):
         path = tmp_path / "trace.satr"
-        write_trace(small_trace, path)
+        write_trace(small_config, path)
         data = path.read_bytes()
         path.write_bytes(data[:-8])
         with pytest.raises(TraceFormatError):
@@ -339,8 +366,8 @@ class TestTraceFile:
     ], ids=["trailing-bytes", "short-payload", "header-only", "short-header", "empty"])
     def test_size_errors_name_the_sizes(self, tmp_path, small_trace, cut, message):
         path = tmp_path / "trace.satr"
-        write_trace(small_trace, path)
-        n = small_trace.data.nbytes
+        write_trace(small_trace.config, path)
+        n = payload(small_trace).nbytes
         path.write_bytes(cut(path.read_bytes()))
         expected = message.format(n=n, n_plus_4=n + 4, n_minus_1=n - 1)
         with pytest.raises(TraceFormatError) as info:
@@ -353,7 +380,7 @@ class TestTraceFile:
 
     def test_read_array_is_writable(self, tmp_path, small_trace):
         path = tmp_path / "trace.satr"
-        write_trace(small_trace, path)
+        write_trace(small_trace.config, path)
         with read_trace(path) as back:
             for t in range(back.config.steps):
                 step = back.step(t)
@@ -416,16 +443,13 @@ class TestSurrogateModel:
 
 
 class TestDenseForward:
-    def test_zero_values_give_bias_field(self, small_config):
-        trace = generate_trace(small_config)
-        trace.data[:, :, :, 2, :, :] = 0.0
+    def test_zero_values_give_bias_field(self, small_config, tmp_path):
+        trace = DenoiseTrace(io.BytesIO(zero_values_satr(small_config, tmp_path)), "zero V")
         pipe = ForwardPipeline(trace)
         np.testing.assert_array_equal(pipe.dense_forward(0), pipe.model.field(pipe.model.bias))
 
     def test_zero_values_of_a_read_trace_give_bias_field(self, small_config, tmp_path):
-        zero_v = generate_trace(small_config)
-        zero_v.data[:, :, :, 2, :, :] = 0.0
-        write_trace(zero_v, tmp_path / "trace.satr")
+        (tmp_path / "trace.satr").write_bytes(zero_values_satr(small_config, tmp_path))
         with read_trace(tmp_path / "trace.satr") as trace:
             pipe = ForwardPipeline(trace)
             for t in range(small_config.steps):

@@ -1,4 +1,6 @@
-"""A trace read back from disk streams its payload: equal results, one step held, each byte read once."""
+"""A trace reads its SATR stream a step at a time: a generated trace (in memory) and the
+same trace read from a file give equal results, and a file trace holds one step and reads
+each byte it needs once."""
 
 import io
 import os
@@ -68,7 +70,7 @@ def model(generated):
 @pytest.fixture()
 def trace_path(generated, tmp_path):
     path = tmp_path / "trace.satr"
-    write_trace(generated, path)
+    write_trace(generated.config, path)
     return path
 
 
@@ -182,7 +184,7 @@ class TestPeakMemory:
         peaks = []
         for steps in (8, 32):
             path = tmp_path / f"t{steps}.satr"
-            write_trace(generate_trace(TraceConfig(steps=steps, **self.SHAPE)), path)
+            write_trace(TraceConfig(steps=steps, **self.SHAPE), path)
             peaks.append(self.peak(COMMANDS[name], path, model))
         bound = self.STEP_PAYLOAD + self.STEP_HEAD_OUTPUTS + 24 * self.STEP_RECORDS
         assert peaks[1] - peaks[0] < bound
@@ -191,8 +193,8 @@ class TestPeakMemory:
 class TestFileLifetime:
     def test_truncated_file_fails_the_next_read_naming_the_sizes(self, generated, trace_path):
         c = generated.config
-        payload = generated.data.nbytes
-        step_bytes = payload // c.steps
+        step_bytes = c.layers * c.heads * 3 * c.tokens * c.head_dim * 4
+        payload = step_bytes * c.steps
         with read_trace(trace_path) as trace:
             trace.step(0)
             os.truncate(trace_path, _HEADER.size + step_bytes + 5)
@@ -213,6 +215,15 @@ class TestFileLifetime:
             with pytest.raises(ToolkitError, match="closed"):
                 read()
         trace.close()
+
+    def test_a_closed_generated_trace_raises_a_toolkit_error(self):
+        trace = generate_trace(TraceConfig(steps=3, **SHAPE))
+        trace.step(0)
+        trace.close()
+        for read in (lambda: trace.step(1), lambda: trace.q(0, 0, 0),
+                     lambda: trace.head_qk(1, 2)):
+            with pytest.raises(ToolkitError, match="closed"):
+                read()
 
     def test_with_block_closes_the_file(self, trace_path):
         with read_trace(trace_path) as trace:
