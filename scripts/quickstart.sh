@@ -3,7 +3,8 @@
 # the `satool` entry point, then the determinism checks.  Every command that
 # writes files (gen-trace, analyze, calibrate, run and perturb) is repeated
 # into a second directory, and each pair must match byte for byte, manifests
-# included.  The last run is the ungated band.
+# included.  The mse objective is calibrated twice and diffed, then run on
+# its table.  The last run is the ungated band.
 #
 #   scripts/quickstart.sh [OUT_DIR]      (default: qs)
 #
@@ -31,4 +32,8 @@ $satool run       --trace "$trace" --out "$out/run30b" --table "$out/calib/calib
 diff -r "$out/run30" "$out/run30b"
 $satool perturb   --trace "$trace" --out "$out/pert2" --alpha 0.1 --seeds 0,1,2,3
 diff -r "$out/pert" "$out/pert2"
+$satool calibrate --trace "$trace" --out "$out/mse" --budget shared:0.9 --error mse
+$satool calibrate --trace "$trace" --out "$out/mse2" --budget shared:0.9 --error mse
+diff -r "$out/mse" "$out/mse2"
+$satool run       --trace "$trace" --out "$out/run-mse" --table "$out/mse/calibration.json" --delta 30
 $satool run       --trace "$trace" --out "$out/open" --delta 30 --gate-lo 0 --gate-hi 1

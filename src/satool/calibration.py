@@ -691,7 +691,8 @@ def additive_surrogate_gap(pipeline: ForwardPipeline, head_taus, step: int,
     Masks, changes and isolated errors come from one calibration measurement
     of the listed heads, each at its own threshold: each single error is the
     ``E`` calibration measures at this step.  The joint error is that of the
-    field after the sum of the heads' pre-activation changes.  A head may be
+    field after the sum of the heads' pre-activation changes: the bits of
+    ``sparse_forward`` on the same masks in the same order.  A head may be
     listed once.  With one head the gap is identically zero; interactions
     need two or more heads.
     """
@@ -721,7 +722,8 @@ def quadratic_scaling_probe(pipeline: ForwardPipeline, heads, step: int,
                             seed: int = 0, weights: BandWeights | None = None) -> dict:
     """Replace masks with tiny injected head perturbations and sweep their scale.
 
-    Each head's noise is projected to a pre-activation change once and then
+    The heads' noise is drawn as one (heads, tokens, head_dim) array,
+    projected to pre-activation changes once by ``head_changes`` and then
     scaled.  Returns per-scale joint errors and per-head single errors; for
     a smooth error functional both shrink approximately fourfold per halving.
     """
@@ -730,12 +732,11 @@ def quadratic_scaling_probe(pipeline: ForwardPipeline, heads, step: int,
         raise DomainError("the scaling probe needs at least two heads")
     cfg = pipeline.trace.config
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), _PROBE_STREAM]))
-    base = np.empty((len(heads), pipeline.model.bias.size))
+    noise = rng.standard_normal((len(heads), cfg.tokens, cfg.head_dim))
     for row, (layer, head) in enumerate(heads):
         reference = pipeline.dense_head_output(step, layer, head)
-        noise = rng.standard_normal((cfg.tokens, cfg.head_dim))
-        noise *= amplitude * np.linalg.norm(reference) / np.linalg.norm(noise)
-        base[row] = pipeline.model.head_columns(head, head + 1) @ noise.reshape(-1)
+        noise[row] *= amplitude * np.linalg.norm(reference) / np.linalg.norm(noise[row])
+    base = pipeline.model.head_changes([head for _, head in heads], noise)
 
     joint = {}
     single = {key: {} for key in heads}

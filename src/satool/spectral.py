@@ -117,7 +117,7 @@ def weighted_error(ratios, weights: BandWeights | None = None):
     """Weighted sum of the four band energy ratios.
 
     ``ratios`` is (..., 4); one set of ratios gives a float, leading axes
-    give an array of that shape.
+    give an array of that shape, each entry the bits of its ratios alone.
     """
     if weights is None:
         weights = BandWeights()
@@ -125,7 +125,7 @@ def weighted_error(ratios, weights: BandWeights | None = None):
     r = np.asarray(ratios, dtype=np.float64)
     if r.shape[-1:] != (4,):
         raise ShapeMismatch(f"expected four band ratios, got shape {r.shape}")
-    total = r @ w
+    total = (r * w).sum(axis=-1)
     return float(total) if r.ndim == 1 else total
 
 

@@ -11,7 +11,8 @@ one contiguous block of columns.  The map is linear before the tanh, so a
 head's effect is one pre-activation change, ``W[:, head columns] @ (new -
 dense)``, and the field after any set of changes is the tanh of the cached
 dense pre-activation plus their sum; changing one head reads 1/heads of the
-weight.
+weight.  ``SurrogateModel.head_changes`` is the one projection of such
+changes, so sparse forwards, calibration and probes sum the same bits.
 """
 
 from __future__ import annotations
@@ -153,6 +154,26 @@ class SurrogateModel:
         """Weight columns of heads ``start .. stop - 1``: a view, contiguous per row."""
         return self.weight[:, start * self.head_width:stop * self.head_width]
 
+    def head_changes(self, heads, outputs: np.ndarray) -> np.ndarray:
+        """Pre-activation change of each row's head output change, as (rows, V).
+
+        Row ``i`` projects ``outputs[i]``, a (tokens, head_dim) change of
+        head ``heads[i]``, through that head's weight columns.  The rows of a
+        head share one stacked matmul, and each row has the bits of
+        ``head_columns(h, h + 1) @ outputs[i].reshape(-1)``.
+        """
+        heads = np.asarray(heads, dtype=int).reshape(-1)
+        if np.size(outputs) != heads.size * self.head_width or (
+                heads.size and not 0 <= heads.min() <= heads.max() < self.heads):
+            raise ShapeMismatch(f"outputs of shape {np.shape(outputs)} do not give one "
+                                f"{self.head_width}-value change per head in [0, {self.heads})")
+        flat = np.asarray(outputs, dtype=np.float64).reshape(heads.size, self.head_width, 1)
+        changes = np.empty((heads.size, self.bias.size))
+        for head in sorted(set(heads.tolist())):
+            rows = np.flatnonzero(heads == head)
+            changes[rows] = np.matmul(self.head_columns(head, head + 1), flat[rows])[..., 0]
+        return changes
+
     def field(self, preactivation: np.ndarray) -> np.ndarray:
         """The velocity field for a pre-activation ``W f + b``; leading axes are batches."""
         return np.tanh(preactivation).reshape(*preactivation.shape[:-1], *self.velocity_shape)
@@ -177,16 +198,15 @@ class SurrogateModel:
 class ForwardPipeline:
     """Dense/sparse forwards of a trace through the surrogate, with a dense cache.
 
-    Dense results are cached: the field and the pre-activation ``W f + b``
-    of every step, and every head's attention output of the latest dense
-    step only (an older step's are computed again if asked for).  All
-    heads of a step go through batched attention calls of at most
-    PROB_CHUNK_ELEMENTS logits each.  Every other field is ``field_after`` a pre-activation change on
-    that cache: ``preactivation_changes`` gives one per masked head, and a
-    sparse forward sums each changed head's output differences over layers
-    and projects them through the weight columns of the changed heads only.
-    Heads whose mask keeps every block are skipped, so an all-full forward
-    returns the dense field bit for bit.
+    Dense results are cached: the pre-activation ``W f + b`` of every
+    step, and every head's attention output of the latest dense step only
+    (an older step's are computed again if asked for).  All heads of a
+    step go through batched attention calls of at most PROB_CHUNK_ELEMENTS
+    logits each.  Every other field is ``field_after`` a pre-activation
+    change on that cache: ``preactivation_changes`` gives one per masked
+    head, and a sparse forward is ``field_after`` the sum of its heads'
+    changes.  Heads whose mask keeps every block are skipped, so an
+    all-full forward returns the dense field bit for bit.
     """
 
     def __init__(self, trace: DenoiseTrace, model: SurrogateModel | None = None):
@@ -197,7 +217,6 @@ class ForwardPipeline:
             raise ShapeMismatch("surrogate fan-in or head count does not match the trace config")
         self.grid = c.grid
         self.last_dense_cached = False
-        self._fields: dict[int, np.ndarray] = {}
         self._pre: dict[int, np.ndarray] = {}
         self._head_out: tuple[int, np.ndarray] | None = None
 
@@ -232,7 +251,7 @@ class ForwardPipeline:
         for layer_out in out:
             by_head += layer_out.swapaxes(0, 1)
         pre = np.empty_like(self.model.bias)
-        self._fields[step] = self.model.project(features, preactivation=pre)
+        self.model.project(features, preactivation=pre)
         self._pre[step] = pre
 
     def _output_changes(self, step: int, layers: np.ndarray, heads: np.ndarray,
@@ -255,28 +274,24 @@ class ForwardPipeline:
 
     def dense_forward(self, step: int) -> np.ndarray:
         self.trace.check_step(step)
-        if step in self._fields:
-            self.last_dense_cached = True
-        else:
-            self.last_dense_cached = False
+        self.last_dense_cached = step in self._pre
+        if not self.last_dense_cached:
             self._compute_dense(step)
-        return self._fields[step]
+        return self.model.field(self._pre[step])
 
     def dense_head_output(self, step: int, layer: int, head: int) -> np.ndarray:
         self.check_head(layer, head)
-        if step not in self._fields:
+        if step not in self._pre:
             self.dense_forward(step)
         return self._head_outputs(step)[layer, head]
 
     def sparse_forward(self, step: int, masks: Mapping[tuple[int, int], BlockMask | None]) -> np.ndarray:
         """Forward with the listed heads masked; heads absent (or None) stay dense.
 
-        Every head with a non-full mask runs through one batched attention
-        call per chunk; output changes are summed per head in ``masks`` order
-        and projected with one matrix-vector product.
+        The field after the sum, in ``masks`` order, of the
+        ``preactivation_changes`` rows of every head whose mask is not full.
         """
         self.trace.check_step(step)
-        self.dense_forward(step)
         keys: list[tuple[int, int]] = []
         given: list[np.ndarray] = []
         for (layer, head), mask in masks.items():
@@ -287,30 +302,19 @@ class ForwardPipeline:
                 given.append(mask.retained)
         retained = np.array(given, dtype=bool).reshape(len(given), self.grid.total_blocks)
         partial = ~retained.all(axis=-1)
-        change = np.zeros_like(self.model.bias)
-        if partial.any():
-            layers, heads = np.array(keys)[partial].T
-            out = self._output_changes(step, layers, heads, retained[partial])
-            c = self.trace.config
-            by_head = np.zeros((c.heads, c.tokens, c.head_dim))
-            for row, head in enumerate(heads.tolist()):
-                by_head[head] += out[row]
-            start, stop = int(heads.min()), int(heads.max()) + 1
-            change = self.model.head_columns(start, stop) @ by_head[start:stop].reshape(-1)
-        return self.field_after(step, change)
+        layers, heads = np.array(keys, dtype=int).reshape(-1, 2)[partial].T
+        changes = self.preactivation_changes(step, layers, heads, retained[partial])
+        return self.field_after(step, changes.sum(axis=0))
 
     def preactivation_changes(self, step: int, layers: np.ndarray, heads: np.ndarray,
                               retained: np.ndarray) -> np.ndarray:
         """Pre-activation change of each row's one-head forward, as (rows, V).
 
         Row ``i`` masks only head ``(layers[i], heads[i])`` with the block
-        bitset ``retained[i]``.  All rows share the chunked attention of
-        ``sparse_forward``; a full mask gives an exactly zero change, so
-        callers save its attention by leaving it out.  Each head's rows are
-        projected with one matmul through that head's weight columns.  The
-        matmul may order its sums unlike ``sparse_forward``'s matrix-vector
-        product, so ``field_after`` a change (or a sum of changes) can
-        differ from the sparse forward in the last bits.
+        bitset ``retained[i]``.  All rows go through chunked attention, and
+        ``SurrogateModel.head_changes`` projects them, so each row has the
+        bits of asking for it alone.  A full mask gives an exactly zero
+        change, so callers save its attention by leaving it out.
         """
         self.trace.check_step(step)
         self.dense_forward(step)
@@ -323,13 +327,7 @@ class ForwardPipeline:
                 f"masks of shape {retained.shape} do not give one "
                 f"{self.grid.total_blocks}-block mask per row"
             )
-        out = self._output_changes(step, layers, heads, retained)
-        out = out.reshape(len(heads), self.model.head_width)
-        changes = np.empty((len(heads), self.model.bias.size))
-        for head in sorted(set(heads.tolist())):
-            rows = np.flatnonzero(heads == head)
-            changes[rows] = out[rows] @ self.model.head_columns(head, head + 1).T
-        return changes
+        return self.model.head_changes(heads, self._output_changes(step, layers, heads, retained))
 
     def field_after(self, step: int, changes: np.ndarray) -> np.ndarray:
         """The field of the dense pre-activation at ``step`` plus ``changes``.

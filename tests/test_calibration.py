@@ -539,8 +539,7 @@ class TestMeasureHead:
         assert scored == [(1,)] * len(steps)
         assert [(p.tau, p.sparsity, p.kept_blocks) for p in points] == \
             [(p.tau, p.sparsity, p.kept_blocks) for p in singles]
-        np.testing.assert_allclose([p.error for p in points], [p.error for p in singles],
-                                   rtol=1e-12, atol=0)
+        np.testing.assert_array_equal([p.error for p in points], [p.error for p in singles])
         assert points[-1].error == 0.0 and points[-1].kept_blocks == 3 * 64
 
         scored.clear()
@@ -669,8 +668,7 @@ def check_against_oracle(case):
     np.testing.assert_array_equal(batched.sparsity, sparsity)
     np.testing.assert_array_equal(batched.kept_blocks, kept)
     assert batched.block_denominator == cfg.grid.total_blocks * case["intervals"]
-    np.testing.assert_allclose(batched.error, error, rtol=1e-12, atol=0)
-    np.testing.assert_array_equal(batched.error == 0, error == 0)
+    np.testing.assert_array_equal(batched.error, error)
     # A full mask leaves the field dense, and tau = 1 keeps every block.
     full = batched.kept_blocks == batched.block_denominator
     assert full[..., taus.index(1.0)].all()
@@ -899,7 +897,7 @@ class TestAdditivityProbes:
         probed = [((0, 0), 0.85), ((1, 3), 0.9), ((2, 5), 1.0), ((3, 1), 0.85), ((3, 2), 0.9)]
         result = additive_surrogate_gap(measured_pipeline, probed, step=step)
         expected = [problem.error[layer, head, taus.index(tau)] for (layer, head), tau in probed]
-        np.testing.assert_allclose(result.single_errors, expected, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(result.single_errors, expected)
         assert result.single_errors[2] == 0.0
         assert all(result.single_errors[i] > 0 for i in (0, 1, 3, 4))
 
@@ -921,7 +919,7 @@ class TestAdditivityProbes:
         joint = spectral(measured_pipeline.sparse_forward(step, masks))
         result = additive_surrogate_gap(measured_pipeline, probed, step=step)
         assert result.joint_error == joint
-        np.testing.assert_allclose(result.single_errors, singles, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(result.single_errors, singles)
         assert result.single_errors[-1] == singles[-1] == 0.0
 
     def test_one_scoring_call_and_no_per_head_path(self, measured_pipeline, monkeypatch):

@@ -156,6 +156,15 @@ class TestWeightedError:
         bumped[2] += 0.1
         assert weighted_error(bumped, w1) >= weighted_error(ratios, w1)
 
+    @settings(max_examples=200, deadline=None)
+    @given(ratios=st.lists(st.lists(st.floats(0.0, 1e3), min_size=4, max_size=4),
+                           min_size=1, max_size=8),
+           weights=st.lists(st.floats(0.0, 1e3), min_size=4, max_size=4))
+    def test_batch_rows_equal_lone_calls_bitwise(self, ratios, weights):
+        weights = BandWeights(*weights)
+        batch = weighted_error(np.array(ratios), weights)
+        assert batch.tolist() == [weighted_error(np.array(row), weights) for row in ratios]
+
     def test_ratios_need_four_bands_on_the_last_axis(self):
         for shape in [(3,), (4, 3), ()]:
             with pytest.raises(ShapeMismatch):

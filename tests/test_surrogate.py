@@ -130,6 +130,30 @@ class TestHeadMajorWeight:
         with pytest.raises(ShapeMismatch):
             pipeline.model.project(np.zeros((CONFIG.tokens, CONFIG.heads * CONFIG.head_dim + 1)))
 
+    @settings(max_examples=100, deadline=None)
+    @given(heads=st.integers(1, 4), width=st.sampled_from([1, 6, 33, 128]),
+           values=st.sampled_from([1, 7, 64, 300]), data=st.data())
+    def test_head_changes_rows_are_lone_projections(self, heads, width, values, data):
+        # Repeated heads in any order: each row has the bits of a lone
+        # matrix-vector product through its head's columns.
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        model = SurrogateModel(rng.standard_normal((values, heads * width)),
+                               rng.standard_normal(values), (values, 1, 1), heads=heads)
+        rows = data.draw(st.lists(st.integers(0, heads - 1), max_size=10))
+        outputs = rng.standard_normal((len(rows), width, 1))
+        changes = model.head_changes(rows, outputs)
+        assert changes.shape == (len(rows), values)
+        for change, head, output in zip(changes, rows, outputs):
+            np.testing.assert_array_equal(change,
+                                          model.head_columns(head, head + 1) @ output.reshape(-1))
+
+    def test_head_changes_reject_bad_rows(self, pipeline):
+        model, width = pipeline.model, pipeline.model.head_width
+        for heads, outputs in (([CONFIG.heads], np.zeros((1, width))), ([-1], np.zeros((1, width))),
+                               ([0, 1], np.zeros((1, width))), ([0], np.zeros((1, width + 1)))):
+            with pytest.raises(ShapeMismatch):
+                model.head_changes(heads, outputs)
+
     def test_pipeline_rejects_model_with_other_head_split(self):
         trace = generate_trace(CONFIG)
         model = SurrogateModel.from_config(CONFIG)
@@ -220,7 +244,7 @@ class TestIncrementalForward:
 
 
 class TestSingleHeadResiduals:
-    """``field_after`` of ``preactivation_changes`` rows against sparse forwards."""
+    """``field_after`` of ``preactivation_changes`` rows against sparse forwards, bit for bit."""
 
     @settings(max_examples=60, deadline=None)
     @given(step=st.integers(0, CONFIG.steps - 1),
@@ -237,8 +261,7 @@ class TestSingleHeadResiduals:
         fields = pipeline.field_after(step, changes)
         assert fields.shape == (len(rows),) + CONFIG.velocity_shape
         for change, field, (key, mask) in zip(changes, fields, rows):
-            np.testing.assert_allclose(field, pipeline.sparse_forward(step, {key: mask}),
-                                       rtol=RTOL, atol=ATOL)
+            np.testing.assert_array_equal(field, pipeline.sparse_forward(step, {key: mask}))
             if mask.retained.all():
                 assert not change.any()
 
@@ -252,8 +275,8 @@ class TestSingleHeadResiduals:
         retained = np.array([mask.retained for mask in masks.values()]).reshape(-1, BLOCKS)
         changes = pipeline.preactivation_changes(step, layers, heads, retained)
         assert changes.shape == (len(masks), pipeline.model.bias.size)
-        np.testing.assert_allclose(pipeline.field_after(step, changes.sum(axis=0)),
-                                   pipeline.sparse_forward(step, masks), rtol=RTOL, atol=ATOL)
+        np.testing.assert_array_equal(pipeline.field_after(step, changes.sum(axis=0)),
+                                      pipeline.sparse_forward(step, masks))
 
     def test_rejects_bad_rows(self, pipeline):
         keep = np.zeros((1, BLOCKS), dtype=bool)
