@@ -4,7 +4,10 @@
 # writes files (gen-trace, analyze, calibrate, run and perturb) is repeated
 # into a second directory, and each pair must match byte for byte, manifests
 # included.  The mse objective is calibrated twice and diffed, then run on
-# its table.  The last run is the ungated band.
+# its table.  One calibrate also runs the brute-force oracle over all 729
+# assignments of the 2x3 heads and fails unless the solver picks its
+# selection; its outputs must equal the plain calibrate's.  The last run is
+# the ungated band.
 #
 #   scripts/quickstart.sh [OUT_DIR]      (default: qs)
 #
@@ -32,6 +35,8 @@ $satool run       --trace "$trace" --out "$out/run30b" --table "$out/calib/calib
 diff -r "$out/run30" "$out/run30b"
 $satool perturb   --trace "$trace" --out "$out/pert2" --alpha 0.1 --seeds 0,1,2,3
 diff -r "$out/pert" "$out/pert2"
+$satool calibrate --trace "$trace" --out "$out/oracle" --budget shared:0.9 --check-oracle
+diff -r "$out/calib" "$out/oracle"
 $satool calibrate --trace "$trace" --out "$out/mse" --budget shared:0.9 --error mse
 $satool calibrate --trace "$trace" --out "$out/mse2" --budget shared:0.9 --error mse
 diff -r "$out/mse" "$out/mse2"

@@ -6,18 +6,17 @@ dense reference, and average error and realized sparsity into one operating
 point per candidate.  Selecting one operating point per head to minimize total
 error subject to a global average-sparsity floor is a multiple-choice knapsack.
 It is solved by dominance pruning and depth-first branch and bound, with one
-dynamic-programming bound over integer sparsity units: skipped-block counts
-for measured problems, sparsity rounded up onto a fixed grid otherwise.  The
-bound table keeps every ceil(sqrt(n))-th row and rebuilds the others on
-demand, so it stays under a fixed cell cap.  A search that reaches its work
-limit reports ``optimal`` false and the proven gap.  A brute-force oracle
-cross-checks small instances.
+dynamic-programming bound over skipped-block counts.  The bound table keeps
+every ceil(sqrt(n))-th row and rebuilds the others on demand, so it stays
+under a fixed cell cap.  A search that reaches its work limit reports
+``optimal`` false and the proven gap.  A brute-force oracle cross-checks
+small instances.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from numbers import Integral, Real
 
 import numpy as np
@@ -66,7 +65,9 @@ class OperatingPoint:
     kept_blocks: int
 
 
-# Measured sparsity is 1 - kept / denominator, up to the rounding of a mean.
+# Each S is a float mean of per-step ratios, so it may stray from its exact
+# ratio of skipped blocks by rounding; the solver's unit bound allows this
+# much per head.
 _COUNT_TOL = 1e-12
 
 # Thresholds at most this far apart are one candidate: ``shared:<tau>`` and
@@ -78,58 +79,48 @@ TAU_MATCH_TOL = 1e-12
 class CalibrationProblem:
     """Measured operating points of every (layer, head, candidate).
 
-    ``kept_blocks`` holds the integer kept-block counts behind ``sparsity``,
-    summed over the sampled steps, and ``block_denominator`` is blocks per
-    head times sampled steps; both are None for problems not measured.
+    ``kept`` holds the kept-block count of each candidate at each sampled
+    step, out of ``blocks`` blocks per step.  Each candidate's sparsity
+    ``S`` is the mean over steps of ``1 - kept / blocks``.
     """
 
     taus: np.ndarray          # (K,)
-    sparsity: np.ndarray      # (layers, heads, K)
+    kept: np.ndarray          # (layers, heads, K, steps) integers
+    blocks: int
     error: np.ndarray         # (layers, heads, K)
     budget: float
-    kept_blocks: np.ndarray | None = None     # (layers, heads, K) integers
-    block_denominator: int | None = None
+    sparsity: np.ndarray = field(init=False, repr=False)  # (layers, heads, K)
 
     def __post_init__(self):
         self.taus = np.asarray(self.taus, dtype=np.float64)
-        self.sparsity = np.asarray(self.sparsity, dtype=np.float64)
+        self.kept = np.asarray(self.kept)
         self.error = np.asarray(self.error, dtype=np.float64)
         if self.taus.ndim != 1 or self.taus.size < 1:
             raise ConfigError("need at least one candidate threshold")
-        if self.sparsity.shape != self.error.shape or self.sparsity.ndim != 3:
-            raise ShapeMismatch("sparsity and error tensors must share (L, H, K) shape")
-        if self.sparsity.shape[2] != self.taus.size:
-            raise ShapeMismatch("candidate axis must match the threshold list")
-        if not (np.isfinite(self.sparsity).all() and np.isfinite(self.error).all()):
-            raise DomainError("measured tensors must be finite")
-        if np.any((self.sparsity < 0) | (self.sparsity > 1)):
-            raise DomainError("measured sparsity must lie in [0, 1]")
-        if (self.kept_blocks is None) != (self.block_denominator is None):
-            raise ConfigError("kept-block counts and their denominator go together")
-        if self.kept_blocks is not None:
-            self._check_counts()
-
-    def _check_counts(self) -> None:
-        kept, denom = np.asarray(self.kept_blocks), self.block_denominator
-        if kept.shape != self.sparsity.shape:
-            raise ShapeMismatch("kept-block counts must share the (L, H, K) shape")
-        if not np.issubdtype(kept.dtype, np.integer):
+        shape = self.kept.shape[:3]
+        if self.kept.ndim != 4 or self.error.shape != shape or shape[2] != self.taus.size:
+            raise ShapeMismatch("kept must be (L, H, K, steps) and error (L, H, K), "
+                                "with K the number of candidates")
+        if self.kept.shape[3] < 1:
+            raise ShapeMismatch("need at least one sampled step")
+        if not np.issubdtype(self.kept.dtype, np.integer):
             raise DomainError("kept-block counts must be integers")
-        if not isinstance(denom, Integral) or isinstance(denom, bool) or denom <= 0:
-            raise DomainError(f"block denominator must be a positive integer, got {denom!r}")
-        if kept.min() < 0 or kept.max() > denom:
-            raise DomainError(f"kept-block counts must lie in [0, {denom}]")
-        if np.abs(1.0 - kept / denom - self.sparsity).max() > _COUNT_TOL:
-            raise DomainError("kept-block counts disagree with the measured sparsity")
-        self.kept_blocks = kept
+        blocks = self.blocks
+        if not isinstance(blocks, Integral) or isinstance(blocks, bool) or blocks <= 0:
+            raise DomainError(f"blocks per step must be a positive integer, got {blocks!r}")
+        if np.any(self.kept < 0) or np.any(self.kept > blocks):
+            raise DomainError(f"kept-block counts must lie in [0, {blocks}]")
+        if not np.isfinite(self.error).all():
+            raise DomainError("measured errors must be finite")
+        self.sparsity = np.mean(1.0 - self.kept / blocks, axis=-1)
 
     @property
     def layers(self) -> int:
-        return self.sparsity.shape[0]
+        return self.error.shape[0]
 
     @property
     def heads(self) -> int:
-        return self.sparsity.shape[1]
+        return self.error.shape[1]
 
     @property
     def head_count(self) -> int:
@@ -163,7 +154,7 @@ class CalibrationTable:
     solver: str
     optimal: bool
     # Kept blocks of the selected thresholds over all heads and sampled
-    # steps, and the blocks those steps offer; None for unmeasured problems.
+    # steps, and the blocks those steps offer; None for tables read back.
     blocks_kept: int | None = None
     blocks_total: int | None = None
     # The search record: the proven gap (0.0 when optimal), nodes expanded and
@@ -297,8 +288,8 @@ def _measure_step(pipeline: ForwardPipeline, step: int, layers: np.ndarray, head
 
 
 def _measure(pipeline: ForwardPipeline, layers, heads, taus, steps, weights: BandWeights | None,
-             objective: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mean sparsity, mean error and summed kept blocks of the listed heads, each (n, K)."""
+             objective: str) -> tuple[np.ndarray, np.ndarray]:
+    """Kept blocks at each step, (n, K, steps), and mean errors, (n, K), of the listed heads."""
     taus = np.array([float(t) for t in taus])
     steps = list(steps)
     if not taus.size:
@@ -312,8 +303,7 @@ def _measure(pipeline: ForwardPipeline, layers, heads, taus, steps, weights: Ban
                 for step in steps]
     kept = np.stack([counts for counts, _ in per_step], axis=-1)
     error = np.stack([errors for _, errors in per_step], axis=-1)
-    sparsity = np.mean(1.0 - kept / pipeline.grid.total_blocks, axis=-1)
-    return sparsity, np.mean(error, axis=-1), kept.sum(axis=-1)
+    return kept, np.mean(error, axis=-1)
 
 
 def measure_head(pipeline: ForwardPipeline, layer: int, head: int, taus,
@@ -328,10 +318,13 @@ def measure_head(pipeline: ForwardPipeline, layer: int, head: int, taus,
     points.  An empty list raises DomainError.
     """
     pipeline.check_head(layer, head)
-    sparsity, error, kept = _measure(pipeline, [layer], [head], taus, steps, weights, objective)
+    kept, error = _measure(pipeline, [layer], [head], taus, steps, weights, objective)
+    problem = CalibrationProblem(taus=[float(t) for t in taus], kept=kept[None],
+                                 blocks=pipeline.grid.total_blocks, error=error[None], budget=0.0)
     return [
         OperatingPoint(tau=float(tau), sparsity=float(s), error=float(e), kept_blocks=int(b))
-        for tau, s, e, b in zip(taus, sparsity[0], error[0], kept[0])
+        for tau, s, e, b in zip(problem.taus, problem.sparsity[0, 0], error[0],
+                                kept[0].sum(axis=-1))
     ]
 
 
@@ -368,13 +361,10 @@ def build_problem(pipeline: ForwardPipeline, taus, intervals: int, budget: float
     steps = sample_timesteps(cfg.steps, intervals, seed)
     shape = (cfg.layers, cfg.heads, len(taus))
     layers, heads = np.divmod(np.arange(cfg.layers * cfg.heads), cfg.heads)
-    sparsity, error, kept = (
-        values.reshape(shape)
-        for values in _measure(pipeline, layers, heads, taus, steps, weights, objective)
-    )
-    return CalibrationProblem(taus=np.array(taus), sparsity=sparsity, error=error,
-                              budget=float(budget), kept_blocks=kept,
-                              block_denominator=pipeline.grid.total_blocks * len(steps))
+    kept, error = _measure(pipeline, layers, heads, taus, steps, weights, objective)
+    return CalibrationProblem(taus=np.array(taus), kept=kept.reshape(*shape, len(steps)),
+                              blocks=pipeline.grid.total_blocks, error=error.reshape(shape),
+                              budget=float(budget))
 
 
 def _assignment_stats(problem: CalibrationProblem, selection) -> tuple[float, float]:
@@ -397,15 +387,12 @@ def _make_table(problem: CalibrationProblem, selection, solver: str, optimal: bo
             sparsity=float(problem.sparsity[layer, head, k]),
             error=float(problem.error[layer, head, k]),
         ))
-    blocks_kept = blocks_total = None
-    if problem.kept_blocks is not None:
-        rows = np.arange(problem.head_count)
-        blocks_kept = int(problem.kept_blocks.reshape(problem.head_count, -1)[rows, selection].sum())
-        blocks_total = problem.block_denominator * problem.head_count
+    kept = problem.kept.reshape(problem.head_count, problem.taus.size, -1)
     return CalibrationTable(
         selections=selections, objective=objective, achieved_sparsity=achieved,
         budget=problem.budget, solver=solver, optimal=optimal,
-        blocks_kept=blocks_kept, blocks_total=blocks_total,
+        blocks_kept=int(kept[np.arange(problem.head_count), selection].sum()),
+        blocks_total=problem.blocks * kept.shape[-1] * problem.head_count,
     )
 
 
@@ -476,12 +463,10 @@ def _pareto_candidates(err_row: np.ndarray, spar_row: np.ndarray) -> list[int]:
             if not any(err_row[j] <= err_row[i] and spar_row[j] >= spar_row[i] for j in range(i))]
 
 
-# Bound and search limits.  Problems without measured counts get
-# _FLOAT_UNITS units per unit of sparsity.  The bound table holds at most
-# _TABLE_CELLS float64 cells at once.  The search stops after _WORK_LIMIT
-# units of work: one per node expanded and one per _ROW_WORK_CELLS cells of a
-# rebuilt table row, which take about as long as one node.
-_FLOAT_UNITS = 2 ** 10
+# Bound and search limits.  The bound table holds at most _TABLE_CELLS
+# float64 cells at once.  The search stops after _WORK_LIMIT units of work:
+# one per node expanded and one per _ROW_WORK_CELLS cells of a rebuilt table
+# row, which take about as long as one node.
 _TABLE_CELLS = 2 ** 24
 _WORK_LIMIT = 1_000_000
 _ROW_WORK_CELLS = 512
@@ -539,22 +524,18 @@ class _SuffixBound:
 
 def _unit_gains(problem: CalibrationProblem,
                 per_head: list[list[int]]) -> tuple[list[list[int]], int]:
-    """Integer sparsity units each candidate gains over its head's least, and the units needed.
+    """Skipped blocks each candidate gains over its head's least, and the blocks needed.
 
-    Measured problems count skipped blocks, which is exact; others round
-    ``S * _FLOAT_UNITS`` up, which never undercounts.  Any assignment that
-    passes the canonical float check gains at least the units needed: the
-    slack covers the ``_COUNT_TOL`` each head's ``S`` may stray from its count
-    plus the rounding of the sums.  Units are coarsened (rounded up again)
-    only when the resident table would exceed ``_TABLE_CELLS``.
+    A unit is one block skipped over the sampled steps.  Any assignment
+    that passes the canonical float check gains at least the units needed:
+    the slack covers the ``_COUNT_TOL`` each head's ``S`` may stray from its
+    count plus the rounding of the sums.  Units are coarsened (rounded up
+    again) only when the resident table would exceed ``_TABLE_CELLS``.
     """
     n = problem.head_count
-    if problem.kept_blocks is None:
-        denom = _FLOAT_UNITS
-        units = np.ceil(problem.sparsity.reshape(n, -1) * denom).astype(np.int64)
-    else:
-        denom = problem.block_denominator
-        units = denom - problem.kept_blocks.reshape(n, -1).astype(np.int64)
+    kept = problem.kept.reshape(n, problem.taus.size, -1).astype(np.int64)
+    denom = problem.blocks * kept.shape[-1]
+    units = denom - kept.sum(axis=-1)
     gains, least = [], 0
     for row, cands in enumerate(per_head):
         base = int(units[row, cands].min())

@@ -11,6 +11,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -194,16 +195,19 @@ def cmd_analyze(trace_path, out, token_p, tau):
 
 
 def _resolve_budget(budget_text: str, taus):
-    """Budget flag: a float, or shared:<tau> meaning that baseline's sparsity."""
+    """Budget flag: a finite float, or shared:<tau> meaning that baseline's sparsity."""
     try:
         if budget_text.startswith("shared:"):
             tau = float(budget_text.split(":", 1)[1])
             if not any(abs(tau - t) <= TAU_MATCH_TOL for t in taus):
                 raise DomainError(f"shared budget threshold {tau} must be a candidate")
             return None, tau
-        return float(budget_text), None
+        value = float(budget_text)
     except ValueError as exc:
         raise DomainError(f"could not parse --budget from {budget_text!r}") from exc
+    if not math.isfinite(value):
+        raise DomainError(f"budget must be a finite number, got {budget_text!r}")
+    return value, None
 
 
 @main.command("calibrate")
@@ -229,11 +233,10 @@ def cmd_calibrate(trace_path, out, budget, taus, intervals, weights, objective,
     if len(weight_list) != 4:
         raise DomainError(f"need four band weights, got {weights!r}")
     band_weights = BandWeights(*weight_list)
+    budget_value, budget_tau = _resolve_budget(budget, tau_list)
     with read_trace(trace_path) as trace:
-        pipeline = ForwardPipeline(trace)
-        budget_value, budget_tau = _resolve_budget(budget, tau_list)
-        problem = build_problem(pipeline, tau_list, intervals, budget=0.0, weights=band_weights,
-                                seed=seed, objective=objective)
+        problem = build_problem(ForwardPipeline(trace), tau_list, intervals, budget=0.0,
+                                weights=band_weights, seed=seed, objective=objective)
     if budget_tau is not None:
         budget_value = shared_threshold_baseline(problem, budget_tau)["achieved_sparsity"]
     problem.budget = float(budget_value)

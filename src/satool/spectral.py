@@ -129,41 +129,52 @@ def weighted_error(ratios, weights: BandWeights | None = None):
     return float(total) if r.ndim == 1 else total
 
 
-def band_perturbation(reference: np.ndarray, region: str, alpha: float, seed: int,
+def band_perturbation(reference: np.ndarray, region: str, alpha: float, seed,
                       partition: BandPartition | None = None) -> np.ndarray:
-    """Seeded real-valued perturbation confined to one frequency region.
+    """Seeded real-valued perturbations confined to one frequency region.
 
-    Built by restricting the spectrum of seeded white noise to the region and
-    inverse-transforming; the result is rescaled so its L2 norm is exactly
-    alpha times the reference norm.
+    ``reference`` is one (T, H, W) field with an int ``seed``, or a stack
+    (n, T, H, W) with one seed per field.  Each field's seeded white noise
+    is restricted to the region by one batched transform, each field's bits
+    those of transforming it alone, and rescaled so its L2 norm is exactly
+    alpha times its reference's norm.
     """
     if alpha < 0:
         raise DomainError(f"alpha must be nonnegative, got {alpha}")
+    reference = np.asarray(reference)
     if partition is None:
-        partition = band_partition(reference.shape)
-    if reference.shape != partition.shape:
+        partition = band_partition(reference.shape[-3:])
+    if reference.ndim not in (3, 4) or reference.shape[-3:] != partition.shape:
         raise ShapeMismatch(
             f"reference shape {reference.shape} does not match partition {partition.shape}"
         )
+    seeds = [seed] if reference.ndim == 3 else list(seed)
+    fields = reference.reshape(-1, *partition.shape)
+    if len(seeds) != len(fields):
+        raise ShapeMismatch(f"{len(fields)} reference fields need as many seeds, got {seeds}")
     if region not in REGIONS:
         raise DomainError(f"region must be one of {REGIONS}, got {region!r}")
     if alpha == 0.0:
-        return np.zeros(partition.shape)
-    ref_norm = float(np.linalg.norm(reference))
-    if ref_norm == 0.0:
+        return np.zeros(reference.shape)
+    ref_norms = [float(np.linalg.norm(field)) for field in fields]
+    if 0.0 in ref_norms:
         raise DomainError("relative perturbation is undefined for an all-zero reference")
-    rng = np.random.default_rng(
-        np.random.SeedSequence([int(seed), _PERTURB_STREAM, REGIONS.index(region)])
-    )
-    noise = rng.standard_normal(partition.shape)
+    noise = np.empty(fields.shape)
+    for row, field_seed in zip(noise, seeds):
+        rng = np.random.default_rng(
+            np.random.SeedSequence([int(field_seed), _PERTURB_STREAM, REGIONS.index(region)]))
+        rng.standard_normal(out=row)
     # Region masks are symmetric under frequency negation, so the masked
     # spectrum stays Hermitian and the inverse transform is real up to fp.
-    spectrum = np.fft.fftn(noise) * partition.mask(region)
-    delta = np.fft.ifftn(spectrum).real
-    norm = float(np.linalg.norm(delta))
-    if norm == 0.0:
-        raise DomainError(f"region {region} produced a degenerate perturbation")
-    return delta * (alpha * ref_norm / norm)
+    axes = (-3, -2, -1)
+    spectrum = np.fft.fftn(noise, axes=axes) * partition.mask(region)
+    delta = np.fft.ifftn(spectrum, axes=axes).real
+    for row, ref_norm in zip(delta, ref_norms):
+        norm = float(np.linalg.norm(row))
+        if norm == 0.0:
+            raise DomainError(f"region {region} produced a degenerate perturbation")
+        row *= alpha * ref_norm / norm
+    return delta.reshape(reference.shape)
 
 
 def psnr(a: np.ndarray, b: np.ndarray, peak: float) -> float:
@@ -197,9 +208,9 @@ def perturbation_study(pipeline, alpha: float, seeds, steps=None) -> list[StudyR
     i.e. the accumulated trajectory), as PSNR and relative L2 against the
     unperturbed integral; norm_ratio echoes the per-step input-side ratio.
     Each step may be listed once, and the summed reference must not be all
-    zero, whatever ``alpha``.  Each (region, seed) transforms all its
-    steps' noise in one batched pass; every perturbation is the one
-    ``band_perturbation`` gives that step's field and seed.
+    zero, whatever ``alpha``.  Each (region, seed) is one
+    ``band_perturbation`` call on the stack of step fields, step ``t``
+    seeded ``seed * 1_000_003 + t``.
     """
     if not (0.0 <= alpha <= MAX_ALPHA):
         raise DomainError(f"alpha must lie in [0, {MAX_ALPHA:g}], got {alpha}")
@@ -215,8 +226,8 @@ def perturbation_study(pipeline, alpha: float, seeds, steps=None) -> list[StudyR
     if len(set(steps)) != len(steps):
         raise DomainError(f"the perturbation study lists each step at most once, got {steps}")
     partition = band_partition(cfg.velocity_shape)
-    dense = [pipeline.dense_forward(t) for t in steps]
-    reference = np.sum(dense, axis=0)
+    dense = np.array([pipeline.dense_forward(t) for t in steps])
+    reference = dense.sum(axis=0)
     reference_norm = np.linalg.norm(reference)
     if reference_norm == 0.0:
         raise DomainError("relative L2 is undefined for an all-zero step-integrated reference")
@@ -225,44 +236,18 @@ def perturbation_study(pipeline, alpha: float, seeds, steps=None) -> list[StudyR
     rows: list[StudyRow] = []
     for region in REGIONS:
         for seed in seeds:
-            total_delta = np.zeros(partition.shape)
-            ratios = []
-            if alpha != 0.0:
-                deltas = _region_perturbations(partition, region, int(seed), steps)
-                for idx, delta in enumerate(deltas):
-                    if ref_norms[idx] == 0.0:
-                        raise DomainError(
-                            "relative perturbation is undefined for an all-zero reference")
-                    norm = float(np.linalg.norm(delta))
-                    if norm == 0.0:
-                        raise DomainError(f"region {region} produced a degenerate perturbation")
-                    delta = delta * (alpha * ref_norms[idx] / norm)
-                    ratios.append(float(np.linalg.norm(delta) / ref_norms[idx]))
-                    total_delta += delta
+            deltas = band_perturbation(dense, region, alpha,
+                                       [seed * 1_000_003 + t for t in steps], partition)
+            # At alpha 0 every delta is zero, and a step's reference may be too.
+            ratios = [float(np.linalg.norm(delta) / ref_norm) if alpha else 0.0
+                      for delta, ref_norm in zip(deltas, ref_norms)]
+            total_delta = deltas.sum(axis=0)
             rows.append(StudyRow(
                 region=region,
                 alpha=float(alpha),
                 seed=int(seed),
-                norm_ratio=float(np.mean(ratios)) if ratios else 0.0,
+                norm_ratio=float(np.mean(ratios)),
                 psnr_db=psnr(reference + total_delta, reference, peak=peak),
                 rel_l2=float(np.linalg.norm(total_delta) / reference_norm),
             ))
     return rows
-
-
-def _region_perturbations(partition: BandPartition, region: str, seed: int,
-                          steps: list[int]) -> np.ndarray:
-    """Each step's unscaled in-region noise, (steps, T, H, W), from one batched transform.
-
-    Step ``t`` draws the white noise ``band_perturbation`` draws for seed
-    ``seed * 1_000_003 + t``; each field's transform is that of transforming
-    it alone.
-    """
-    noise = np.empty((len(steps), *partition.shape))
-    for row, t in zip(noise, steps):
-        rng = np.random.default_rng(np.random.SeedSequence(
-            [seed * 1_000_003 + t, _PERTURB_STREAM, REGIONS.index(region)]))
-        rng.standard_normal(out=row)
-    axes = (-3, -2, -1)
-    spectrum = np.fft.fftn(noise, axes=axes) * partition.mask(region)
-    return np.fft.ifftn(spectrum, axes=axes).real

@@ -27,15 +27,27 @@ from .errors import ShapeMismatch
 from .trace import DenoiseTrace, TraceConfig, _MODEL_STREAM
 
 
-def attention_probs(q: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Row-softmax of scaled dot products, with max subtraction for stability.
+def attention_probs(q: np.ndarray, k: np.ndarray, allow: np.ndarray | None = None) -> np.ndarray:
+    """Row-softmax of scaled dot products over the allowed keys, with max subtraction.
 
-    Q and K are (..., tokens, D); leading axes are independent batches.
+    Q and K are (..., tokens, D) and ``allow`` is (..., tokens, tokens);
+    leading axes are independent batches, each computed bit for bit as it
+    would be alone.  Disallowed keys get probability 0.  A row whose allowed
+    set is empty has its logits cleared, so it comes out uniform.  The
+    softmax updates one logits-sized array in place, so a chunk's
+    temporaries stay at one PROB_CHUNK_ELEMENTS buffer.
     """
-    logits = (q @ np.swapaxes(k, -1, -2)) / math.sqrt(q.shape[-1])
+    logits = q @ np.swapaxes(k, -1, -2)
+    logits /= math.sqrt(q.shape[-1])
+    if allow is not None:
+        if allow.shape != logits.shape:
+            raise ShapeMismatch(f"mask shape {allow.shape} does not match scores {logits.shape}")
+        np.copyto(logits, -np.inf, where=~allow)
+        logits[~allow.any(axis=-1)] = 0.0
     logits -= logits.max(axis=-1, keepdims=True)
-    e = np.exp(logits)
-    return e / e.sum(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits
 
 
 # Cap on the float64 (tokens x tokens) logits one attention call handles:
@@ -55,29 +67,13 @@ def masked_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
                      allow: np.ndarray | None = None) -> np.ndarray:
     """Attention output with disallowed key positions excluded before softmax.
 
-    Q, K and V are (..., tokens, D) and ``allow`` is (..., tokens, tokens);
-    leading axes are independent heads, each computed bit for bit as it
-    would be alone.  Rows whose allowed set is empty produce a zero output
-    row: their logits are cleared before the softmax and their outputs
-    zeroed after it.  With an all-true (or absent) mask this reduces bit for
-    bit to dense attention.
+    ``attention_probs(q, k, allow) @ v``, with V (..., tokens, D).  Rows
+    whose allowed set is empty produce a zero output row.  With an all-true
+    (or absent) mask this reduces bit for bit to dense attention.
     """
-    # One logits-sized array, updated in place: a chunk's temporaries stay
-    # at one PROB_CHUNK_ELEMENTS buffer.
-    logits = q @ np.swapaxes(k, -1, -2)
-    logits /= math.sqrt(q.shape[-1])
+    out = attention_probs(q, k, allow) @ v
     if allow is not None:
-        if allow.shape != logits.shape:
-            raise ShapeMismatch(f"mask shape {allow.shape} does not match scores {logits.shape}")
-        np.copyto(logits, -np.inf, where=~allow)
-        dead = ~allow.any(axis=-1)
-        logits[dead] = 0.0
-    logits -= logits.max(axis=-1, keepdims=True)
-    np.exp(logits, out=logits)
-    logits /= logits.sum(axis=-1, keepdims=True)
-    out = logits @ v
-    if allow is not None:
-        out[dead] = 0.0
+        out[~allow.any(axis=-1)] = 0.0
     return out
 
 

@@ -71,13 +71,13 @@ def test_criterion_2_solver_oracle_equivalence():
         layers = 1 if heads_total % 2 else 2
         heads = heads_total // layers
         k = int(rng.integers(1, 4))
+        blocks, steps = int(rng.integers(1, 4097)), int(rng.integers(1, 5))
+        kept = rng.integers(0, blocks + 1, size=(layers, heads, k, steps))
         err = rng.uniform(0.0, 10.0, size=(layers, heads, k))
-        spar = rng.uniform(0.0, 1.0, size=(layers, heads, k))
-        max_ach = spar.max(axis=2).sum() / (layers * heads)
-        budget = float(rng.uniform(0.0, max_ach))
         problem = CalibrationProblem(
-            taus=np.linspace(0.95, 0.85, k), sparsity=spar, error=err, budget=budget,
+            taus=np.linspace(0.95, 0.85, k), kept=kept, blocks=blocks, error=err, budget=0.0,
         )
+        budget = problem.budget = float(rng.uniform(0.0, problem.max_achievable()))
         exact = solve_budgeted_assignment(problem)
         oracle = brute_force_assignment(problem)
         assert exact.objective == oracle.objective

@@ -25,7 +25,7 @@ from satool.calibration import (
     solve_budgeted_assignment,
     table_from_json_dict,
 )
-from satool.errors import ConfigError, DomainError, InfeasibleBudget, ShapeMismatch
+from satool.errors import DomainError, InfeasibleBudget, ShapeMismatch
 from satool.spectral import band_energy_ratios, band_partition, weighted_error
 from satool.surrogate import ForwardPipeline, masked_attention
 from satool.trace import TraceConfig, generate_trace
@@ -54,14 +54,24 @@ class TestSampleTimesteps:
             sample_timesteps(50, 4, seed=-1)
 
 
-def random_problem(rng, layers, heads, k, budget=None):
+def random_problem(rng, layers, heads, k, budget=None, blocks=64, steps=4):
+    """Random kept-block counts and errors; by default a budget below the maximum achievable."""
+    kept = rng.integers(0, blocks + 1, size=(layers, heads, k, steps))
     err = rng.uniform(0, 10, size=(layers, heads, k))
-    spar = rng.uniform(0, 1, size=(layers, heads, k))
-    max_ach = spar.max(axis=2).sum() / (layers * heads)
-    if budget is None:
-        budget = float(rng.uniform(0, max_ach))
-    taus = np.linspace(0.95, 0.85, k)
-    return CalibrationProblem(taus=taus, sparsity=spar, error=err, budget=budget)
+    problem = CalibrationProblem(taus=np.linspace(0.95, 0.85, k), kept=kept, blocks=blocks,
+                                 error=err, budget=0.0)
+    problem.budget = float(rng.uniform(0, problem.max_achievable())) if budget is None else budget
+    return problem
+
+
+def hand_problem():
+    """head 1: (tau=.95, S=.5, E=1), (tau=.85, S=.8, E=3);
+    head 2: (tau=.95, S=.6, E=2), (tau=.85, S=.9, E=10); budget 0.7.
+
+    One step of 10 blocks: 5, 2, 4 and 1 kept.
+    """
+    return CalibrationProblem(taus=np.array([0.95, 0.85]), kept=[[[[5], [2]]], [[[4], [1]]]],
+                              blocks=10, error=[[[1.0, 3.0]], [[2.0, 10.0]]], budget=0.7)
 
 
 class TestSolver:
@@ -72,12 +82,8 @@ class TestSolver:
         assert brute_force_assignment(prob).selection_indices() == (0, 0, 0, 0)
 
     def test_two_head_hand_instance(self):
-        # head 1: (tau=.95, S=.5, E=1), (tau=.85, S=.8, E=3)
-        # head 2: (tau=.95, S=.6, E=2), (tau=.85, S=.9, E=10); budget 0.7.
-        err = np.array([[[1.0, 3.0]], [[2.0, 10.0]]])
-        spar = np.array([[[0.5, 0.8]], [[0.6, 0.9]]])
-        prob = CalibrationProblem(taus=np.array([0.95, 0.85]), sparsity=spar,
-                                  error=err, budget=0.7)
+        prob = hand_problem()
+        np.testing.assert_array_equal(prob.sparsity, [[[0.5, 0.8]], [[0.6, 0.9]]])
         # Brute-force by hand over the four assignments: feasible ones are
         # (.85,.95) avg .7 obj 5 and (.85,.85) avg .85 obj 13 and (.95,.85) avg .7 obj 11.
         table = solve_budgeted_assignment(prob)
@@ -103,8 +109,8 @@ class TestSolver:
     @pytest.mark.parametrize("solver", [solve_budgeted_assignment, brute_force_assignment])
     def test_huge_negative_budget_matches_zero(self, rng, solver):
         prob = random_problem(rng, 2, 3, 3, budget=0.0)
-        low = CalibrationProblem(taus=prob.taus, sparsity=prob.sparsity, error=prob.error,
-                                 budget=-1e308)
+        low = CalibrationProblem(taus=prob.taus, kept=prob.kept, blocks=prob.blocks,
+                                 error=prob.error, budget=-1e308)
         assert solver(low).selection_indices() == solver(prob).selection_indices()
 
     def test_oracle_equivalence_randomized(self, rng):
@@ -130,11 +136,8 @@ class TestSolver:
         # 5.000000000000001, not 5 skipped blocks.  The budget the shared
         # baseline sets is that S, and the unit bound must still admit the
         # baseline itself.
-        kept = np.array([[[[0, 2, 2], [0, 1, 0]]]])
-        prob = CalibrationProblem(taus=np.array([0.9, 0.8]),
-                                  sparsity=np.mean(1.0 - kept / 3, axis=-1),
-                                  error=np.array([[[0.0, 1.5]]]), budget=0.0,
-                                  kept_blocks=kept.sum(axis=-1), block_denominator=9)
+        prob = CalibrationProblem(taus=np.array([0.9, 0.8]), kept=[[[[0, 2, 2], [0, 1, 0]]]],
+                                  blocks=3, error=[[[0.0, 1.5]]], budget=0.0)
         prob.budget = shared_threshold_baseline(prob, 0.9)["achieved_sparsity"]
         assert solve_budgeted_assignment(prob).selection_indices() == (0,)
         assert brute_force_assignment(prob).selection_indices() == (0,)
@@ -142,10 +145,9 @@ class TestSolver:
     def test_tie_breaks_prefer_sparsity_then_lex(self):
         # Two identical-error candidates; the sparser one must win, and among
         # fully tied candidates the lower index must win.
-        err = np.array([[[1.0, 1.0, 1.0]]])
-        spar = np.array([[[0.4, 0.6, 0.6]]])
-        prob = CalibrationProblem(taus=np.array([0.95, 0.9, 0.85]),
-                                  sparsity=spar, error=err, budget=0.0)
+        # S = 0.4, 0.6, 0.6: 3, 2 and 2 of 5 blocks kept.
+        prob = CalibrationProblem(taus=np.array([0.95, 0.9, 0.85]), kept=[[[[3], [2], [2]]]],
+                                  blocks=5, error=[[[1.0, 1.0, 1.0]]], budget=0.0)
         for solver in (solve_budgeted_assignment, brute_force_assignment):
             assert solver(prob).selection_indices() == (1,)
 
@@ -196,49 +198,31 @@ class TestSolver:
         )
 
 
-# Measured values drawn from a coarse grid (many ties) or anywhere in range.
+# Measured errors drawn from a coarse grid (many ties) or anywhere in range.
 _errors = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.floats(0.0, 10.0))
-_sparsities = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
 
 
 @st.composite
-def solver_instances(draw):
-    """At most 6 heads x 4 candidates, with a budget no larger than the maximum achievable."""
-    layers = draw(st.integers(1, 2))
-    heads = draw(st.integers(1, 6 // layers))
-    k = draw(st.integers(1, 4))
-    shape = (layers, heads, k)
-    err = draw(arrays(np.float64, shape, elements=_errors))
-    spar = draw(arrays(np.float64, shape, elements=_sparsities))
-    problem = CalibrationProblem(taus=np.linspace(0.95, 0.8, k), sparsity=spar, error=err,
-                                 budget=0.0)
-    problem.budget = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)) * \
-        problem.max_achievable()
-    return problem
+def measured_solver_instances(draw, blocks=st.sampled_from([1, 3, 4, 5, 16])):
+    """At most 6 heads x 4 candidates of kept-block counts over up to 4 steps.
 
-
-@st.composite
-def measured_solver_instances(draw):
-    """Problems with kept-block counts, S the mean over steps as ``build_problem`` derives it.
-
-    Counts and errors come from small sets, so candidates tie often; the
-    budget is often a shared baseline's achieved sparsity, the float
-    boundary that ``shared:`` budgets put the solver on.
+    With few blocks per step, counts and errors come from small sets, so
+    candidates tie often; with thousands, S lands almost anywhere in
+    [0, 1].  The budget is often a shared baseline's achieved sparsity,
+    the float boundary that ``shared:`` budgets put the solver on.
     """
     layers = draw(st.integers(1, 2))
     heads = draw(st.integers(1, 6 // layers))
     k, steps = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    blocks = draw(st.sampled_from([1, 3, 4, 5, 16]))
+    blocks = draw(blocks)
     shape = (layers, heads, k)
     kept = draw(arrays(np.int64, shape + (steps,), elements=st.integers(0, blocks)))
-    problem = CalibrationProblem(taus=np.linspace(0.95, 0.8, k),
-                                 sparsity=np.mean(1.0 - kept / blocks, axis=-1),
+    problem = CalibrationProblem(taus=np.linspace(0.95, 0.8, k), kept=kept, blocks=blocks,
                                  error=draw(arrays(np.float64, shape, elements=_errors)),
-                                 budget=0.0, kept_blocks=kept.sum(axis=-1),
-                                 block_denominator=blocks * steps)
+                                 budget=0.0)
     shared = shared_threshold_baseline(problem, float(problem.taus[draw(st.integers(0, k - 1))]))
     problem.budget = draw(st.sampled_from([shared["achieved_sparsity"]] * 2
-                                          + [problem.max_achievable()])
+                                          + [0.0, problem.max_achievable()])
                           | st.floats(0.0, 1.0).map(lambda f: f * problem.max_achievable()))
     return problem
 
@@ -262,10 +246,11 @@ def calibration_tables(draw):
 
 class TestProperties:
     @settings(max_examples=200, deadline=None)
-    @given(problem=solver_instances())
+    @given(problem=measured_solver_instances(blocks=st.integers(1, 4096)))
     def test_solver_matches_brute_force(self, problem):
         exact = solve_budgeted_assignment(problem)
         oracle = brute_force_assignment(problem)
+        assert exact.optimal and exact.gap == 0.0
         assert exact.objective == oracle.objective
         assert exact.selection_indices() == oracle.selection_indices()
         assert exact.achieved_sparsity == oracle.achieved_sparsity
@@ -280,6 +265,20 @@ class TestProperties:
         assert exact.selection_indices() == oracle.selection_indices()
         assert exact.achieved_sparsity == oracle.achieved_sparsity
 
+    @settings(max_examples=100, deadline=None)
+    @given(problem=measured_solver_instances(blocks=st.integers(1, 4096)))
+    def test_sparsity_and_block_totals_come_from_the_counts(self, problem):
+        expected = np.mean(1 - problem.kept / problem.blocks, axis=-1)
+        assert problem.sparsity.shape == expected.shape
+        assert problem.sparsity.tobytes() == expected.tobytes()
+        steps = problem.kept.shape[-1]
+        for table in (solve_budgeted_assignment(problem), brute_force_assignment(problem)):
+            chosen = [problem.kept[s.layer, s.head, s.index] for s in table.selections]
+            assert table.blocks_kept == int(np.sum(chosen))
+            assert table.blocks_total == problem.blocks * steps * problem.head_count
+            assert [s.sparsity for s in table.selections] == \
+                [problem.sparsity[s.layer, s.head, s.index] for s in table.selections]
+
     @settings(max_examples=200, deadline=None)
     @given(case=calibration_tables())
     def test_table_json_round_trip(self, case):
@@ -290,10 +289,10 @@ class TestProperties:
 
 
 def tie_problem():
-    """Candidates repeat within and across heads."""
+    """Candidates repeat within and across heads: S = 0.25, 0.5, 0, ... of 4 blocks."""
     err = np.array([[[1.0, 1.0, 0.0], [2.0, 0.5, 0.5], [1.0, 1.0, 1.0]]])
-    spar = np.array([[[0.25, 0.5, 0.0], [0.0, 0.5, 0.5], [0.25, 0.25, 0.25]]])
-    return CalibrationProblem(taus=np.array([0.95, 0.9, 0.85]), sparsity=spar, error=err,
+    kept = np.array([[[3, 2, 4], [4, 2, 2], [3, 3, 3]]])[..., None]
+    return CalibrationProblem(taus=np.array([0.95, 0.9, 0.85]), kept=kept, blocks=4, error=err,
                               budget=0.25)
 
 
@@ -362,9 +361,8 @@ def measured_form_problem(rng, heads, k=5, denom=256):
     """Random counts S = skipped / denom; higher thresholds keep more blocks and err less."""
     kept = np.sort(rng.integers(0, denom + 1, size=(1, heads, k)), axis=-1)
     err = np.sort(rng.uniform(0.0, 1.0, size=(1, heads, k)), axis=-1)[..., ::-1]
-    problem = CalibrationProblem(taus=np.linspace(0.8, 0.99, k), sparsity=1.0 - kept / denom,
-                                 error=err, budget=0.0, kept_blocks=kept,
-                                 block_denominator=denom)
+    problem = CalibrationProblem(taus=np.linspace(0.8, 0.99, k), kept=kept[..., None],
+                                 blocks=denom, error=err, budget=0.0)
     problem.budget = shared_threshold_baseline(problem, float(problem.taus[k // 2]))[
         "achieved_sparsity"]
     return problem
@@ -402,15 +400,16 @@ class TestSolverScale:
         assert peak <= megabytes * 2 ** 20
 
     def test_random_float_returns_with_gap(self):
-        # This instance does not close: it stops at the work limit.
+        # Random float errors and unordered random counts, with none of a
+        # measurement's structure, solve in bounded time; a search stopped at
+        # the work limit must still return a feasible table with its gap.
         rng = np.random.default_rng(1)
-        err, spar = rng.uniform(0, 10, size=(1, 360, 5)), rng.uniform(0, 1, size=(1, 360, 5))
-        problem = CalibrationProblem(taus=np.linspace(0.95, 0.8, 5), sparsity=spar, error=err,
-                                     budget=float(rng.uniform(0, spar.max(axis=2).sum() / 360)))
-        table, elapsed = timed_solve(problem)
-        assert elapsed < 30.0
-        assert table.achieved_sparsity >= problem.budget
-        assert table.optimal or 0.0 <= table.gap < math.inf
+        for blocks in (1024, 4096):
+            problem = random_problem(rng, 1, 360, 5, blocks=blocks, steps=1)
+            table, elapsed = timed_solve(problem)
+            assert elapsed < 30.0
+            assert table.achieved_sparsity >= problem.budget
+            assert table.optimal or 0.0 <= table.gap < math.inf
 
 
 class TestTauGrid:
@@ -441,19 +440,17 @@ class TestTauGrid:
 
 class TestSharedBaseline:
     def test_homogeneous_heads_match_solver(self):
+        # S = 0.3, 0.5, 0.7: 7, 5 and 3 of 10 blocks kept.
         err = np.tile(np.array([2.0, 1.0, 3.0]), (2, 2, 1))
-        spar = np.tile(np.array([0.3, 0.5, 0.7]), (2, 2, 1))
-        prob = CalibrationProblem(taus=np.array([0.95, 0.9, 0.85]),
-                                  sparsity=spar, error=err, budget=0.5)
+        kept = np.tile(np.array([[7], [5], [3]]), (2, 2, 1, 1))
+        prob = CalibrationProblem(taus=np.array([0.95, 0.9, 0.85]), kept=kept, blocks=10,
+                                  error=err, budget=0.5)
         table = solve_budgeted_assignment(prob)
         base = shared_threshold_baseline(prob, 0.9)
         assert table.objective == pytest.approx(base["objective"])
 
     def test_hand_arithmetic(self):
-        err = np.array([[[1.0, 3.0]], [[2.0, 10.0]]])
-        spar = np.array([[[0.5, 0.8]], [[0.6, 0.9]]])
-        prob = CalibrationProblem(taus=np.array([0.95, 0.85]), sparsity=spar,
-                                  error=err, budget=0.7)
+        prob = hand_problem()
         base = shared_threshold_baseline(prob, 0.95)
         assert base["achieved_sparsity"] == pytest.approx(0.55)
         assert base["objective"] == pytest.approx(3.0)
@@ -598,11 +595,11 @@ def oracle_measure_head(pipeline, layer, head, taus, steps, weights, partition, 
 
     Each (step, tau) scores the head, selects a mask, runs a one-head sparse
     forward and transforms that one residual.  Returns per-tau mean
-    sparsities, mean errors and kept blocks summed over steps.
+    sparsities, mean errors and kept blocks at each step.
     """
     errors = [[] for _ in taus]
     sparsities = [[] for _ in taus]
-    kept = [0 for _ in taus]
+    kept = [[] for _ in taus]
     for step in steps:
         scores = pipeline.scores(step, layer, head)
         dense = pipeline.dense_forward(step)
@@ -616,17 +613,18 @@ def oracle_measure_head(pipeline, layer, head, taus, steps, weights, partition, 
             else:
                 errors[j].append(float(np.mean(residual ** 2)))
             sparsities[j].append(1.0 - mask.count / mask.size)
-            kept[j] += mask.count
+            kept[j].append(mask.count)
     return ([float(np.mean(s)) for s in sparsities], [float(np.mean(e)) for e in errors], kept)
 
 
 def oracle_problem(pipeline, taus, intervals, seed, objective):
-    """(S, E, kept) of ``build_problem`` measured one (head, tau) at a time."""
+    """(S, E, kept at each step) of ``build_problem`` measured one (head, tau) at a time."""
     cfg = pipeline.trace.config
     steps = sample_timesteps(cfg.steps, intervals, seed)
     partition = band_partition(cfg.velocity_shape)
     shape = (cfg.layers, cfg.heads, len(taus))
-    sparsity, error, kept = np.empty(shape), np.empty(shape), np.empty(shape, dtype=np.int64)
+    sparsity, error = np.empty(shape), np.empty(shape)
+    kept = np.empty((*shape, len(steps)), dtype=np.int64)
     for layer in range(cfg.layers):
         for head in range(cfg.heads):
             sparsity[layer, head], error[layer, head], kept[layer, head] = oracle_measure_head(
@@ -666,16 +664,16 @@ def check_against_oracle(case):
     sparsity, error, kept = oracle_problem(ForwardPipeline(pipe.trace, pipe.model), taus,
                                            case["intervals"], **flags)
     np.testing.assert_array_equal(batched.sparsity, sparsity)
-    np.testing.assert_array_equal(batched.kept_blocks, kept)
-    assert batched.block_denominator == cfg.grid.total_blocks * case["intervals"]
+    np.testing.assert_array_equal(batched.kept, kept)
+    assert batched.blocks == cfg.grid.total_blocks
     np.testing.assert_array_equal(batched.error, error)
     # A full mask leaves the field dense, and tau = 1 keeps every block.
-    full = batched.kept_blocks == batched.block_denominator
+    full = (batched.kept == batched.blocks).all(axis=-1)
     assert full[..., taus.index(1.0)].all()
     assert not batched.error[full].any() and not batched.sparsity[full].any()
     batched.budget = case["budget_share"] * batched.max_achievable()
-    oracle = CalibrationProblem(taus=np.array(taus), sparsity=sparsity, error=error,
-                                budget=batched.budget)
+    oracle = CalibrationProblem(taus=np.array(taus), kept=kept, blocks=cfg.grid.total_blocks,
+                                error=error, budget=batched.budget)
     assert solve_budgeted_assignment(batched).selection_indices() == \
         solve_budgeted_assignment(oracle).selection_indices()
 
@@ -759,52 +757,53 @@ class TestBlockCounts:
     def test_measured_counts_and_table_totals(self, measured_pipeline):
         prob = build_problem(measured_pipeline, [0.85, 0.9, 1.0], intervals=3, budget=0.0,
                              seed=1)
-        denom = prob.block_denominator
-        assert denom == 64 * 3
-        assert prob.kept_blocks.dtype.kind == "i" and prob.kept_blocks.shape == (4, 6, 3)
-        assert prob.kept_blocks.min() >= 0 and (prob.kept_blocks[..., 2] == denom).all()
-        np.testing.assert_allclose(1 - prob.kept_blocks / denom, prob.sparsity,
+        denom = prob.blocks * 3
+        assert prob.blocks == 64
+        assert prob.kept.dtype.kind == "i" and prob.kept.shape == (4, 6, 3, 3)
+        assert prob.kept.min() >= 0 and (prob.kept[:, :, 2] == prob.blocks).all()
+        np.testing.assert_allclose(1 - prob.kept.sum(axis=-1) / denom, prob.sparsity,
                                    rtol=0, atol=1e-12)
         prob.budget = 0.5 * prob.max_achievable()
         table = solve_budgeted_assignment(prob)
         assert table.blocks_total == 24 * denom
-        assert table.blocks_kept == sum(int(prob.kept_blocks[s.layer, s.head, s.index])
+        assert table.blocks_kept == sum(int(prob.kept[s.layer, s.head, s.index].sum())
                                         for s in table.selections)
         payload = json.loads(json.dumps(table.to_json_dict()))
         assert (payload["blocks_kept"], payload["blocks_total"]) == \
             (table.blocks_kept, table.blocks_total)
         back = table_from_json_dict(payload)
         assert back.blocks_kept is None and back.blocks_total is None
-        assert "blocks_kept" not in solve_budgeted_assignment(
-            random_problem(np.random.default_rng(0), 1, 2, 2)).to_json_dict()
 
-    @pytest.mark.parametrize("kept, denom, error", [
-        ([[[2, 4]]], 4, None),
-        ([[[2.0, 4.0]]], 4, DomainError),
-        ([[2, 4]], 4, ShapeMismatch),
-        ([[[-1, 4]]], 4, DomainError),
-        ([[[2, 5]]], 4, DomainError),
-        ([[[3, 4]]], 4, DomainError),
-        ([[[2, 4]]], None, ConfigError),
-        (None, 4, ConfigError),
-        ([[[2, 4]]], 0, DomainError),
-        ([[[2, 4]]], 4.0, DomainError),
-        ([[[2, 4]]], True, DomainError),
-    ], ids=["valid", "float", "shape", "negative", "above-denominator", "disagrees-with-S",
-            "no-denominator", "no-counts", "zero-denominator", "float-denominator",
-            "bool-denominator"])
-    def test_counts_validated(self, kept, denom, error):
+    @pytest.mark.parametrize("kept, blocks, error", [
+        ([[[[2, 3], [4, 4]]]], 4, None),
+        ([[[[2.0], [4.0]]]], 4, DomainError),
+        ([[[2, 4]]], 4, ShapeMismatch),
+        ([[[[-1], [4]]]], 4, DomainError),
+        ([[[[2], [5]]]], 4, DomainError),
+        ([[[[2], [4]]]], 0, DomainError),
+        ([[[[2], [4]]]], 4.0, DomainError),
+        ([[[[2], [4]]]], True, DomainError),
+        ([[[[2], [4], [4]]]], 4, ShapeMismatch),
+        (np.zeros((1, 1, 2, 0), dtype=int), 4, ShapeMismatch),
+    ], ids=["valid", "float", "shape", "negative", "above-denominator", "zero-denominator",
+            "float-denominator", "bool-denominator", "candidates", "no-steps"])
+    def test_counts_validated(self, kept, blocks, error):
         def make():
-            return CalibrationProblem(
-                taus=np.array([0.9, 1.0]), sparsity=np.array([[[0.5, 0.0]]]),
-                error=np.array([[[1.0, 0.0]]]), budget=0.0,
-                kept_blocks=None if kept is None else np.array(kept), block_denominator=denom)
+            return CalibrationProblem(taus=np.array([0.9, 1.0]), kept=kept, blocks=blocks,
+                                      error=np.array([[[1.0, 0.0]]]), budget=0.0)
 
         if error is None:
-            assert make().kept_blocks.tolist() == kept
+            problem = make()
+            assert problem.kept.tolist() == kept
+            assert problem.sparsity.tolist() == [[[0.375, 0.0]]]
         else:
             with pytest.raises(error):
                 make()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_errors_must_be_finite(self, bad):
+        with pytest.raises(DomainError, match="measured errors must be finite"):
+            CalibrationProblem(taus=[0.9], kept=[[[[2]]]], blocks=4, error=[[[bad]]], budget=0.0)
 
 
 class TestBuildProblem:

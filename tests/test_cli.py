@@ -262,6 +262,19 @@ class TestCalibrate:
             assert result.exit_code == 1
             assert "error:domain:" in result.output
 
+    @pytest.mark.parametrize("budget", ["abc", "shared:0.7", "inf", "nan", "1e400", "-inf"])
+    def test_budget_checked_before_the_trace_is_opened(self, tmp_path, runner, budget):
+        # The trace does not exist: a bad budget must be reported, not the path.
+        args = ["calibrate", "--trace", str(tmp_path / "missing.satr"),
+                "--out", str(tmp_path / "out"), "--taus", "0.8,0.9"]
+        result = runner.invoke(main, [*args, "--budget", budget])
+        assert result.exit_code == 1
+        assert result.output.startswith("error:domain: "), result.output
+        result = runner.invoke(main, [*args, "--budget", "0.5"])
+        assert result.exit_code == 1
+        assert result.output.startswith("error:io: "), result.output
+        assert not (tmp_path / "out").exists()
+
     def test_mse_objective_runs(self, trace_dir, tmp_path, runner):
         out = tmp_path / "mse"
         result = runner.invoke(main, [

@@ -51,9 +51,9 @@ def comparable(result):
         return (result.records, result.predictions, result.reuse_rate, result.mean_sparsity,
                 result.mean_velocity_rel_l2, result.gate_forced, result.anchor_step.tolist(),
                 result.anchor_pooled.tolist(), result.anchor_keep.tolist())
-    if hasattr(result, "kept_blocks"):
-        return (result.sparsity.tolist(), result.error.tolist(), result.kept_blocks.tolist(),
-                result.block_denominator)
+    if hasattr(result, "kept"):
+        return (result.sparsity.tolist(), result.error.tolist(), result.kept.tolist(),
+                result.blocks)
     return result
 
 
