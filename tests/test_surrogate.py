@@ -234,13 +234,42 @@ class TestIncrementalForward:
         with pytest.raises(ShapeMismatch):
             pipeline.sparse_forward(0, {(0, 0): BlockMask(np.ones(BLOCKS + 1, dtype=bool))})
 
-    def test_dense_uses_one_float64_copy_per_step(self, pipeline):
+    def test_dense_head_outputs_are_per_head_attention(self, pipeline):
         # Dense head outputs equal attention on the per-head float64 copies.
         for layer, head in HEADS:
             expected = masked_attention(pipeline.trace.q(2, layer, head),
                                         pipeline.trace.k(2, layer, head),
                                         pipeline.trace.v(2, layer, head))
             np.testing.assert_array_equal(pipeline.dense_head_output(2, layer, head), expected)
+
+
+class TestHeldStep:
+    """The pipeline holds one step's dense state; another step is computed with the same bits."""
+
+    def test_returning_to_a_step_recomputes_it_bitwise(self, pipeline):
+        pipe = ForwardPipeline(pipeline.trace, pipeline.model)
+        first = pipe.dense_forward(1)
+        assert pipe.last_dense_cached is False
+        pipe.dense_forward(2)
+        again = pipe.dense_forward(1)
+        assert pipe.last_dense_cached is False
+        np.testing.assert_array_equal(again, first)
+        pipe.dense_forward(1)
+        assert pipe.last_dense_cached is True
+
+    def test_earlier_step_matches_a_fresh_pipeline(self, pipeline, rng):
+        layers, heads = np.array(HEADS).T
+        retained = rng.random((len(HEADS), BLOCKS)) < 0.5
+        moved = ForwardPipeline(pipeline.trace, pipeline.model)
+        moved.dense_forward(1)
+        moved.dense_forward(2)
+        fresh = ForwardPipeline(pipeline.trace, pipeline.model)
+        for layer, head in HEADS:
+            np.testing.assert_array_equal(moved.dense_head_output(1, layer, head),
+                                          fresh.dense_head_output(1, layer, head))
+        moved.dense_forward(2)
+        np.testing.assert_array_equal(moved.preactivation_changes(1, layers, heads, retained),
+                                      fresh.preactivation_changes(1, layers, heads, retained))
 
 
 class TestSingleHeadResiduals:
