@@ -6,8 +6,9 @@
 # included.  The mse objective is calibrated twice and diffed, then run on
 # its table.  One calibrate also runs the brute-force oracle over all 729
 # assignments of the 2x3 heads and fails unless the solver picks its
-# selection; its outputs must equal the plain calibrate's.  The last run is
-# the ungated band.
+# selection; its outputs must equal the plain calibrate's.  The last good
+# run is the ungated band.  Last, `run` on a copy of the trace with one NaN
+# payload value must exit 1 with error:trace-format and write nothing.
 #
 #   scripts/quickstart.sh [OUT_DIR]      (default: qs)
 #
@@ -42,3 +43,15 @@ $satool calibrate --trace "$trace" --out "$out/mse2" --budget shared:0.9 --error
 diff -r "$out/mse" "$out/mse2"
 $satool run       --trace "$trace" --out "$out/run-mse" --table "$out/mse/calibration.json" --delta 30
 $satool run       --trace "$trace" --out "$out/open" --delta 30 --gate-lo 0 --gate-hi 1
+
+# The NaN goes in the first payload value: the little-endian float32 at
+# byte 68, right after the header.
+bad="$out/nan.satr"
+cp "$trace" "$bad"
+printf '\000\000\300\177' | dd of="$bad" bs=1 seek=68 conv=notrunc 2>/dev/null
+status=0
+$satool run       --trace "$bad" --out "$out/nan-run" 2>"$out/nan.err" || status=$?
+if [ "$status" -ne 1 ] || ! grep -q '^error:trace-format: ' "$out/nan.err" || [ -e "$out/nan-run" ]; then
+    echo "quickstart: a NaN payload value gave exit $status: $(cat "$out/nan.err")" >&2
+    exit 1
+fi

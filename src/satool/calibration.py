@@ -29,8 +29,6 @@ from .errors import ConfigError, DomainError, InfeasibleBudget, ShapeMismatch
 from .spectral import BandWeights, band_energy_ratios, band_partition, weighted_error
 from .surrogate import ForwardPipeline
 
-_PROBE_STREAM = 505
-
 # Pruning margin: bounds accumulate floats in search order while incumbents are
 # recomputed canonically, so equality comparisons need slack well above fp noise.
 _BOUND_SLACK = 1e-9
@@ -112,6 +110,11 @@ class CalibrationProblem:
             raise DomainError(f"kept-block counts must lie in [0, {blocks}]")
         if not np.isfinite(self.error).all():
             raise DomainError("measured errors must be finite")
+        # No assignment's objective is larger in magnitude than this sum.
+        with np.errstate(over="ignore"):
+            largest = np.abs(self.error).max(axis=2).sum()
+        if not np.isfinite(largest):
+            raise DomainError("measured errors overflow when summed over heads")
         self.sparsity = np.mean(1.0 - self.kept / blocks, axis=-1)
 
     @property
@@ -237,54 +240,43 @@ def table_from_json_dict(payload: dict) -> CalibrationTable:
     )
 
 
-def _field_errors(pipeline: ForwardPipeline, step: int, changes: np.ndarray,
-                  weights: BandWeights | None, objective: str) -> float | np.ndarray:
-    """Error of the field after each pre-activation change (..., V) against the dense field.
-
-    ``fft`` is the weighted four-band error, ``mse`` the mean squared
-    difference.  One change gives a float; leading axes give an array.
-    """
-    dense = pipeline.dense_forward(step)
-    residual = pipeline.field_after(step, changes) - dense
-    if objective == "fft":
-        partition = band_partition(pipeline.trace.config.velocity_shape)
-        return weighted_error(band_energy_ratios(residual, dense, partition), weights)
-    return np.mean((residual ** 2).reshape(*residual.shape[:-3], -1), axis=-1)
-
-
 def _measure_step(pipeline: ForwardPipeline, step: int, layers: np.ndarray, heads: np.ndarray,
                   taus: np.ndarray, weights: BandWeights | None,
-                  objective: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Kept-block counts, errors, masks and pre-activation changes of each head and tau at a step.
+                  objective: str) -> tuple[np.ndarray, np.ndarray]:
+    """Kept-block counts and errors, (n, K), of each head and tau at a step.
 
-    ``layers`` and ``heads`` list n heads; ``taus`` is (K,) or one row per
-    head, (n, K).  Counts and errors are (n, K), masks (n, K, M) and
-    changes (n, K, V).  One scoring call covers every head and one
-    ``top_p_mask`` call selects every (head, threshold) row.  A row that
-    keeps every block has change 0 and error exactly 0; the others share
-    one batched change pass and one error pass.
+    ``layers`` and ``heads`` list n heads; ``taus`` is (K,).  One scoring
+    call covers every head and one ``top_p_mask`` call selects every
+    (head, threshold) row.  A row that keeps every block has error exactly
+    0; the others share one batched ``preactivation_changes`` pass and one
+    error pass against the dense field: ``fft`` is the weighted four-band
+    error, ``mse`` the mean squared difference.
     """
     trace, grid = pipeline.trace, pipeline.grid
     trace.check_step(step)
     # Sorted like np.unique (NaN last), which would import numpy.ma.
-    for tau in np.sort(taus, axis=None).tolist():
+    for tau in np.sort(taus).tolist():
         check_tau(tau)
-    n, k, blocks = len(heads), taus.shape[-1], grid.total_blocks
+    n, k, blocks = len(heads), taus.size, grid.total_blocks
     scores = BlockScores(block_score_values(trace.q(step, layers, heads),
                                             trace.k(step, layers, heads), grid))
     scores.validate()
-    masks = top_p_mask(np.broadcast_to(scores.values[:, None], (n, k, blocks)), taus)
-    keep = masks.reshape(n * k, blocks)
+    keep = top_p_mask(np.broadcast_to(scores.values[:, None], (n, k, blocks)),
+                      taus).reshape(n * k, blocks)
     kept = keep.sum(axis=-1)
     error = np.zeros(n * k)
-    changes = np.zeros((n * k, pipeline.model.bias.size))
     rows = np.flatnonzero(kept < blocks)
     if rows.size:
         at = rows // k
-        partial = pipeline.preactivation_changes(step, layers[at], heads[at], keep[rows])
-        changes[rows] = partial
-        error[rows] = _field_errors(pipeline, step, partial, weights, objective)
-    return kept.reshape(n, k), error.reshape(n, k), masks, changes.reshape(n, k, -1)
+        changes = pipeline.preactivation_changes(step, layers[at], heads[at], keep[rows])
+        dense = pipeline.dense_forward(step)
+        residual = pipeline.field_after(step, changes) - dense
+        if objective == "fft":
+            partition = band_partition(trace.config.velocity_shape)
+            error[rows] = weighted_error(band_energy_ratios(residual, dense, partition), weights)
+        else:
+            error[rows] = np.mean((residual ** 2).reshape(rows.size, -1), axis=-1)
+    return kept.reshape(n, k), error.reshape(n, k)
 
 
 def _measure(pipeline: ForwardPipeline, layers, heads, taus, steps, weights: BandWeights | None,
@@ -299,11 +291,13 @@ def _measure(pipeline: ForwardPipeline, layers, heads, taus, steps, weights: Ban
     if not steps:
         raise DomainError("need at least one sampled step")
     layers, heads = np.asarray(layers), np.asarray(heads)
-    per_step = [_measure_step(pipeline, step, layers, heads, taus, weights, objective)[:2]
+    per_step = [_measure_step(pipeline, step, layers, heads, taus, weights, objective)
                 for step in steps]
     kept = np.stack([counts for counts, _ in per_step], axis=-1)
     error = np.stack([errors for _, errors in per_step], axis=-1)
-    return kept, np.mean(error, axis=-1)
+    # A mean whose sum overflows is inf, which CalibrationProblem rejects.
+    with np.errstate(over="ignore"):
+        return kept, np.mean(error, axis=-1)
 
 
 def measure_head(pipeline: ForwardPipeline, layer: int, head: int, taus,
@@ -644,87 +638,3 @@ def shared_threshold_baseline(problem: CalibrationProblem, tau: float) -> dict:
         "achieved_sparsity": achieved,
         "feasible": achieved >= problem.budget,
     }
-
-
-@dataclass
-class GapResult:
-    joint_error: float
-    single_errors: list[float]
-    additive_error: float
-    abs_gap: float
-    rel_gap: float
-
-
-def _probe_heads(pipeline: ForwardPipeline, heads) -> list[tuple[int, int]]:
-    """The probed (layer, head) pairs: out of range raises ShapeMismatch, a repeat DomainError."""
-    heads = [tuple(key) for key in heads]
-    for layer, head in heads:
-        pipeline.check_head(layer, head)
-    if len(set(heads)) != len(heads):
-        raise DomainError("a probe lists each head at most once")
-    return heads
-
-
-def additive_surrogate_gap(pipeline: ForwardPipeline, head_taus, step: int,
-                           weights: BandWeights | None = None) -> GapResult:
-    """Joint multi-head sparsification error versus the sum of isolated errors.
-
-    Masks, changes and isolated errors come from one calibration measurement
-    of the listed heads, each at its own threshold: each single error is the
-    ``E`` calibration measures at this step.  The joint error is that of the
-    field after the sum of the heads' pre-activation changes: the bits of
-    ``sparse_forward`` on the same masks in the same order.  A head may be
-    listed once.  With one head the gap is identically zero; interactions
-    need two or more heads.
-    """
-    head_taus = list(head_taus)
-    if not head_taus:
-        raise DomainError("the additivity probe needs at least one head")
-    keys = _probe_heads(pipeline, [key for key, _ in head_taus])
-    taus = np.array([[float(tau)] for _, tau in head_taus])
-    layers, heads = np.array(keys).T
-    _, singles, _, changes = _measure_step(pipeline, step, layers, heads, taus, weights, "fft")
-    joint = _field_errors(pipeline, step, changes[:, 0].sum(axis=0), weights, "fft")
-    singles = singles[:, 0].tolist()
-    additive = float(np.sum(singles))
-    abs_gap = abs(joint - additive)
-    denom = max(abs(joint), abs(additive))
-    return GapResult(
-        joint_error=joint,
-        single_errors=singles,
-        additive_error=additive,
-        abs_gap=abs_gap,
-        rel_gap=abs_gap / denom if denom > 0 else 0.0,
-    )
-
-
-def quadratic_scaling_probe(pipeline: ForwardPipeline, heads, step: int,
-                            scales=(1.0, 0.5, 0.25), amplitude: float = 1e-3,
-                            seed: int = 0, weights: BandWeights | None = None) -> dict:
-    """Replace masks with tiny injected head perturbations and sweep their scale.
-
-    The heads' noise is drawn as one (heads, tokens, head_dim) array,
-    projected to pre-activation changes once by ``head_changes`` and then
-    scaled.  Returns per-scale joint errors and per-head single errors; for
-    a smooth error functional both shrink approximately fourfold per halving.
-    """
-    heads = _probe_heads(pipeline, heads)
-    if len(heads) < 2:
-        raise DomainError("the scaling probe needs at least two heads")
-    cfg = pipeline.trace.config
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), _PROBE_STREAM]))
-    noise = rng.standard_normal((len(heads), cfg.tokens, cfg.head_dim))
-    for row, (layer, head) in enumerate(heads):
-        reference = pipeline.dense_head_output(step, layer, head)
-        noise[row] *= amplitude * np.linalg.norm(reference) / np.linalg.norm(noise[row])
-    base = pipeline.model.head_changes([head for _, head in heads], noise)
-
-    joint = {}
-    single = {key: {} for key in heads}
-    for s in scales:
-        scaled = s * base
-        joint[s] = _field_errors(pipeline, step, scaled.sum(axis=0), weights, "fft")
-        errors = _field_errors(pipeline, step, scaled, weights, "fft")
-        for key, error in zip(heads, errors.tolist()):
-            single[key][s] = error
-    return {"joint": joint, "single": single, "scales": list(scales)}

@@ -12,7 +12,7 @@ head's effect is one pre-activation change, ``W[:, head columns] @ (new -
 dense)``, and the field after any set of changes is the tanh of the held
 dense pre-activation plus their sum; changing one head reads 1/heads of the
 weight.  ``SurrogateModel.head_changes`` is the one projection of such
-changes, so sparse forwards, calibration and probes sum the same bits.
+changes, so sparse forwards and calibration sum the same bits.
 """
 
 from __future__ import annotations
@@ -263,10 +263,6 @@ class ForwardPipeline:
         self.trace.check_step(step)
         self.last_dense_cached = self._dense is not None and self._dense[0] == step
         return self.model.field(self._state(step)[1])
-
-    def dense_head_output(self, step: int, layer: int, head: int) -> np.ndarray:
-        self.check_head(layer, head)
-        return self._state(step)[2][layer, head]
 
     def sparse_forward(self, step: int, masks: Mapping[tuple[int, int], BlockMask | None]) -> np.ndarray:
         """Forward with the listed heads masked; heads absent (or None) stay dense.

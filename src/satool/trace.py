@@ -147,9 +147,10 @@ class DenoiseTrace:
     and ``head``, broadcast together: they gather those heads into one
     (..., tokens, head_dim) copy, whose entries equal the per-head calls
     bitwise.  A read that finds the stream shorter than its header says
-    raises TraceFormatError naming both sizes; any read after ``close()``
-    raises StateError.  A trace is a context manager; ``close()`` closes
-    the stream.
+    raises TraceFormatError naming both sizes.  A step, or a head's slabs
+    of every step, holding a NaN or inf value raises TraceFormatError when
+    read; any read after ``close()`` raises StateError.  A trace is a
+    context manager; ``close()`` closes the stream.
     """
 
     def __init__(self, stream: BinaryIO, name: str | os.PathLike):
@@ -177,6 +178,10 @@ class DenoiseTrace:
                     f"{self.name}: payload is {size} bytes, expected {expected}")
             got += count
 
+    def _check_finite(self, data: np.ndarray, what: str) -> None:
+        if not np.isfinite(data).all():
+            raise TraceFormatError(f"{self.name}: {what} holds a value that is not finite")
+
     def step(self, t: int) -> np.ndarray:
         """Step t's float32 (layers, heads, 3, tokens, head_dim) array."""
         self.check_step(t)
@@ -184,6 +189,7 @@ class DenoiseTrace:
             self._current = None  # drop the old step before the new one is allocated
             data = np.empty(self._step_shape, dtype="<f4")
             self._read_into(t * self._step_bytes, data)
+            self._check_finite(data, f"step {t}")
             self._current = (t, data)
         return self._current[1]
 
@@ -208,6 +214,7 @@ class DenoiseTrace:
         start = (layer * c.heads + head) * 3 * c.tokens * c.head_dim * 4
         for t in range(c.steps):
             self._read_into(t * self._step_bytes + start, slabs[t])
+        self._check_finite(slabs, f"head ({layer}, {head})")
         qk = slabs.astype(np.float64)
         return qk[:, 0], qk[:, 1]
 

@@ -15,11 +15,9 @@ from satool.calibration import (
     CalibrationProblem,
     CalibrationTable,
     HeadSelection,
-    additive_surrogate_gap,
     brute_force_assignment,
     build_problem,
     measure_head,
-    quadratic_scaling_probe,
     sample_timesteps,
     shared_threshold_baseline,
     solve_budgeted_assignment,
@@ -805,6 +803,20 @@ class TestBlockCounts:
         with pytest.raises(DomainError, match="measured errors must be finite"):
             CalibrationProblem(taus=[0.9], kept=[[[[2]]]], blocks=4, error=[[[bad]]], budget=0.0)
 
+    @pytest.mark.parametrize("error", [[[[1e308, 0.0], [1e308, 0.0]]],
+                                       [[[-1e308, 0.0], [0.0, -1e308]]]],
+                             ids=["positive", "negative"])
+    def test_errors_that_overflow_when_summed_rejected(self, error):
+        # Each error is finite, but some assignment's objective would not be.
+        # A warning would fail the test: the suite turns warnings into errors.
+        with pytest.raises(DomainError, match="^measured errors overflow when summed over heads$"):
+            CalibrationProblem(taus=[0.9, 1.0], kept=[[[[2], [4]], [[2], [4]]]], blocks=4,
+                               error=error, budget=0.0)
+        halved = np.array(error) / 2
+        problem = CalibrationProblem(taus=[0.9, 1.0], kept=[[[[2], [4]], [[2], [4]]]], blocks=4,
+                                     error=halved, budget=0.5)
+        assert solve_budgeted_assignment(problem).objective == halved[..., 0].sum()
+
 
 class TestBuildProblem:
     def test_shapes_and_monotone_sparsity(self, measured_pipeline):
@@ -842,139 +854,3 @@ class TestBuildProblem:
         with pytest.raises(DomainError, match="candidate threshold must lie in"):
             build_problem(fresh, [0.9, bad], intervals=2, budget=0.0)
         assert calls == []
-
-
-class TestAdditivityProbes:
-    def test_gap_zero_at_tau_one(self, measured_pipeline):
-        result = additive_surrogate_gap(
-            measured_pipeline, [((0, 0), 1.0), ((1, 1), 1.0)], step=2
-        )
-        assert result.joint_error == 0.0
-        assert result.additive_error == 0.0
-        assert result.abs_gap == 0.0
-
-    def test_single_head_gap_identically_zero(self, measured_pipeline):
-        result = additive_surrogate_gap(measured_pipeline, [((0, 0), 0.9)], step=0)
-        assert result.abs_gap == 0.0
-        assert result.joint_error == result.additive_error
-
-    def test_requires_at_least_one_head(self, measured_pipeline):
-        with pytest.raises(DomainError):
-            additive_surrogate_gap(measured_pipeline, [], step=0)
-
-    def test_gap_reported_for_real_masks(self, measured_pipeline):
-        result = additive_surrogate_gap(
-            measured_pipeline, [((0, 0), 0.9), ((1, 1), 0.9), ((2, 2), 0.85)], step=2
-        )
-        assert result.joint_error > 0
-        assert result.additive_error == pytest.approx(sum(result.single_errors))
-        assert result.rel_gap >= 0
-
-    def test_repeated_head_rejected(self, measured_pipeline):
-        # The joint forward would keep one mask while the singles count both.
-        with pytest.raises(DomainError):
-            additive_surrogate_gap(measured_pipeline, [((0, 0), 0.9), ((0, 0), 0.5)], step=2)
-
-    @pytest.mark.parametrize("head_taus, step, error", [
-        ([((4, 0), 0.9)], 2, ShapeMismatch),
-        ([((0, 0), 0.9), ((0, -1), 0.9)], 2, ShapeMismatch),
-        ([((0, 0), 0.9)], 16, DomainError),
-        ([((0, 0), 0.9)], -1, DomainError),
-        ([((0, 0), 0.9), ((1, 1), 0.0)], 2, DomainError),
-        ([((0, 0), 1.5)], 2, DomainError),
-        ([((0, 0), math.nan)], 2, DomainError),
-    ], ids=["layer-4", "head-negative", "step-16", "step-negative", "tau-0", "tau-1.5",
-            "tau-nan"])
-    def test_invalid_probe_rejected(self, measured_pipeline, head_taus, step, error):
-        with pytest.raises(error):
-            additive_surrogate_gap(measured_pipeline, head_taus, step=step)
-
-    def test_single_errors_are_calibration_errors(self, measured_pipeline):
-        taus = [0.85, 0.9, 1.0]
-        problem = build_problem(measured_pipeline, taus, intervals=1, budget=0.0, seed=3)
-        [step] = sample_timesteps(measured_pipeline.trace.config.steps, 1, seed=3)
-        probed = [((0, 0), 0.85), ((1, 3), 0.9), ((2, 5), 1.0), ((3, 1), 0.85), ((3, 2), 0.9)]
-        result = additive_surrogate_gap(measured_pipeline, probed, step=step)
-        expected = [problem.error[layer, head, taus.index(tau)] for (layer, head), tau in probed]
-        np.testing.assert_array_equal(result.single_errors, expected)
-        assert result.single_errors[2] == 0.0
-        assert all(result.single_errors[i] > 0 for i in (0, 1, 3, 4))
-
-    def test_matches_per_head_selection_loop(self, measured_pipeline):
-        # The per-head path the probe replaced: score, select and forward
-        # each head alone, then one joint forward over the same masks.
-        probed = [((0, 0), 0.9), ((1, 1), 0.9), ((2, 2), 0.85), ((3, 5), 0.95), ((0, 4), 1.0)]
-        step = 2
-        dense = measured_pipeline.dense_forward(step)
-        part = band_partition(measured_pipeline.trace.config.velocity_shape)
-
-        def spectral(field):
-            return weighted_error(band_energy_ratios(field - dense, dense, part))
-
-        masks = {key: top_p_select(measured_pipeline.scores(step, *key), tau)
-                 for key, tau in probed}
-        singles = [spectral(measured_pipeline.sparse_forward(step, {key: mask}))
-                   for key, mask in masks.items()]
-        joint = spectral(measured_pipeline.sparse_forward(step, masks))
-        result = additive_surrogate_gap(measured_pipeline, probed, step=step)
-        assert result.joint_error == joint
-        np.testing.assert_array_equal(result.single_errors, singles)
-        assert result.single_errors[-1] == singles[-1] == 0.0
-
-    def test_one_scoring_call_and_no_per_head_path(self, measured_pipeline, monkeypatch):
-        scored = []
-
-        def counting_scores(q, k, grid):
-            scored.append(q.shape[:-2])
-            return block_score_values(q, k, grid)
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("the probe left the calibration measurement")
-
-        monkeypatch.setattr(calibration, "block_score_values", counting_scores)
-        monkeypatch.setattr(calibration, "top_p_select", forbidden)
-        monkeypatch.setattr(ForwardPipeline, "scores", forbidden)
-        additive_surrogate_gap(measured_pipeline, [((0, 0), 0.9), ((1, 1), 0.85), ((2, 2), 0.95)],
-                               step=3)
-        assert scored == [(3,)]
-
-    def test_joint_error_makes_no_sparse_forward(self, measured_pipeline, monkeypatch):
-        # The joint field is the dense pre-activation plus the summed changes
-        # the measurement already holds; no second forward runs.
-        def forbidden(*args, **kwargs):
-            raise AssertionError("the probe ran a sparse forward")
-
-        probed = [((0, 0), 0.9), ((1, 0), 0.85), ((2, 2), 0.95), ((3, 5), 1.0)]
-        expected = additive_surrogate_gap(measured_pipeline, probed, step=1)
-        monkeypatch.setattr(ForwardPipeline, "sparse_forward", forbidden)
-        result = additive_surrogate_gap(measured_pipeline, probed, step=1)
-        assert result == expected and result.joint_error > 0
-
-    def test_measured_changes_are_the_pipeline_changes(self, measured_pipeline):
-        taus = np.array([0.85, 0.9, 1.0])
-        layers, heads = np.array([0, 1, 3]), np.array([2, 2, 5])
-        kept, _, masks, changes = calibration._measure_step(
-            measured_pipeline, 2, layers, heads, taus, None, "fft")
-        assert changes.shape == (3, 3, measured_pipeline.model.bias.size)
-        full = kept == measured_pipeline.grid.total_blocks
-        assert full[:, 2].all() and not full[:, 0].any()
-        assert not changes[full].any()
-        rows = np.argwhere(~full)
-        expected = measured_pipeline.preactivation_changes(
-            2, layers[rows[:, 0]], heads[rows[:, 0]], masks[~full])
-        np.testing.assert_array_equal(changes[~full], expected)
-
-    def test_quadratic_scaling_repeated_head_rejected(self, measured_pipeline):
-        with pytest.raises(DomainError):
-            quadratic_scaling_probe(measured_pipeline, [(0, 0), (0, 0)], step=2)
-
-    def test_quadratic_scaling(self, measured_pipeline):
-        probe = quadratic_scaling_probe(
-            measured_pipeline, [(0, 0), (1, 3), (3, 5)], step=4, seed=2
-        )
-        joint = probe["joint"]
-        for s_big, s_small in ((1.0, 0.5), (0.5, 0.25)):
-            assert 3.5 <= joint[s_big] / joint[s_small] <= 4.5
-        for per_scale in probe["single"].values():
-            for s_big, s_small in ((1.0, 0.5), (0.5, 0.25)):
-                assert 3.5 <= per_scale[s_big] / per_scale[s_small] <= 4.5

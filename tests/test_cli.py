@@ -559,6 +559,22 @@ def test_header_scale_range_that_could_overflow_fails_cleanly(tmp_path, runner, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["analyze", "calibrate", "run", "perturb"])
+def test_non_finite_payload_fails_cleanly(trace_dir, tmp_path, runner, command, value):
+    # The first payload float is Q of head (0, 0) at step 0, which every command reads.
+    path = tmp_path / "poisoned.satr"
+    raw = bytearray((trace_dir / "trace.satr").read_bytes())
+    raw[_HEADER.size:_HEADER.size + 4] = np.array([value], dtype="<f4").tobytes()
+    path.write_bytes(bytes(raw))
+    out = tmp_path / "out"
+    result = runner.invoke(main, [command, "--trace", str(path), "--out", str(out)])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.output
+    assert result.output.startswith(f"error:trace-format: {path}: "), result.output
+    assert result.output.endswith(" holds a value that is not finite\n"), result.output
+    assert not out.exists()
+
+
 class TestOversizedProjection:
     @pytest.fixture()
     def huge_field_trace(self, tmp_path):
@@ -705,6 +721,29 @@ def test_huge_negative_budget_matches_zero_budget(trace_dir, tmp_path, runner):
         assert result.exit_code == 0, result.output
         tables.append(json.loads((out / "calibration.json").read_text()))
     assert tables[0]["heads"] == tables[1]["heads"]
+
+
+@pytest.mark.parametrize("shape, message", [
+    # The perfbench many-heads shape: every mean error is finite, but the
+    # largest objective, their sum over 64 heads, is not.
+    (dict(layers=4, heads=16, tokens=32, head_dim=8, steps=40, seed=3),
+     "measured errors overflow when summed over heads"),
+    # Some head's errors at its four sampled steps overflow when summed for the mean.
+    ({}, "measured errors must be finite"),
+], ids=["over-heads", "over-steps"])
+def test_errors_that_overflow_fail_cleanly(tmp_path, runner, shape, message):
+    # -W error: no numpy warning may escape on the way to the error line.
+    source, out = tmp_path / "trace", tmp_path / "out"
+    assert runner.invoke(main, gen_args(source, **shape)).exit_code == 0
+    env = {**os.environ, "PYTHONPATH": str(Path(satool.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "satool.cli", "calibrate",
+         "--trace", str(source / "trace.satr"), "--out", str(out),
+         "--weights", "1.7e308,1.7e308,1.7e308,1.7e308", "--taus", "0.2,0.9",
+         "--budget", "shared:0.2"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert (result.returncode, result.stderr) == (1, f"error:domain: {message}\n")
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")

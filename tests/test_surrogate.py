@@ -47,13 +47,19 @@ def token_major_weight(model: SurrogateModel, config: TraceConfig) -> np.ndarray
             .transpose(0, 2, 1, 3).reshape(out, -1))
 
 
+def dense_attention(pipe: ForwardPipeline, step: int, layer: int, head: int) -> np.ndarray:
+    trace = pipe.trace
+    return masked_attention(trace.q(step, layer, head), trace.k(step, layer, head),
+                            trace.v(step, layer, head))
+
+
 def reference_from_features(pipe: ForwardPipeline, step: int, edit) -> np.ndarray:
     c = pipe.trace.config
     features = np.zeros((c.tokens, c.heads * c.head_dim))
     for layer in range(c.layers):
         for head in range(c.heads):
             features[:, head * c.head_dim:(head + 1) * c.head_dim] += (
-                pipe.dense_head_output(step, layer, head)
+                dense_attention(pipe, step, layer, head)
             )
     edit(features)
     weight = token_major_weight(pipe.model, c)
@@ -72,7 +78,7 @@ def reference_sparse(pipe: ForwardPipeline, step: int, masks) -> np.ndarray:
                 pipe.trace.v(step, layer, head), allow=expand_block_mask(mask, pipe.grid),
             )
             cols = slice(head * c.head_dim, (head + 1) * c.head_dim)
-            features[:, cols] += out - pipe.dense_head_output(step, layer, head)
+            features[:, cols] += out - dense_attention(pipe, step, layer, head)
 
     return reference_from_features(pipe, step, edit)
 
@@ -235,12 +241,15 @@ class TestIncrementalForward:
             pipeline.sparse_forward(0, {(0, 0): BlockMask(np.ones(BLOCKS + 1, dtype=bool))})
 
     def test_dense_head_outputs_are_per_head_attention(self, pipeline):
-        # Dense head outputs equal attention on the per-head float64 copies.
+        # The held dense head outputs equal attention on the per-head float64
+        # copies, so an all-true mask changes nothing, exactly.
+        outputs = pipeline._state(2)[2]
         for layer, head in HEADS:
-            expected = masked_attention(pipeline.trace.q(2, layer, head),
-                                        pipeline.trace.k(2, layer, head),
-                                        pipeline.trace.v(2, layer, head))
-            np.testing.assert_array_equal(pipeline.dense_head_output(2, layer, head), expected)
+            np.testing.assert_array_equal(outputs[layer, head],
+                                          dense_attention(pipeline, 2, layer, head))
+        layers, heads = np.array(HEADS).T
+        full = np.ones((len(HEADS), BLOCKS), dtype=bool)
+        assert not pipeline.preactivation_changes(2, layers, heads, full).any()
 
 
 class TestHeldStep:
@@ -264,9 +273,7 @@ class TestHeldStep:
         moved.dense_forward(1)
         moved.dense_forward(2)
         fresh = ForwardPipeline(pipeline.trace, pipeline.model)
-        for layer, head in HEADS:
-            np.testing.assert_array_equal(moved.dense_head_output(1, layer, head),
-                                          fresh.dense_head_output(1, layer, head))
+        np.testing.assert_array_equal(moved._state(1)[2], fresh._state(1)[2])
         moved.dense_forward(2)
         np.testing.assert_array_equal(moved.preactivation_changes(1, layers, heads, retained),
                                       fresh.preactivation_changes(1, layers, heads, retained))
@@ -397,6 +404,4 @@ class TestBatchedAttention:
         for step, (dense, sparse) in zip(steps, expected):
             np.testing.assert_array_equal(chunked.dense_forward(step), dense)
             np.testing.assert_array_equal(chunked.sparse_forward(step, masks), sparse)
-            for layer, head in HEADS:
-                np.testing.assert_array_equal(chunked.dense_head_output(step, layer, head),
-                                              pipeline.dense_head_output(step, layer, head))
+            np.testing.assert_array_equal(chunked._state(step)[2], pipeline._state(step)[2])

@@ -422,6 +422,60 @@ class TestTraceFile:
             assert trace.step(steps - 1).shape == (layers, heads, 3, tokens, head_dim)
 
 
+NON_FINITE = pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                                     ids=["nan", "inf", "-inf"])
+POISON_CONFIG = TraceConfig(layers=2, heads=3, tokens=4, head_dim=2, steps=3, block_size=2,
+                            velocity_shape=(2, 2, 2), seed=8)
+
+
+def poisoned_trace(tmp_path, index, value):
+    """POISON_CONFIG's SATR file with one payload float, at flat ``index``, set to ``value``."""
+    path = tmp_path / "poisoned.satr"
+    write_trace(POISON_CONFIG, path)
+    raw = bytearray(path.read_bytes())
+    np.frombuffer(raw, dtype="<f4", offset=_HEADER.size)[index] = value
+    path.write_bytes(bytes(raw))
+    return path
+
+
+class TestNonFinitePayload:
+    """A read that meets a NaN or inf payload value raises TraceFormatError naming the trace."""
+
+    @NON_FINITE
+    @pytest.mark.parametrize("index, step, layer, head", [(0, 0, 0, 0), (-1, 2, 1, 2)],
+                             ids=["first", "last"])
+    def test_step_and_accessors_fail(self, tmp_path, value, index, step, layer, head):
+        path = poisoned_trace(tmp_path, index, value)
+        clean = generate_trace(POISON_CONFIG)
+        with read_trace(path) as trace:
+            # A failed read keeps nothing, so asking again fails again.
+            for read in (trace.step, trace.step, lambda t: trace.q(t, layer, head),
+                         lambda t: trace.k(t, layer, head), lambda t: trace.v(t, layer, head)):
+                with pytest.raises(TraceFormatError) as info:
+                    read(step)
+                assert str(info.value) == f"{path}: step {step} holds a value that is not finite"
+            other = 2 - step
+            np.testing.assert_array_equal(trace.step(other), clean.step(other))
+
+    @NON_FINITE
+    @pytest.mark.parametrize("index, layer, head", [
+        (0, 0, 0),
+        # The last K value of the last head at the last step; V follows it.
+        (-POISON_CONFIG.tokens * POISON_CONFIG.head_dim - 1, 1, 2),
+    ], ids=["first", "last-key"])
+    def test_head_qk_fails(self, tmp_path, value, index, layer, head):
+        path = poisoned_trace(tmp_path, index, value)
+        clean = generate_trace(POISON_CONFIG)
+        with read_trace(path) as trace:
+            with pytest.raises(TraceFormatError) as info:
+                trace.head_qk(layer, head)
+            assert str(info.value) == \
+                f"{path}: head ({layer}, {head}) holds a value that is not finite"
+            for got, expected in zip(trace.head_qk(1 - layer, head),
+                                     clean.head_qk(1 - layer, head)):
+                np.testing.assert_array_equal(got, expected)
+
+
 class TestSurrogateModel:
     def test_deterministic_given_seed(self, default_config):
         a = SurrogateModel.from_config(default_config)
