@@ -12,7 +12,11 @@ default and at ``--alpha 0 --steps 1,3``.  The flags are the workloads'
 in ``perfbench/run.py`` (``WORKLOADS`` and ``command_args``).
 
 Every file that differs, or exists in one tree only, is printed, and the
-exit status is 1 if there is any.  A command that fails stops the
+exit status is 1 if there is any.  Each differing file gets a note: for a
+manifest, which of its fields differ (input hashes only, say); for a CSV or
+JSON file, the largest relative difference over values that parse as
+numbers in both trees, and for ``calibration.json`` whether every head's
+calibrated tau matches.  A command that fails stops the
 comparison with status 2.  Nothing is written inside the repository, and
 no bytecode either.  Run against ``HEAD``, it checks that two checkouts
 give the same bytes.
@@ -20,7 +24,10 @@ give the same bytes.
 
 from __future__ import annotations
 
+import csv
 import filecmp
+import json
+import math
 import os
 import subprocess
 import sys
@@ -82,6 +89,67 @@ def differences(base: Path, work: Path) -> list[str]:
                   or not filecmp.cmp(base / path, work / path, shallow=False))
 
 
+def leaves(value, path=()):
+    """(path, scalar) pairs of a parsed JSON value, in document order."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from leaves(item, path + (key,))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from leaves(item, path + (index,))
+    else:
+        yield path, value
+
+
+def number(value) -> float | None:
+    """``value`` as a float if it is a number or a string that parses as one; None otherwise."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return None
+
+
+def numeric_note(old: list, new: list) -> str:
+    """The largest relative difference over paired (path, value) leaves, or why there is none."""
+    if [path for path, _ in old] != [path for path, _ in new]:
+        return "layout differs"
+    largest, other = 0.0, 0
+    for (_, a), (_, b) in zip(old, new):
+        x, y = number(a), number(b)
+        if x is None or y is None:
+            other += a != b
+        elif x != y and not (math.isnan(x) and math.isnan(y)):
+            scale = max(abs(x), abs(y))
+            largest = max(largest, abs(x - y) / scale if math.isfinite(scale) else math.inf)
+    note = f"largest relative difference {largest:.3g}"
+    return note + (f", {other} non-numeric value(s) differ" if other else "")
+
+
+def describe(base: Path, work: Path) -> str:
+    """A one-line note on how two versions of an output file differ."""
+    if not base.exists() or not work.exists():
+        return "only in " + ("the base tree" if base.exists() else "the working tree")
+    if base.suffix == ".csv":
+        rows = [list(csv.reader(path.read_text().splitlines())) for path in (base, work)]
+        return numeric_note(*(list(leaves(r)) for r in rows))
+    if base.suffix != ".json":
+        return "contents differ"
+    old, new = (json.loads(path.read_text()) for path in (base, work))
+    if base.name == "manifest.json":
+        names = {"inputs": "input hashes", "outputs": "output hashes"}
+        fields = sorted(names.get(key, key) for key in old.keys() | new.keys()
+                        if old.get(key) != new.get(key))
+        return ("differs only in " if len(fields) == 1 else "differs in ") + " and ".join(fields)
+    note = numeric_note(list(leaves(old)), list(leaves(new)))
+    if base.name == "calibration.json":
+        taus = [[(h["layer"], h["head"], h["tau"]) for h in payload["heads"]]
+                for payload in (old, new)]
+        note += "; per-head taus " + ("match" if taus[0] == taus[1] else "differ")
+    return note
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         sys.stderr.write(__doc__)
@@ -96,8 +164,8 @@ def main(argv: list[str]) -> int:
         run_tree(tmp / "base" / "src", tmp / "base-out")
         run_tree(ROOT / "src", tmp / "work-out")
         differ = differences(tmp / "base-out", tmp / "work-out")
-    for path in differ:
-        print(path)
+        for path in differ:
+            print(f"{path}: {describe(tmp / 'base-out' / path, tmp / 'work-out' / path)}")
     print(f"{len(differ)} file(s) differ from {argv[0]}", file=sys.stderr)
     return 1 if differ else 0
 

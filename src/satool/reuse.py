@@ -205,8 +205,10 @@ def simulate(pipeline, taus: np.ndarray, delta: float,
         del qk  # the forward below makes its own float64 copies
         step_masks = {(layer, head): BlockMask(anchor_keep[layer, head])
                       for layer in range(cfg.layers) for head in range(cfg.heads)}
-        dense = pipeline.dense_forward(step)
+        # The sparse forward computes the step's dense state with its masked
+        # heads, in one softmax per head, and the dense forward reads it.
         sparse = pipeline.sparse_forward(step, step_masks)
+        dense = pipeline.dense_forward(step)
         denom = float(np.linalg.norm(dense))
         err = float(np.linalg.norm(sparse - dense))
         velocity_errors.append(err / denom if denom > 0 else err)

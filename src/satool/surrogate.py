@@ -63,18 +63,87 @@ def prob_chunks(count: int, tokens: int) -> list[slice]:
     return [slice(start, start + size) for start in range(0, count, size)]
 
 
-def masked_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
-                     allow: np.ndarray | None = None) -> np.ndarray:
-    """Attention output with disallowed key positions excluded before softmax.
+# A masked row whose kept dense probability mass is below this may have lost
+# bits to underflow (probabilities under 2**-1022 are subnormal, and 2**-969
+# is 53 bits above that), or be 0/0.  Such rows are recomputed from their own
+# kept maximum.
+KEPT_MASS_FLOOR = 2.0 ** -969
 
-    ``attention_probs(q, k, allow) @ v``, with V (..., tokens, D).  Rows
-    whose allowed set is empty produce a zero output row.  With an all-true
-    (or absent) mask this reduces bit for bit to dense attention.
+
+def masked_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
+                     allow: np.ndarray | None = None, heads: np.ndarray | None = None,
+                     dense_out: np.ndarray | None = None) -> np.ndarray:
+    """Attention output under tile masks, from one dense softmax per head.
+
+    Q, K and V are (..., tokens, D); without ``allow`` this is
+    ``attention_probs(q, k) @ v``.  ``allow`` holds (side, side) tile masks,
+    side dividing tokens: tile (r, c) lets the r-th run of tokens / side
+    query rows see the c-th run of keys, so a token mask is side = tokens.
+    Its leading axes are Q's; with ``heads``, mask ``i`` of the (M, side,
+    side) ``allow`` applies to head ``heads[i]`` of the flattened leading
+    axes instead, and the result is (M, tokens, D).  ``dense_out``, shaped
+    like V, receives the dense output ``p @ v`` of every head as well.
+
+    A mask changes which logits count, not their values.  So with ``p`` the
+    dense probabilities and ``l[t, c]`` the mass of row t in key block c, a
+    masked row is ``(p * keep) @ v / (keep . l)``: no exp and no max per
+    mask, and all masks of a head share its ``p``.  A row that keeps every
+    block has the bits of ``p @ v``, so a full mask gives the dense output;
+    a row that keeps none is zero.  A row whose kept mass is under
+    KEPT_MASS_FLOOR is recomputed by ``attention_probs`` over its kept keys.
+    Each row's bits depend only on its own head and mask.
     """
-    out = attention_probs(q, k, allow) @ v
-    if allow is not None:
-        out[~allow.any(axis=-1)] = 0.0
-    return out
+    p = attention_probs(q, k)
+    if allow is None:
+        return np.matmul(p, v, out=dense_out)
+    tokens, side = q.shape[-2], allow.shape[-1]
+    if allow.ndim < 2 or allow.shape[-2] != side or side == 0 or tokens % side:
+        raise ShapeMismatch(f"tile masks of shape {allow.shape} do not tile {tokens} tokens")
+    n = math.prod(q.shape[:-2])
+    if heads is None:
+        if allow.shape[:-2] != q.shape[:-2]:
+            raise ShapeMismatch(f"mask shape {allow.shape} does not match queries {q.shape}")
+        heads = np.arange(n)
+    else:
+        heads = np.asarray(heads, dtype=int)
+        if allow.ndim != 3 or heads.shape != allow.shape[:1] or (
+                heads.size and not 0 <= heads.min() <= heads.max() < n):
+            raise ShapeMismatch(f"{allow.shape} masks need one head in [0, {n}) each")
+    p3, v3 = p.reshape(n, tokens, tokens), v.reshape(n, tokens, -1)
+    if dense_out is not None:
+        np.matmul(p, v, out=dense_out)
+    tiles, width = allow.reshape(-1, side, side), tokens // side
+    keep = np.repeat(tiles, width, axis=1)  # (masks, tokens, side): each row's blocks
+    # Each query block's kept keys, as factors that zero the dropped blocks.
+    keys = np.repeat(tiles, width, axis=2).astype(p.dtype)[:, :, None]
+    mass = np.einsum("htcw->htc", p3.reshape(n, tokens, side, width))  # l
+    kept = (mass[heads] * keep).sum(axis=-1)
+    full, empty = keep.all(axis=-1), ~keep.any(axis=-1)
+    kept[full | empty] = 1.0
+    low = kept < KEPT_MASS_FLOOR
+    kept[low] = 1.0  # recomputed below; dividing by 1 raises no warning
+    out = np.empty((heads.size,) + v3.shape[1:])
+    # Masks are reweighted in a buffer of a quarter chunk (one mask at
+    # least), so the softmax and the products stay near one chunk.
+    size = max(1, PROB_CHUNK_ELEMENTS // (4 * tokens * tokens))
+    buf = np.empty((min(size, heads.size), side, width, tokens))
+    p4 = p3.reshape(n, side, width, tokens)
+    for start in range(0, heads.size, size):
+        stop = min(start + size, heads.size)
+        for i in range(start, stop):
+            np.multiply(p4[heads[i]], keys[i], out=buf[i - start])
+        rows = out[start:stop]
+        np.matmul(buf[:stop - start].reshape(-1, tokens, tokens), v3[heads[start:stop]], out=rows)
+        rows /= kept[start:stop, :, None]
+        rows[empty[start:stop]] = 0.0
+    # The recompute takes the head's whole logits matrix, so a row gets the
+    # logits bits of the dense softmax, not of a smaller product.
+    q3, k3 = q.reshape(n, tokens, -1), k.reshape(n, tokens, -1)
+    for i in np.flatnonzero(low.any(axis=-1)).tolist():
+        rows = np.flatnonzero(low[i])
+        probs = attention_probs(q3[heads[i]], k3[heads[i]], np.repeat(keep[i], width, axis=-1))
+        out[i, rows] = probs[rows] @ v3[heads[i]]
+    return out.reshape(allow.shape[:-2] + v3.shape[1:])
 
 
 def _check_mask_size(mask: BlockMask, grid: BlockGrid) -> None:
@@ -84,17 +153,11 @@ def _check_mask_size(mask: BlockMask, grid: BlockGrid) -> None:
         )
 
 
-def _token_masks(retained: np.ndarray, grid: BlockGrid) -> np.ndarray:
-    """Blow (..., M) block bitsets up to token-level (..., tokens, tokens) masks."""
-    nb, bs = grid.blocks_per_side, grid.block_size
-    tiles = retained.reshape(*retained.shape[:-1], nb, nb)
-    return np.repeat(np.repeat(tiles, bs, axis=-2), bs, axis=-1)
-
-
 def expand_block_mask(mask: BlockMask, grid: BlockGrid) -> np.ndarray:
     """Blow a block bitset up to a token-level (tokens x tokens) boolean mask."""
     _check_mask_size(mask, grid)
-    return _token_masks(mask.retained, grid)
+    tiles = mask.retained.reshape(grid.blocks_per_side, grid.blocks_per_side)
+    return np.repeat(np.repeat(tiles, grid.block_size, axis=0), grid.block_size, axis=1)
 
 
 class SurrogateModel:
@@ -197,8 +260,10 @@ class ForwardPipeline:
     The pipeline holds the dense state of the latest step asked for: its
     pre-activation ``W f + b`` and every head's attention output.  Asked
     for another step, it computes that step's in its place, with the same
-    bits.  Every attention call goes through ``_attention``, in batched
-    chunks of at most PROB_CHUNK_ELEMENTS logits.  Every other field is
+    bits.  Every attention call goes through ``_changes``, in batched
+    chunks of at most PROB_CHUNK_ELEMENTS logits, and each chunk computes
+    one softmax per head: masked rows asked for with a step that is not
+    held share it with the step's dense outputs.  Every other field is
     ``field_after`` a pre-activation change on the held step:
     ``preactivation_changes`` gives one per masked head, and a sparse
     forward is ``field_after`` the sum of its heads' changes.  Heads whose
@@ -221,35 +286,44 @@ class ForwardPipeline:
         if not (0 <= layer < c.layers and 0 <= head < c.heads):
             raise ShapeMismatch(f"head ({layer}, {head}) outside {c.layers}x{c.heads}")
 
-    def _attention(self, step: int, layers: np.ndarray, heads: np.ndarray,
-                   retained: np.ndarray | None = None) -> np.ndarray:
-        """Attention output of each (layer, head) row at ``step``, (rows, tokens, head_dim).
+    def _changes(self, step: int, flat: np.ndarray, tiles: np.ndarray) -> np.ndarray:
+        """Pre-activation change of each row's one-head forward at ``step``, as (rows, V).
 
-        Row ``i`` is masked by the block bitset ``retained[i]``, or dense
-        without ``retained``.  Rows go through ``masked_attention`` in
-        chunks; each chunk gathers its rows' Q, K and V from the trace.
+        Row ``i`` masks head ``flat[i]`` (``layer * heads + head``) with the
+        tile mask ``tiles[i]``, one tile per block; its masked attention
+        output minus the dense one is projected by
+        ``SurrogateModel.head_changes``.  Heads go through
+        ``masked_attention`` in chunks, each gathering its heads' Q, K and V
+        from the trace once and projecting its own rows.  If ``step`` is
+        not held, every head's dense output is computed in the same calls
+        and the step is held, so a head's dense and masked rows share one
+        softmax.
         """
         c = self.trace.config
-        out = np.empty((len(heads), c.tokens, c.head_dim))
-        for window in prob_chunks(len(heads), c.tokens):
-            at = (layers[window], heads[window])
-            allow = None if retained is None else _token_masks(retained[window], self.grid)
-            out[window] = masked_attention(self.trace.q(step, *at), self.trace.k(step, *at),
-                                           self.trace.v(step, *at), allow)
-        return out
-
-    def _state(self, step: int) -> tuple[int, np.ndarray, np.ndarray]:
-        """The held ``(step, pre-activation, head outputs)``, computed if ``step`` is another.
-
-        Head outputs are (layers, heads, tokens, head_dim); their sum over
-        layers goes through one projection.
-        """
-        if self._dense is None or self._dense[0] != step:
-            c = self.trace.config
+        held = self._held(step)
+        if held:
+            dense = self._dense[2].reshape(-1, c.tokens, c.head_dim)
+            distinct = np.unique(flat)
+        else:
             self._dense = None  # drop the old step before the new one is computed
-            layers, heads = np.divmod(np.arange(c.layers * c.heads), c.heads)
-            out = self._attention(step, layers, heads).reshape(
-                c.layers, c.heads, c.tokens, c.head_dim)
+            dense = np.empty((c.layers * c.heads, c.tokens, c.head_dim))
+            distinct = np.arange(c.layers * c.heads)
+        owner = np.searchsorted(distinct, flat)
+        changes = np.empty((flat.size, self.model.bias.size))
+        for window in prob_chunks(distinct.size, c.tokens):
+            at = np.divmod(distinct[window], c.heads)
+            qkv = (self.trace.q(step, *at), self.trace.k(step, *at), self.trace.v(step, *at))
+            rows = np.flatnonzero((owner >= window.start) & (owner < window.stop))
+            if not rows.size:
+                dense[window] = masked_attention(*qkv)
+                continue
+            masked = masked_attention(*qkv, tiles[rows], owner[rows] - window.start,
+                                      dense_out=None if held else dense[window])
+            masked -= dense[flat[rows]]
+            changes[rows] = self.model.head_changes(flat[rows] % c.heads, masked)
+        if not held:
+            # The head outputs' sum over layers goes through one projection.
+            out = dense.reshape(c.layers, c.heads, c.tokens, c.head_dim)
             features = np.zeros((c.tokens, c.heads * c.head_dim), dtype=np.float64)
             by_head = features.reshape(c.tokens, c.heads, c.head_dim)
             for layer_out in out:
@@ -257,11 +331,24 @@ class ForwardPipeline:
             pre = np.empty_like(self.model.bias)
             self.model.project(features, preactivation=pre)
             self._dense = (step, pre, out)
+        return changes
+
+    def _held(self, step: int) -> bool:
+        return self._dense is not None and self._dense[0] == step
+
+    def _state(self, step: int) -> tuple[int, np.ndarray, np.ndarray]:
+        """The held ``(step, pre-activation, head outputs)``, computed if ``step`` is another.
+
+        Head outputs are (layers, heads, tokens, head_dim).
+        """
+        if not self._held(step):
+            side = self.grid.blocks_per_side
+            self._changes(step, np.empty(0, dtype=int), np.empty((0, side, side), dtype=bool))
         return self._dense
 
     def dense_forward(self, step: int) -> np.ndarray:
         self.trace.check_step(step)
-        self.last_dense_cached = self._dense is not None and self._dense[0] == step
+        self.last_dense_cached = self._held(step)
         return self.model.field(self._state(step)[1])
 
     def sparse_forward(self, step: int, masks: Mapping[tuple[int, int], BlockMask | None]) -> np.ndarray:
@@ -293,10 +380,12 @@ class ForwardPipeline:
         bitset ``retained[i]``.  Its masked attention minus the held dense
         output is projected by ``SurrogateModel.head_changes``, so each row
         has the bits of asking for it alone.  A full mask gives an exactly
-        zero change, so callers save its attention by leaving it out.
+        zero change, so callers save its attention by leaving it out.  When
+        ``step`` is not held, the rows and the step's dense state are
+        computed in one pass.
         """
-        self.dense_forward(step)
-        layers, heads = np.asarray(layers), np.asarray(heads)
+        self.trace.check_step(step)
+        layers, heads = np.asarray(layers, dtype=int), np.asarray(heads, dtype=int)
         for layer, head in set(zip(layers.tolist(), heads.tolist())):
             self.check_head(layer, head)
         retained = np.asarray(retained, dtype=bool)
@@ -305,9 +394,8 @@ class ForwardPipeline:
                 f"masks of shape {retained.shape} do not give one "
                 f"{self.grid.total_blocks}-block mask per row"
             )
-        out = self._attention(step, layers, heads, retained)
-        out -= self._state(step)[2][layers, heads]
-        return self.model.head_changes(heads, out)
+        c, side = self.trace.config, self.grid.blocks_per_side
+        return self._changes(step, layers * c.heads + heads, retained.reshape(-1, side, side))
 
     def field_after(self, step: int, changes: np.ndarray) -> np.ndarray:
         """The field of the dense pre-activation at ``step`` plus ``changes``.

@@ -683,17 +683,20 @@ class TestBatchedMeasurementOracle:
         check_against_oracle(case)
 
     def test_partial_last_chunk(self, monkeypatch):
-        # 2 layers x 3 heads x 3 candidates: up to 18 partial rows per step in
-        # chunks of 4, so the last chunk of a step holds fewer than 4 rows.
+        # 2 layers x 3 heads: 6 heads per step in chunks of 4, so the last
+        # chunk of a step holds fewer than 4 heads.  Each chunk carries up
+        # to 3 candidate rows per head.
         cfg = TraceConfig(layers=2, heads=3, tokens=8, head_dim=3, steps=5, block_size=2,
                           velocity_shape=(2, 2, 2), seed=4)
         sizes = []
         original = surrogate.masked_attention
 
-        def spy(q, k, v, allow=None):
+        def spy(q, k, v, allow=None, heads=None, dense_out=None):
             if allow is not None:
                 sizes.append(q.shape[0])
-            return original(q, k, v, allow)
+                assert 0 < len(allow) <= 3 * q.shape[0]
+                assert 0 <= heads.min() <= heads.max() < q.shape[0]
+            return original(q, k, v, allow, heads, dense_out)
 
         monkeypatch.setattr(surrogate, "masked_attention", spy)
         for objective in ("fft", "mse"):
@@ -724,6 +727,7 @@ class TestStepBatchedCounts:
         spy(calibration, "band_energy_ratios", "bands")
         spy(calibration, "top_p_select", "top_p")
         spy(surrogate, "masked_attention", "attention")
+        spy(surrogate, "attention_probs", "softmax")
         taus = [0.85, 0.9, 0.95]
         build_problem(pipe, taus, intervals=4, budget=0.0)
         # Each step starts with its scoring call; its dense forward runs
@@ -746,9 +750,14 @@ class TestStepBatchedCounts:
             [keep] = [result for tag, _, result in step_events if tag == "select"]
             assert keep.shape == (64, len(taus), blocks)
             partial = int((keep.sum(axis=-1) < blocks).sum())
-            allows = [args[3] for tag, args, _ in step_events if tag == "attention"]
-            assert sum(allow is None for allow in allows) == math.ceil(64 / chunk)
-            assert 0 < sum(allow is not None for allow in allows) <= math.ceil(partial / chunk)
+            # One attention call per chunk of heads gives its dense outputs
+            # and its partial candidate rows, over one softmax.
+            calls = [args for tag, args, _ in step_events if tag == "attention"]
+            assert len(calls) == math.ceil(64 / chunk)
+            assert sum(len(args[3]) for args in calls if len(args) > 3) == partial
+            softmaxes = [args for tag, args, _ in step_events if tag == "softmax"]
+            assert len(softmaxes) == math.ceil(64 / chunk)
+            assert all(len(args) == 2 for args in softmaxes)
 
 
 class TestBlockCounts:

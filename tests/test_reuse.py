@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from satool import surrogate
 from satool.blocksparse import changed_block_ratio, top_p_select
 from satool.errors import DomainError, ShapeMismatch, StateError
 from satool.reuse import (
@@ -195,6 +196,28 @@ class TestSimulate:
         result = simulate(sim_pipeline, taus, 0.0)
         assert result.mean_velocity_rel_l2 > 0.0
         assert np.isfinite(result.mean_velocity_rel_l2)
+
+    def test_one_softmax_per_head_chunk_per_step(self, sim_pipeline, monkeypatch):
+        # The sparse forward computes each step's dense state together with
+        # its masked heads, and the dense forward reads the held state.
+        cfg = sim_pipeline.trace.config
+        monkeypatch.setattr(surrogate, "PROB_CHUNK_ELEMENTS", 5 * cfg.tokens ** 2)
+        chunks = len(surrogate.prob_chunks(cfg.layers * cfg.heads, cfg.tokens))
+        assert chunks == 5
+        original = surrogate.attention_probs
+        calls = []
+
+        def spy(q, k, allow=None):
+            calls.append((q.shape[0], allow))
+            return original(q, k, allow)
+
+        monkeypatch.setattr(surrogate, "attention_probs", spy)
+        pipe = ForwardPipeline(sim_pipeline.trace, sim_pipeline.model)
+        result = simulate(pipe, np.full((cfg.layers, cfg.heads), 0.9), 0.5)
+        assert 0 < result.reuse_rate < 1
+        assert len(calls) == cfg.steps * chunks
+        assert all(allow is None for _, allow in calls)
+        assert sum(heads for heads, _ in calls) == cfg.steps * cfg.layers * cfg.heads
 
     def test_taus_shape_checked(self, sim_pipeline):
         with pytest.raises(ShapeMismatch):

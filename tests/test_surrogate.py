@@ -405,3 +405,121 @@ class TestBatchedAttention:
             np.testing.assert_array_equal(chunked.dense_forward(step), dense)
             np.testing.assert_array_equal(chunked.sparse_forward(step, masks), sparse)
             np.testing.assert_array_equal(chunked._state(step)[2], pipeline._state(step)[2])
+
+
+
+def per_row_reference(q, k, v, tiles):
+    """One head's tile-masked attention, row by row: a softmax over each row's kept keys.
+
+    The logits are the one (tokens x tokens) product ``attention_probs``
+    makes, so the comparison sees the reweighting, not logits rounding.
+    """
+    tokens, dim = q.shape
+    width = tokens // tiles.shape[0]
+    logits = q @ k.T / math.sqrt(dim)
+    allow = np.repeat(np.repeat(tiles, width, axis=0), width, axis=1)
+    out = np.zeros((tokens, v.shape[1]))
+    for t in np.flatnonzero(allow.any(axis=1)):
+        weights = np.exp(logits[t, allow[t]] - logits[t, allow[t]].max())
+        out[t] = (weights / weights.sum()) @ v[allow[t]]
+    return out
+
+
+@st.composite
+def tile_mask_calls(draw):
+    """Q, K, V of 1-4 heads and 1-6 tile masks naming a head each.
+
+    Tiles are 1-5 tokens wide and D is 1-6.  At a Q/K scale of 1e3 the
+    logits span millions, so some kept blocks hold no dense mass at all.
+    """
+    heads, width, side = draw(st.integers(1, 4)), draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    tokens, dim = side * width, draw(st.integers(1, 6))
+    scale = draw(st.sampled_from([1.0, 10.0, 1e3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    q, k = (scale * rng.standard_normal((heads, tokens, dim)) for _ in range(2))
+    v = rng.standard_normal((heads, tokens, dim))
+    masks = draw(st.integers(1, 6))
+    owner = rng.integers(0, heads, masks)
+    tiles = rng.random((masks, side, side)) < rng.random(masks)[:, None, None]
+    for i, kind in enumerate(draw(st.lists(st.sampled_from(["random", "empty rows", "full"]),
+                                           min_size=masks, max_size=masks))):
+        if kind == "empty rows":
+            tiles[i, rng.random(side) < 0.5] = False
+        elif kind == "full":
+            tiles[i] = True
+    return q, k, v, tiles, owner
+
+
+class TestTileMaskKernel:
+    """``masked_attention`` with a head per mask: the dense softmax, reweighted per mask."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(call=tile_mask_calls())
+    def test_matches_per_row_softmax(self, call):
+        q, k, v, tiles, owner = call
+        recomputed = []
+        original = surrogate.attention_probs
+
+        def spy(q, k, allow=None):
+            if allow is not None:
+                recomputed.append(allow)
+            return original(q, k, allow)
+
+        filled = np.empty_like(v)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(surrogate, "attention_probs", spy)
+            out = masked_attention(q, k, v, tiles, owner, dense_out=filled)
+        assert out.shape == (len(owner),) + v.shape[1:] and np.isfinite(out).all()
+        dense, probs = masked_attention(q, k, v), surrogate.attention_probs(q, k)
+        np.testing.assert_array_equal(filled, dense)
+        width = q.shape[1] // tiles.shape[1]
+        underflow = False
+        for i, head in enumerate(owner.tolist()):
+            keep = np.repeat(tiles[i], width, axis=0)
+            reference = per_row_reference(q[head], k[head], v[head], tiles[i])
+            np.testing.assert_allclose(out[i], reference,
+                                       rtol=1e-12, atol=1e-12 * np.abs(v[head]).max())
+            full, empty = keep.all(axis=1), ~keep.any(axis=1)
+            np.testing.assert_array_equal(out[i, full], dense[head, full])
+            assert not out[i, empty].any()
+            # A row's bits are its own: the mask alone on its head gives them.
+            np.testing.assert_array_equal(
+                out[i], masked_attention(q[head], k[head], v[head], tiles[i]))
+            mass = (probs[head] * np.repeat(keep, width, axis=1)).sum(axis=1)
+            underflow |= bool((mass[~full & ~empty] < surrogate.KEPT_MASS_FLOOR).any())
+        assert bool(recomputed) == underflow
+
+    def test_a_block_with_no_dense_mass_is_recomputed(self):
+        # Key 1's logit is 1800 below key 0's, so its dense probability is 0;
+        # a mask keeping only key 1 must still attend to it fully.
+        q, k = np.array([[[30.0], [-30.0]]]), np.array([[[30.0], [-30.0]]])
+        v = np.array([[[1.0], [2.0]]])
+        tiles = np.array([[[False, True], [True, False]]])
+        assert surrogate.attention_probs(q, k)[0, 0, 1] == 0.0
+        out = masked_attention(q, k, v, tiles, np.array([0]))
+        np.testing.assert_array_equal(out, [[[2.0], [1.0]]])
+
+    def test_masks_share_one_softmax_per_head(self, rng, monkeypatch):
+        calls = []
+        original = surrogate.attention_probs
+
+        def spy(q, k, allow=None):
+            calls.append(q.shape)
+            return original(q, k, allow)
+
+        monkeypatch.setattr(surrogate, "attention_probs", spy)
+        q, k, v = (rng.standard_normal((3, 8, 2)) for _ in range(3))
+        tiles = rng.random((7, 4, 4)) < 0.5
+        masked_attention(q, k, v, tiles, np.array([0, 2, 2, 1, 0, 2, 1]))
+        assert calls == [(3, 8, 2)]
+
+    @pytest.mark.parametrize("tiles, heads", [
+        (np.ones((2, 3, 3), dtype=bool), [0, 1]),   # 3 does not divide 8 tokens
+        (np.ones((2, 4, 2), dtype=bool), [0, 1]),   # not square
+        (np.ones((2, 4, 4), dtype=bool), [0]),      # one head per mask
+        (np.ones((2, 4, 4), dtype=bool), [0, 2]),   # head out of range
+    ])
+    def test_bad_tiles_rejected(self, rng, tiles, heads):
+        q = rng.standard_normal((2, 8, 3))
+        with pytest.raises(ShapeMismatch):
+            masked_attention(q, q, q, tiles, np.array(heads))
