@@ -136,22 +136,40 @@ def cumulative_prefix_mask(values: np.ndarray, threshold: float | np.ndarray) ->
     Mass before an entry never decreases along that sequence, so each row
     keeps a prefix of ``count`` entries: every value above the cut value at
     ``count`` plus, among the values equal to it, the lowest indices.
+
+    Only the top of each row is sorted.  In a row of ``n`` entries summing
+    to 1, an entry below ``(1 - threshold) / (2n)`` has more than the
+    threshold before it, so one more than the largest per-row count of
+    entries at or above that bound is a width that holds every kept entry.
+    The largest ``width`` values of a row are its descending prefix of that
+    length, with the same sequential cumulative sums, and the rounded mass
+    before an entry never decreases either (rounding is monotone), so a row
+    whose count stays below the width has the count and cut of a full sort.
+    A row whose count reaches it (a row that does not sum to 1, say) is
+    redone at full width, and so is every row when the width exceeds half
+    the row.
     """
     arr = np.asarray(values, dtype=np.float64)
     limit = np.asarray(threshold, dtype=np.float64)[..., None]
+    shape = np.broadcast_shapes(arr.shape, limit.shape)
     # The mass before the first entry is exactly 0, so only a threshold
     # <= 0 (or NaN) keeps nothing.
     if arr.size == 0 or not (limit > 0).any():
-        return np.zeros(np.broadcast_shapes(arr.shape, limit.shape), dtype=bool)
-    desc = np.sort(arr, axis=-1)[..., ::-1]
-    before = np.cumsum(desc, axis=-1)
-    before -= desc
-    count = (before < limit).sum(axis=-1, keepdims=True)
-    # A row with count 0 cuts at its largest value; the tie pass below then
-    # has no room for it and keeps nothing.
-    cut = np.take_along_axis(desc, np.maximum(count - 1, 0), axis=-1)
+        return np.zeros(shape, dtype=bool)
+    if arr.shape != shape:
+        arr = np.broadcast_to(arr, shape)
+    n = shape[-1]
+    width = 1 + int((arr >= (1.0 - limit) / (2 * n)).sum(axis=-1).max())
+    if 2 * width > n:
+        width = n
+    count, cut, over = _descending_prefix(arr, limit, width)
+    if width < n:
+        short = (count == width)[..., 0]
+        if short.any():
+            count[short], cut[short], over[short] = _descending_prefix(
+                arr[short], np.broadcast_to(limit, count.shape)[short], n)
     keep = arr >= cut
-    over = (keep.sum(axis=-1, keepdims=True) > count)[..., 0]
+    over = over[..., 0]
     if over.any():
         # More entries tie at the cut than the prefix holds: keep the lowest indices.
         sub, sub_cut = arr[over], cut[over]
@@ -160,6 +178,29 @@ def cumulative_prefix_mask(values: np.ndarray, threshold: float | np.ndarray) ->
         room = count[over] - above.sum(axis=-1, keepdims=True)
         keep[over] = above | (tied & (np.cumsum(tied, axis=-1) <= room))
     return keep
+
+
+def _descending_prefix(arr: np.ndarray, limit: np.ndarray,
+                       width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Kept count, cut value and tie flag of each row, (..., 1) each.
+
+    Only the ``width`` largest values of a row are sorted, so the result is
+    exact when the count is below ``width`` or ``width`` is the row length.
+    The flag is set where more values equal the cut than the prefix holds:
+    where the sorted value after the prefix equals the cut.
+    """
+    n = arr.shape[-1]
+    top = arr if width == n else np.partition(arr, n - width, axis=-1)[..., n - width:]
+    desc = np.sort(top, axis=-1)[..., ::-1]
+    before = np.cumsum(desc, axis=-1)
+    before -= desc
+    count = (before < limit).sum(axis=-1, keepdims=True)
+    # A row with count 0 cuts at its largest value and is flagged; the tie
+    # pass then has no room for it and keeps nothing.
+    at = np.concatenate([np.maximum(count - 1, 0), np.minimum(count, width - 1)], axis=-1)
+    pair = np.take_along_axis(desc, at, axis=-1)
+    cut = pair[..., :1]
+    return count, cut, (count < width) & (pair[..., 1:] == cut)
 
 
 def check_tau(tau: float, name: str = "tau") -> None:

@@ -125,7 +125,9 @@ def weighted_error(ratios, weights: BandWeights | None = None):
     r = np.asarray(ratios, dtype=np.float64)
     if r.shape[-1:] != (4,):
         raise ShapeMismatch(f"expected four band ratios, got shape {r.shape}")
-    total = (r * w).sum(axis=-1)
+    # A sum that overflows is inf, which CalibrationProblem rejects.
+    with np.errstate(over="ignore"):
+        total = (r * w).sum(axis=-1)
     return float(total) if r.ndim == 1 else total
 
 

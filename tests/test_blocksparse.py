@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from satool import blocksparse
 from satool.blocksparse import (
     BlockGrid,
     BlockMask,
@@ -190,6 +192,28 @@ def _matrices(elements):
     return shapes.flatmap(lambda shape: arrays(np.float64, shape, elements=elements))
 
 
+def _softmax(logits):
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+@st.composite
+def _wide_rows(draw):
+    """Softmax rows 32-512 wide at logit scales 1-1e3, with ties at the top, and a row scale.
+
+    Each row copies its largest logit into up to 3 other entries, so the
+    prefix cut often lands on a run of equal values inside the sorted top
+    slice.  The scale, 1 or off it, makes rows that do not sum to 1.
+    """
+    rows, n = draw(st.integers(1, 4)), draw(st.integers(32, 512))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    logits = rng.normal(size=(rows, n)) * 10.0 ** draw(st.floats(0.0, 3.0))
+    for row in logits:
+        row[rng.choice(n, size=draw(st.integers(0, 3)), replace=False)] = row.max()
+    scale = draw(st.one_of(st.just(1.0), st.floats(0.01, 1.0), st.floats(1.0, 4.0)))
+    return _softmax(logits), scale
+
+
 class TestCumulativePrefixMask:
     @settings(max_examples=300, deadline=None)
     @given(values=st.one_of(_matrices(_eighths), _matrices(_unit)),
@@ -203,6 +227,46 @@ class TestCumulativePrefixMask:
         np.testing.assert_array_equal(got, expected)
         for row, row_expected in zip(values, expected):
             np.testing.assert_array_equal(cumulative_prefix_mask(row, threshold), row_expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=_wide_rows(), data=st.data())
+    def test_wide_rows_match_argsort_reference(self, rows, data):
+        # Wide softmax rows take the bounded top-width sort unless flat; rows
+        # scaled off a unit sum can reach the width and are redone at full width.
+        values, scale = rows
+        thresholds = np.array(data.draw(st.lists(
+            st.one_of(st.sampled_from([math.nan, 0.0, 1.0, 1.5]), st.floats(0.0, 1.0),
+                      st.floats(0.5, 1.0)),
+            min_size=len(values), max_size=len(values))))
+        values = values * scale
+        expected = argsort_prefix_mask(values, thresholds[:, None])
+        np.testing.assert_array_equal(cumulative_prefix_mask(values, thresholds), expected)
+        expected_scalar = argsort_prefix_mask(values, thresholds[0])
+        np.testing.assert_array_equal(cumulative_prefix_mask(values, thresholds[0]),
+                                      expected_scalar)
+
+    def test_sort_width_follows_row_mass(self, rng):
+        # Peaky rows sort a top slice, flat rows their full width, and rows
+        # that keep past the slice (here: rows summing below the threshold)
+        # are redone at full width.
+        n = 256
+        logits = rng.normal(size=(6, n))
+        peaky, flat = _softmax(300.0 * logits), _softmax(0.1 * logits)
+        for values, threshold, widths in (
+            (peaky, 0.95, "partial"),
+            (flat, 0.95, "full"),
+            (0.5 * peaky, 0.9, "partial, then full"),
+        ):
+            with mock.patch.object(blocksparse, "_descending_prefix",
+                                   wraps=blocksparse._descending_prefix) as spy:
+                got = cumulative_prefix_mask(values, threshold)
+            np.testing.assert_array_equal(got, argsort_prefix_mask(values, threshold))
+            seen = [(call.args[0].shape[0], call.args[2]) for call in spy.call_args_list]
+            if widths == "full":
+                assert seen == [(6, n)]
+            else:
+                assert seen[0][0] == 6 and 2 * seen[0][1] <= n
+                assert seen[1:] == ([] if widths == "partial" else [(6, n)])
 
     @settings(max_examples=200, deadline=None)
     @given(values=st.one_of(_matrices(_eighths), _matrices(_unit)), data=st.data())

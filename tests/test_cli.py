@@ -730,7 +730,12 @@ def test_huge_negative_budget_matches_zero_budget(trace_dir, tmp_path, runner):
      "measured errors overflow when summed over heads"),
     # Some head's errors at its four sampled steps overflow when summed for the mean.
     ({}, "measured errors must be finite"),
-], ids=["over-heads", "over-steps"])
+    # One head's four band ratios at step 0 and tau 0.2 sum to 1.32, so its
+    # weighted error overflows.
+    (dict(layers=1, heads=2, tokens=384, head_dim=32, steps=4, block_size=32,
+          kappa_min=0.95, kappa_max=0.999, scale_min=3, scale_max=6, seed=3),
+     "measured errors must be finite"),
+], ids=["over-heads", "over-steps", "over-bands"])
 def test_errors_that_overflow_fail_cleanly(tmp_path, runner, shape, message):
     # -W error: no numpy warning may escape on the way to the error line.
     source, out = tmp_path / "trace", tmp_path / "out"

@@ -165,6 +165,13 @@ class TestWeightedError:
         batch = weighted_error(np.array(ratios), weights)
         assert batch.tolist() == [weighted_error(np.array(row), weights) for row in ratios]
 
+    def test_sum_that_overflows_is_inf_without_a_warning(self):
+        # Warnings fail this suite, so an overflow warning would fail the test.
+        weights = BandWeights(1.7e308, 1.7e308, 1.0, 1.0)
+        assert weighted_error([1.0, 1.0, 0.0, 0.0], weights) == math.inf
+        batch = weighted_error(np.array([[1.0, 1.0, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0]]), weights)
+        assert batch.tolist() == [math.inf, 1.7e308]
+
     def test_ratios_need_four_bands_on_the_last_axis(self):
         for shape in [(3,), (4, 3), ()]:
             with pytest.raises(ShapeMismatch):
