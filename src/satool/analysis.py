@@ -5,15 +5,15 @@ masks (per attention row, minimal 0.95-mass key sets) give a row-averaged
 token IoU, freshly predicted block masks give block IoU and the changed-block
 ratio, and the query/key features give full-token, mean-pooled, and
 block-score drift.  The pair helpers take the head's steps ``x[:-1]`` against
-``x[1:]`` as a batch axis, one call per head; every sample is bitwise the
-value the helper gives that pair alone.  These samples feed the
-multi-granularity stability report, the drift-similarity scatter, and the
-stability-bound fits.
+``x[1:]`` as a batch axis, one call per head, and write that head's slice of
+six (layers, heads, steps - 1) arrays; every entry is bitwise the value the
+helper gives that pair alone.  These arrays feed the multi-granularity
+stability report, the drift-similarity scatter, and the stability-bound fits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .blocksparse import (
     changed_block_ratio,
     check_tau,
     mask_iou,
-    scalar_if_unbatched,
     top_p_mask,
     top_p_select,  # noqa: F401  -- re-exported; perfbench's smoke test rebinds it here
 )
@@ -32,24 +31,19 @@ from .surrogate import attention_probs, prob_chunks
 from .trace import DenoiseTrace
 
 
-@dataclass
-class PairSample:
-    """Adjacent-step comparison for one head: (step, step+1) statistics."""
+class PairStats(NamedTuple):
+    """Adjacent-step statistics of every head, each of shape (layers, heads, steps - 1).
 
-    step: int
-    layer: int
-    head: int
-    full_drift: float
-    pool_drift: float
-    score_drift: float
-    token_iou: float
-    block_iou: float
-    changed_ratio: float
+    Entry ``[l, h, s]`` compares step ``s`` of head ``(l, h)`` with step
+    ``s + 1``.  The fields are in the column order of ``drift_iou.csv``.
+    """
 
-
-def _mean_row_iou(masks_a: np.ndarray, masks_b: np.ndarray) -> float | np.ndarray:
-    """Row-averaged IoU of (..., rows, keys) masks; a float without batch axes."""
-    return scalar_if_unbatched(mask_iou(masks_a, masks_b).mean(axis=-1))
+    full_drift: np.ndarray
+    pool_drift: np.ndarray
+    score_drift: np.ndarray
+    token_iou: np.ndarray
+    block_iou: np.ndarray
+    changed_ratio: np.ndarray
 
 
 def _token_ious(q: np.ndarray, k: np.ndarray, p: float) -> np.ndarray:
@@ -68,67 +62,60 @@ def _token_ious(q: np.ndarray, k: np.ndarray, p: float) -> np.ndarray:
         start = window.start
         rows = top_p_mask(attention_probs(q[window], k[window]), p)
         if prev is not None:
-            ious[start - 1] = _mean_row_iou(prev, rows[0])
+            ious[start - 1] = mask_iou(prev, rows[0]).mean(axis=-1)
         if len(rows) > 1:
-            ious[start:start + len(rows) - 1] = _mean_row_iou(rows[:-1], rows[1:])
+            ious[start:start + len(rows) - 1] = mask_iou(rows[:-1], rows[1:]).mean(axis=-1)
         prev = rows[-1]
     return ious
 
 
 def adjacent_pair_samples(trace: DenoiseTrace, token_p: float = 0.95,
-                          tau: float = 0.95) -> list[PairSample]:
-    """Per-head adjacent-step stability samples over the whole trajectory."""
+                          tau: float = 0.95) -> PairStats:
+    """Adjacent-step stability statistics of every head over the whole trajectory."""
     check_tau(tau)
     check_tau(token_p, "token_p")
     cfg = trace.config
     grid = cfg.grid
-    samples: list[PairSample] = []
-    for layer in range(cfg.layers):
-        for head in range(cfg.heads):
-            q, k = trace.head_qk(layer, head)
-            q_mean, k_mean = q.mean(axis=1), k.mean(axis=1)
-            scores = block_score_values(q, k, grid)
-            masks = top_p_mask(scores, tau)
-            columns = zip(
-                full_token_drift(q[:-1], q[1:], k[:-1], k[1:]).tolist(),
-                mean_pool_drift(q_mean[:-1], q_mean[1:], k_mean[:-1], k_mean[1:]).tolist(),
-                np.abs(scores[:-1] - scores[1:]).mean(axis=-1).tolist(),
-                _token_ious(q, k, token_p).tolist(),
-                mask_iou(masks[:-1], masks[1:]).tolist(),
-                changed_block_ratio(masks[:-1], masks[1:]).tolist(),
-            )
-            samples.extend(PairSample(step, layer, head, *values)
-                           for step, values in enumerate(columns))
-    return samples
+    stats = np.empty((len(PairStats._fields), cfg.layers, cfg.heads, cfg.steps - 1))
+    for layer, head in np.ndindex(cfg.layers, cfg.heads):
+        q, k = trace.head_qk(layer, head)
+        q_mean, k_mean = q.mean(axis=1), k.mean(axis=1)
+        scores = block_score_values(q, k, grid)
+        masks = top_p_mask(scores, tau)
+        stats[:, layer, head] = (
+            full_token_drift(q[:-1], q[1:], k[:-1], k[1:]),
+            mean_pool_drift(q_mean[:-1], q_mean[1:], k_mean[:-1], k_mean[1:]),
+            np.abs(scores[:-1] - scores[1:]).mean(axis=-1),
+            _token_ious(q, k, token_p),
+            mask_iou(masks[:-1], masks[1:]),
+            changed_block_ratio(masks[:-1], masks[1:]),
+        )
+    return PairStats(*stats)
 
 
-def stability_rows(samples: list[PairSample], layers: int, heads: int, steps: int) -> list[dict]:
-    """Aggregate pair samples to prompt-, layer-, and head-level report rows."""
-    by_key = {(s.layer, s.head, s.step): s for s in samples}
-    rows: list[dict] = []
-    for step in range(steps - 1):
-        level = [by_key[(l, h, step)] for l in range(layers) for h in range(heads)]
-        rows.append({
-            "granularity": "prompt", "step": step, "layer": "", "head": "",
-            "token_iou": float(np.mean([s.token_iou for s in level])),
-            "block_iou": float(np.mean([s.block_iou for s in level])),
-        })
-    for layer in range(layers):
-        for step in range(steps - 1):
-            level = [by_key[(layer, h, step)] for h in range(heads)]
-            rows.append({
-                "granularity": "layer", "step": step, "layer": layer, "head": "",
-                "token_iou": float(np.mean([s.token_iou for s in level])),
-                "block_iou": float(np.mean([s.block_iou for s in level])),
-            })
-    for layer in range(layers):
-        for head in range(heads):
-            for step in range(steps - 1):
-                s = by_key[(layer, head, step)]
-                rows.append({
-                    "granularity": "head", "step": step, "layer": layer, "head": head,
-                    "token_iou": s.token_iou, "block_iou": s.block_iou,
-                })
+def stability_rows(samples: PairStats) -> list[list]:
+    """Prompt-, layer- and head-level rows of the stability report.
+
+    Each row is ``[granularity, step, layer, head, token_iou, block_iou]``.
+    A prompt row averages every head of its step and a layer row the heads
+    of its layer, both in (layer, head) order.
+    """
+    layers, heads, pairs = samples.token_iou.shape
+    labels = ([("prompt", "", "")] + [("layer", layer, "") for layer in range(layers)]
+              + [("head", layer, head) for layer, head in np.ndindex(layers, heads)])
+
+    def levels(values):
+        # Each mean over heads sums one contiguous run in (layer, head) order,
+        # so it has the bits of ``float(np.mean(list))`` over that list.
+        means = [np.ascontiguousarray(v.swapaxes(1, 2)).mean(axis=-1)
+                 for v in (values.reshape(1, layers * heads, pairs), values)]
+        return np.concatenate([*means, values.reshape(-1, pairs)]).tolist()
+
+    rows = []
+    for (granularity, layer, head), token, block in zip(
+            labels, levels(samples.token_iou), levels(samples.block_iou)):
+        rows.extend([granularity, step, layer, head, t, b]
+                    for step, (t, b) in enumerate(zip(token, block)))
     return rows
 
 
@@ -160,28 +147,19 @@ def spearman(x, y) -> float:
     return float((rx * ry).sum() / denom)
 
 
-def split_samples(samples: list[PairSample], fraction: float = 0.5,
-                  seed: int = 0) -> tuple[list[PairSample], list[PairSample]]:
-    """Seeded shuffle split into (calibration, held-out) halves."""
-    if not (0.0 < fraction < 1.0):
-        raise DomainError(f"split fraction must lie in (0, 1), got {fraction}")
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 707]))
-    order = rng.permutation(len(samples))
-    cut = int(round(fraction * len(samples)))
-    return [samples[i] for i in order[:cut]], [samples[i] for i in order[cut:]]
-
-
-def two_step_bound_constants(samples: list[PairSample]) -> dict:
+def two_step_bound_constants(full_drift: np.ndarray, score_drift: np.ndarray,
+                             changed_ratio: np.ndarray) -> dict:
     """Fitted max-ratio constants for the drift -> score-drift -> mask-change chain.
 
-    Zero-drift samples carry no ratio information; a fully frozen trace yields
-    all-zero constants (consistent: zero drift forces zero mask change).
+    The three arguments are equal-shape arrays of pair statistics.  Zero-drift
+    samples carry no ratio information; a fully frozen trace yields all-zero
+    constants (consistent: zero drift forces zero mask change).
     """
-    if not samples:
+    drifts = np.ravel(full_drift)
+    score = np.ravel(score_drift)
+    ratios = np.ravel(changed_ratio)
+    if not drifts.size:
         raise DomainError("need at least one sample")
-    drifts = np.array([s.full_drift for s in samples])
-    score = np.array([s.score_drift for s in samples])
-    ratios = np.array([s.changed_ratio for s in samples])
     nz = drifts > 0
     c_score = float((score[nz] / drifts[nz]).max()) if nz.any() else 0.0
     c_end = float((ratios[nz] / drifts[nz]).max()) if nz.any() else 0.0

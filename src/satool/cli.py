@@ -32,7 +32,7 @@ from .calibration import (
 )
 from .errors import DomainError, ToolkitError
 from .reuse import DEFAULT_GATE, cache_footprint, simulate
-from .runio import write_csv, write_json, write_manifest
+from .runio import regular_file_fd, write_csv, write_json, write_manifest
 from .spectral import BandWeights, perturbation_study
 from .surrogate import ForwardPipeline
 from .trace import TraceConfig, read_trace, write_trace
@@ -160,27 +160,23 @@ def cmd_analyze(trace_path, out, token_p, tau):
             )
         samples = adjacent_pair_samples(trace, token_p=token_p, tau=tau)
     summary = {
-        "drift_iou_spearman": spearman(
-            [s.pool_drift for s in samples], [s.token_iou for s in samples]
-        ),
-        "bound_constants": two_step_bound_constants(samples),
-        "pairs": len(samples),
+        "drift_iou_spearman": spearman(samples.pool_drift.ravel(), samples.token_iou.ravel()),
+        "bound_constants": two_step_bound_constants(
+            samples.full_drift, samples.score_drift, samples.changed_ratio),
+        "pairs": pairs,
     }
     out_dir = _ensure_out(out)
     stability_path = out_dir / "stability.csv"
-    write_csv(
-        stability_path,
-        ["granularity", "step", "layer", "head", "token_iou", "block_iou"],
-        [[r["granularity"], r["step"], r["layer"], r["head"], r["token_iou"], r["block_iou"]]
-         for r in stability_rows(samples, cfg.layers, cfg.heads, cfg.steps)],
-    )
+    write_csv(stability_path,
+              ["granularity", "step", "layer", "head", "token_iou", "block_iou"],
+              stability_rows(samples))
     scatter_path = out_dir / "drift_iou.csv"
     write_csv(
         scatter_path,
         ["step", "layer", "head", "full_token_drift", "mean_pool_drift", "score_drift",
          "token_iou", "block_iou", "changed_block_ratio"],
-        [[s.step, s.layer, s.head, s.full_drift, s.pool_drift, s.score_drift,
-          s.token_iou, s.block_iou, s.changed_ratio] for s in samples],
+        ([step, layer, head, *values] for (layer, head, step), *values in zip(
+            np.ndindex(samples.token_iou.shape), *(x.ravel().tolist() for x in samples))),
     )
     summary_path = out_dir / "summary.json"
     write_json(summary_path, summary)
@@ -283,7 +279,8 @@ def cmd_run(trace_path, out, table_path, tau, delta, gate_lo, gate_hi):
         cfg = trace.config
         if table_path is not None:
             try:
-                payload = json.loads(Path(table_path).read_text())
+                with open(regular_file_fd(table_path, DomainError)) as fh:
+                    payload = json.load(fh)
                 table = table_from_json_dict(payload)
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise DomainError(f"invalid calibration table {table_path}: {exc}") from exc

@@ -7,6 +7,7 @@ import hashlib
 import json
 import math
 import os
+import stat
 from pathlib import Path
 from typing import BinaryIO, Iterator
 
@@ -69,6 +70,23 @@ def write_csv(path: Path, header: list[str], rows) -> None:
 
 def write_json(path: Path, payload) -> None:
     atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+def regular_file_fd(path: str | os.PathLike, error: type[Exception]) -> int:
+    """A blocking read-only descriptor of ``path``, which must name a regular file.
+
+    The open itself does not block, so a FIFO raises ``error`` at once
+    instead of waiting for a writer.
+    """
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        if not stat.S_ISREG(os.fstat(fd).st_mode):
+            raise error(f"{path}: not a regular file")
+        os.set_blocking(fd, True)
+    except BaseException:
+        os.close(fd)
+        raise
+    return fd
 
 
 def sha256_path(path: Path) -> str:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import io
 import math
 import os
-import stat
 import struct
 from dataclasses import dataclass
 from typing import BinaryIO
@@ -26,7 +25,7 @@ import numpy as np
 
 from .blocksparse import BlockGrid
 from .errors import ConfigError, DomainError, ShapeMismatch, StateError, TraceFormatError
-from .runio import atomic_open
+from .runio import atomic_open, regular_file_fd
 
 TRACE_MAGIC = b"SATR"
 TRACE_VERSION = 1
@@ -290,10 +289,8 @@ def read_trace(path: str | os.PathLike) -> DenoiseTrace:
     ``path`` must name a regular file.  Use the trace in a ``with`` block,
     or ``close()`` it, to close the file.
     """
-    fh = open(path, "rb", buffering=0)
+    fh = open(regular_file_fd(path, TraceFormatError), "rb", buffering=0)
     try:
-        if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            raise TraceFormatError(f"{path}: not a regular file")
         return DenoiseTrace(fh, path)
     except BaseException:
         fh.close()

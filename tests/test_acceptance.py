@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from satool.analysis import adjacent_pair_samples, spearman, split_samples, two_step_bound_constants
+from satool.analysis import adjacent_pair_samples, spearman, two_step_bound_constants
 from satool.blocksparse import BlockScores, block_score_values, top_p_mask, top_p_select
 from satool.calibration import (
     CalibrationProblem,
@@ -115,18 +115,22 @@ def test_criterion_3_calibration_dominance(default_pipeline):
 
 def test_criterion_4_drift_bound_generalizes(default_samples):
     start = time.monotonic()
-    calibration, held_out = split_samples(default_samples, 0.5, seed=7)
-    constant = two_step_bound_constants(calibration)["mask_per_drift"]
-    held_nonzero = [s for s in held_out if s.full_drift > 0]
+    drift, score, ratio = (x.ravel() for x in (
+        default_samples.full_drift, default_samples.score_drift, default_samples.changed_ratio))
+    # A seeded shuffle into calibration and held-out halves.
+    order = np.random.default_rng(np.random.SeedSequence([7, 707])).permutation(drift.size)
+    calibration, held_out = np.split(order, [round(0.5 * drift.size)])
+    constant = two_step_bound_constants(
+        drift[calibration], score[calibration], ratio[calibration])["mask_per_drift"]
+    held_nonzero = held_out[drift[held_out] > 0]
     assert len(held_nonzero) >= 200
-    violations = sum(1 for s in held_nonzero if s.changed_ratio > constant * s.full_drift)
+    violations = int((ratio[held_nonzero] > constant * drift[held_nonzero]).sum())
     rate = violations / len(held_nonzero)
     assert rate <= 0.05
     # Zero drift forces zero mask change, exactly, on a frozen trace.
     frozen = adjacent_pair_samples(generate_trace(TraceConfig(kappa_range=(1.0, 1.0), steps=10)))
-    for sample in frozen:
-        assert sample.full_drift == 0.0
-        assert sample.changed_ratio == 0.0
+    assert (frozen.full_drift == 0.0).all()
+    assert (frozen.changed_ratio == 0.0).all()
     elapsed = time.monotonic() - start
     assert elapsed < 60.0
     report(4, f"C={constant:.4g}, {violations}/{len(held_nonzero)} held-out violations "
@@ -135,15 +139,13 @@ def test_criterion_4_drift_bound_generalizes(default_samples):
 
 def test_criterion_5_drift_iou_negative_correlation(default_samples):
     start = time.monotonic()
-    assert len(default_samples) >= 200
-    rho = spearman(
-        [s.pool_drift for s in default_samples],
-        [s.token_iou for s in default_samples],
-    )
+    pairs = default_samples.token_iou.size
+    assert pairs >= 200
+    rho = spearman(default_samples.pool_drift.ravel(), default_samples.token_iou.ravel())
     assert rho <= -0.3
     elapsed = time.monotonic() - start
     assert elapsed < 60.0
-    report(5, f"Spearman rho = {rho:.3f} <= -0.3 over {len(default_samples)} samples")
+    report(5, f"Spearman rho = {rho:.3f} <= -0.3 over {pairs} samples")
 
 
 def test_criterion_6_reuse_endpoints_and_monotonicity(default_pipeline):

@@ -1,18 +1,19 @@
 import math
-from dataclasses import astuple
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from satool import analysis, surrogate
 from satool.analysis import (
-    PairSample,
+    PairStats,
     adjacent_pair_samples,
     spearman,
-    split_samples,
     stability_rows,
     two_step_bound_constants,
 )
@@ -24,10 +25,12 @@ from satool.blocksparse import (
     top_p_mask,
     top_p_select,
 )
+from satool.cli import main
 from satool.errors import DomainError, ShapeMismatch
 from satool.reuse import full_token_drift, mean_pool_drift
+from satool.runio import format_cell
 from satool.surrogate import attention_probs
-from satool.trace import TraceConfig, generate_trace
+from satool.trace import TraceConfig, generate_trace, write_trace
 
 
 def row_iou(masks_a, masks_b):
@@ -41,7 +44,7 @@ def row_iou(masks_a, masks_b):
 def per_step_pair_samples(trace, token_p=0.95, tau=0.95):
     """Reference: walk each head step by step through the per-step public calls."""
     cfg = trace.config
-    samples = []
+    samples = PairStats(*np.full((6, cfg.layers, cfg.heads, cfg.steps - 1), np.nan))
     for layer in range(cfg.layers):
         for head in range(cfg.heads):
             prev = None
@@ -56,27 +59,35 @@ def per_step_pair_samples(trace, token_p=0.95, tau=0.95):
                     "q_mean": q.mean(axis=0), "k_mean": k.mean(axis=0),
                 }
                 if prev is not None:
-                    samples.append(PairSample(
-                        step=step - 1, layer=layer, head=head,
-                        full_drift=full_token_drift(prev["q"], q, prev["k"], k),
-                        pool_drift=mean_pool_drift(
-                            prev["q_mean"], state["q_mean"], prev["k_mean"], state["k_mean"]
-                        ),
-                        score_drift=float(np.abs(prev["scores"] - state["scores"]).mean()),
-                        token_iou=row_iou(prev["rows"], state["rows"]),
-                        block_iou=mask_iou(prev["mask"].retained, state["mask"].retained),
-                        changed_ratio=changed_block_ratio(
-                            prev["mask"].retained, state["mask"].retained
-                        ),
-                    ))
+                    pair = (layer, head, step - 1)
+                    samples.full_drift[pair] = full_token_drift(prev["q"], q, prev["k"], k)
+                    samples.pool_drift[pair] = mean_pool_drift(
+                        prev["q_mean"], state["q_mean"], prev["k_mean"], state["k_mean"])
+                    samples.score_drift[pair] = float(
+                        np.abs(prev["scores"] - state["scores"]).mean())
+                    samples.token_iou[pair] = row_iou(prev["rows"], state["rows"])
+                    samples.block_iou[pair] = mask_iou(
+                        prev["mask"].retained, state["mask"].retained)
+                    samples.changed_ratio[pair] = changed_block_ratio(
+                        prev["mask"].retained, state["mask"].retained)
                 prev = state
     return samples
 
 
-def exact_fields(samples):
-    """Each sample's fields with floats as their exact bit patterns (and types)."""
-    return [tuple((type(v).__name__, v.hex() if isinstance(v, float) else v)
-                  for v in astuple(sample)) for sample in samples]
+def assert_same_bits(got, expected):
+    """Every field is a float64 array of the expected shape and bits."""
+    assert isinstance(got, PairStats)
+    for name, x, y in zip(PairStats._fields, got, expected):
+        assert x.dtype == np.float64 and x.shape == y.shape, name
+        np.testing.assert_array_equal(x.view(np.uint64), y.view(np.uint64), err_msg=name)
+
+
+def drift_iou_lines(samples):
+    """Reference: drift_iou.csv's data lines, built pair by pair in (layer, head, step) order."""
+    layers, heads, pairs = samples.token_iou.shape
+    return [",".join(format_cell(v) for v in [step, layer, head]
+                     + [float(x[layer, head, step]) for x in samples])
+            for layer in range(layers) for head in range(heads) for step in range(pairs)]
 
 
 @st.composite
@@ -109,27 +120,24 @@ def short_samples(short_trace):
 class TestPairSamples:
     def test_sample_count(self, short_trace, short_samples):
         cfg = short_trace.config
-        assert len(short_samples) == (cfg.steps - 1) * cfg.layers * cfg.heads
+        for values in short_samples:
+            assert values.shape == (cfg.layers, cfg.heads, cfg.steps - 1)
 
     def test_frozen_trace_is_perfectly_stable(self):
-        trace = generate_trace(TraceConfig(kappa_range=(1.0, 1.0), steps=6))
-        for sample in adjacent_pair_samples(trace):
-            assert sample.token_iou == 1.0
-            assert sample.block_iou == 1.0
-            assert sample.changed_ratio == 0.0
-            assert sample.full_drift == 0.0
-            assert sample.pool_drift == 0.0
+        samples = adjacent_pair_samples(generate_trace(TraceConfig(kappa_range=(1.0, 1.0), steps=6)))
+        assert (samples.token_iou == 1.0).all()
+        assert (samples.block_iou == 1.0).all()
+        assert (samples.changed_ratio == 0.0).all()
+        assert (samples.full_drift == 0.0).all()
+        assert (samples.pool_drift == 0.0).all()
 
     def test_iid_trace_less_stable_than_frozen(self):
         frozen = adjacent_pair_samples(generate_trace(TraceConfig(kappa_range=(1.0, 1.0), steps=6)))
         iid = adjacent_pair_samples(generate_trace(TraceConfig(kappa_range=(0.0, 0.0), steps=6)))
-        assert np.mean([s.token_iou for s in iid]) < np.mean([s.token_iou for s in frozen])
+        assert iid.token_iou.mean() < frozen.token_iou.mean()
 
     def test_negative_drift_iou_correlation(self, short_samples):
-        rho = spearman(
-            [s.pool_drift for s in short_samples],
-            [s.token_iou for s in short_samples],
-        )
+        rho = spearman(short_samples.pool_drift.ravel(), short_samples.token_iou.ravel())
         assert rho <= -0.3
 
 
@@ -144,7 +152,7 @@ class TestBatchedPassMatchesPerStep:
     def test_every_field_identical(self, config, token_p, tau):
         trace = generate_trace(config)
         expected = per_step_pair_samples(trace, token_p, tau)
-        assert adjacent_pair_samples(trace, token_p, tau) == expected
+        assert_same_bits(adjacent_pair_samples(trace, token_p, tau), expected)
 
     @pytest.mark.parametrize("chunk_steps", [1, 3])
     def test_several_chunks_with_partial_last(self, monkeypatch, chunk_steps):
@@ -154,7 +162,7 @@ class TestBatchedPassMatchesPerStep:
         trace = generate_trace(config)
         expected = per_step_pair_samples(trace)
         monkeypatch.setattr(surrogate, "PROB_CHUNK_ELEMENTS", chunk_steps * 32 * 32 + 5)
-        assert adjacent_pair_samples(trace) == expected
+        assert_same_bits(adjacent_pair_samples(trace), expected)
 
     def test_token_p_one_keeps_every_positive_key(self, monkeypatch):
         # A long-attn-shaped trace, where the rounded mass before a tiny
@@ -195,8 +203,20 @@ class TestBatchedPassMatchesPerStep:
         chunk = chunk_steps * config.tokens * config.tokens
         with mock.patch.object(surrogate, "PROB_CHUNK_ELEMENTS", chunk):
             got = adjacent_pair_samples(trace, token_p, tau)
-        assert len(got) == (config.steps - 1) * config.layers * config.heads
-        assert exact_fields(got) == exact_fields(expected)
+            if expected.token_iou.size < 2:
+                scatter = None  # analyze rejects fewer than two pairs
+            else:
+                with tempfile.TemporaryDirectory() as tmp:
+                    path = Path(tmp) / "trace.satr"
+                    write_trace(config, path)
+                    result = CliRunner().invoke(main, [
+                        "analyze", "--trace", str(path), "--out", tmp,
+                        "--token-p", repr(token_p), "--tau", repr(tau)])
+                    assert result.exit_code == 0, result.output
+                    scatter = (Path(tmp) / "drift_iou.csv").read_text().splitlines()
+        assert_same_bits(got, expected)
+        if scatter is not None:
+            assert scatter[1:] == drift_iou_lines(expected)
 
     def test_one_drift_call_per_head(self, monkeypatch, short_trace):
         cfg = short_trace.config
@@ -217,35 +237,73 @@ class TestBatchedPassMatchesPerStep:
 
 
 class TestMeanRowIou:
+    """Token IoU is ``mask_iou(...).mean(axis=-1)``: row IoUs averaged per pair."""
+
     def test_batch_axes_match_per_pair_calls(self, rng):
         a = rng.random((2, 3, 5, 7)) < 0.4
         b = rng.random((2, 3, 5, 7)) < 0.4
         a[0, 0, 1] = b[0, 0, 1] = False
-        batched = analysis._mean_row_iou(a, b)
-        assert isinstance(batched, np.ndarray) and batched.shape == (2, 3)
+        batched = mask_iou(a, b).mean(axis=-1)
+        assert batched.shape == (2, 3)
         for index in np.ndindex(2, 3):
-            single = analysis._mean_row_iou(a[index], b[index])
-            assert type(single) is float
-            assert float(batched[index]).hex() == single.hex() == row_iou(a[index], b[index]).hex()
+            single = mask_iou(a[index], b[index]).mean(axis=-1)
+            assert float(batched[index]).hex() == float(single).hex() == (
+                row_iou(a[index], b[index]).hex())
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            analysis._mean_row_iou(np.zeros((2, 3, 4), bool), np.zeros((3, 3, 4), bool))
+            mask_iou(np.zeros((2, 3, 4), bool), np.zeros((3, 3, 4), bool))
+
+
+def list_mean_rows(samples):
+    """Reference: report rows with each mean taken as ``float(np.mean(list))`` in (layer, head) order."""
+    layers, heads, pairs = samples.token_iou.shape
+    token, block = samples.token_iou.tolist(), samples.block_iou.tolist()
+    groups = ([("prompt", "", "", list(np.ndindex(layers, heads)))]
+              + [("layer", l, "", [(l, h) for h in range(heads)]) for l in range(layers)]
+              + [("head", l, h, [(l, h)]) for l, h in np.ndindex(layers, heads)])
+    return [[granularity, step, layer, head,
+             float(np.mean([token[l][h][step] for l, h in group])),
+             float(np.mean([block[l][h][step] for l, h in group]))]
+            for granularity, layer, head, group in groups for step in range(pairs)]
+
+
+@pytest.fixture(scope="module")
+def wide_samples():
+    """Random statistics of 3 layers of 20 heads: numpy's pairwise sums differ from sequential ones."""
+    values = np.random.default_rng(24).random((6, 3, 20, 5))
+    return PairStats(*values)
 
 
 class TestStabilityRows:
     def test_row_count_covers_all_granularities(self, short_trace, short_samples):
         cfg = short_trace.config
-        rows = stability_rows(short_samples, cfg.layers, cfg.heads, cfg.steps)
+        rows = stability_rows(short_samples)
         expected = (cfg.steps - 1) * (1 + cfg.layers + cfg.layers * cfg.heads)
         assert len(rows) == expected
 
-    def test_prompt_rows_average_everything(self, short_trace, short_samples):
-        cfg = short_trace.config
-        rows = stability_rows(short_samples, cfg.layers, cfg.heads, cfg.steps)
-        prompt = [r for r in rows if r["granularity"] == "prompt"]
-        step0 = [s.token_iou for s in short_samples if s.step == 0]
-        assert prompt[0]["token_iou"] == pytest.approx(np.mean(step0))
+    @staticmethod
+    def assert_bits_of_list_means(samples, granularity):
+        rows = [r for r in stability_rows(samples) if r[0] == granularity]
+        expected = [r for r in list_mean_rows(samples) if r[0] == granularity]
+        assert [[type(v) for v in r] for r in rows] == [[type(v) for v in r] for r in expected]
+        assert [[float(v).hex() if isinstance(v, float) else v for v in r] for r in rows] == [
+            [float(v).hex() if isinstance(v, float) else v for v in r] for r in expected]
+        # The summation order matters: a sequential sum gives other bits for some row.
+        token = samples.token_iou
+        groups = token.reshape(1, -1, token.shape[-1]) if granularity == "prompt" else token
+        sequential = [sum(group[:, step].tolist()) / len(group)
+                      for group in groups for step in range(token.shape[-1])]
+        assert [r[4] for r in rows] != sequential
+
+    def test_prompt_rows_average_everything(self, wide_samples):
+        self.assert_bits_of_list_means(wide_samples, "prompt")
+
+    def test_layer_rows_average_their_heads(self, wide_samples):
+        self.assert_bits_of_list_means(wide_samples, "layer")
+
+    def test_every_row_matches_the_list_means(self, short_samples):
+        assert stability_rows(short_samples) == list_mean_rows(short_samples)
 
 
 def loop_ranks(values):
@@ -303,32 +361,25 @@ class TestSpearman:
 
 
 class TestSplitAndBounds:
-    def test_split_partitions_samples(self, short_samples):
-        cal, held = split_samples(short_samples, 0.5, seed=3)
-        assert len(cal) + len(held) == len(short_samples)
-        assert len(cal) == round(0.5 * len(short_samples))
-
-    def test_split_deterministic(self, short_samples):
-        a = split_samples(short_samples, 0.5, seed=3)
-        b = split_samples(short_samples, 0.5, seed=3)
-        assert [id(s) for s in a[0]] == [id(s) for s in b[0]]
-
     def test_fitted_constant_bounds_generalize(self, short_samples):
-        cal, held = split_samples(short_samples, 0.5, seed=3)
-        constant = two_step_bound_constants(cal)["mask_per_drift"]
-        violations = sum(
-            1 for s in held if s.full_drift > 0 and s.changed_ratio > constant * s.full_drift
-        )
-        assert violations / len(held) <= 0.05
+        drift, score, ratio = (x.ravel() for x in (
+            short_samples.full_drift, short_samples.score_drift, short_samples.changed_ratio))
+        # A seeded shuffle into calibration and held-out halves.
+        order = np.random.default_rng(np.random.SeedSequence([3, 707])).permutation(drift.size)
+        cal, held = np.split(order, [round(0.5 * drift.size)])
+        constant = two_step_bound_constants(drift[cal], score[cal], ratio[cal])["mask_per_drift"]
+        violations = ((drift[held] > 0) & (ratio[held] > constant * drift[held])).sum()
+        assert violations / held.size <= 0.05
 
     def test_two_step_chain_bounds_every_sample(self, short_samples):
-        constants = two_step_bound_constants(short_samples)
-        for s in short_samples:
-            if s.full_drift > 0:
-                assert s.score_drift <= constants["score_per_drift"] * s.full_drift + 1e-15
-                assert s.changed_ratio <= constants["mask_per_drift"] * s.full_drift + 1e-15
-            if s.score_drift > 0:
-                assert s.changed_ratio <= constants["mask_per_score"] * s.score_drift + 1e-15
+        s = short_samples
+        drift, score, ratio = s.full_drift, s.score_drift, s.changed_ratio
+        constants = two_step_bound_constants(drift, score, ratio)
+        moved = drift > 0
+        assert (score[moved] <= constants["score_per_drift"] * drift[moved] + 1e-15).all()
+        assert (ratio[moved] <= constants["mask_per_drift"] * drift[moved] + 1e-15).all()
+        scored = score > 0
+        assert (ratio[scored] <= constants["mask_per_score"] * score[scored] + 1e-15).all()
         # Composing the two stages bounds the end-to-end constant.
         assert constants["mask_per_drift"] <= (
             constants["score_per_drift"] * constants["mask_per_score"] + 1e-15
@@ -336,26 +387,25 @@ class TestSplitAndBounds:
 
 
 def drift_samples(pairs):
-    """Samples whose only meaningful fields are (full drift, changed-block ratio)."""
-    return [PairSample(step=0, layer=0, head=0, full_drift=drift, pool_drift=0.0,
-                       score_drift=0.0, token_iou=1.0, block_iou=1.0, changed_ratio=ratio)
-            for drift, ratio in pairs]
+    """(full drift, score drift, changed-block ratio) arrays from (drift, ratio) pairs."""
+    drift, ratio = np.array(pairs, dtype=np.float64).reshape(-1, 2).T
+    return drift, np.zeros_like(drift), ratio
 
 
 class TestMaskPerDrift:
     def test_max_ratio(self):
-        constants = two_step_bound_constants(drift_samples([(1.0, 0.1), (2.0, 0.5)]))
+        constants = two_step_bound_constants(*drift_samples([(1.0, 0.1), (2.0, 0.5)]))
         assert constants["mask_per_drift"] == pytest.approx(0.25)
 
     def test_zero_ratios_give_zero(self):
-        constants = two_step_bound_constants(drift_samples([(1.0, 0.0), (2.0, 0.0)]))
+        constants = two_step_bound_constants(*drift_samples([(1.0, 0.0), (2.0, 0.0)]))
         assert constants["mask_per_drift"] == 0.0
 
     def test_zero_drift_samples_ignored(self):
         samples = drift_samples([(0.0, 0.9), (1.0, 0.1), (2.0, 0.5)])
-        assert two_step_bound_constants(samples)["mask_per_drift"] == pytest.approx(0.25)
-        assert two_step_bound_constants(samples[:1])["mask_per_drift"] == 0.0
+        assert two_step_bound_constants(*samples)["mask_per_drift"] == pytest.approx(0.25)
+        assert two_step_bound_constants(*(x[:1] for x in samples))["mask_per_drift"] == 0.0
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
-            two_step_bound_constants([])
+            two_step_bound_constants(*drift_samples([]))

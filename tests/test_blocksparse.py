@@ -368,7 +368,7 @@ class TestTauOneKeepsEveryBlock:
         from satool.analysis import adjacent_pair_samples
 
         samples = adjacent_pair_samples(pipe.trace, tau=1.0)
-        assert all(s.block_iou == 1.0 and s.changed_ratio == 0.0 for s in samples)
+        assert (samples.block_iou == 1.0).all() and (samples.changed_ratio == 0.0).all()
 
     def test_zero_scores_still_excluded(self):
         keep = top_p_mask(np.array([[0.5, 0.5, 0.0, 0.0]]), np.array([1.0]))

@@ -751,6 +751,24 @@ def test_errors_that_overflow_fail_cleanly(tmp_path, runner, shape, message):
     assert not out.exists()
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+@pytest.mark.parametrize("command, code", [
+    (["analyze", "--trace", "{fifo}"], "trace-format"),
+    (["perturb", "--trace", "{fifo}"], "trace-format"),
+    (["run", "--trace", "{trace}", "--table", "{fifo}"], "domain"),
+], ids=["analyze-trace", "perturb-trace", "run-table"])
+def test_a_fifo_input_fails_without_waiting_for_a_writer(trace_dir, tmp_path, command, code):
+    # A blocking open() of a FIFO waits for a writer; the timeout turns that hang into a failure.
+    fifo, out = tmp_path / "fifo", tmp_path / "out"
+    os.mkfifo(fifo)
+    args = [arg.format(fifo=fifo, trace=trace_dir / "trace.satr") for arg in command]
+    env = {**os.environ, "PYTHONPATH": str(Path(satool.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-m", "satool.cli", *args, "--out", str(out)],
+                            capture_output=True, text=True, env=env, timeout=60)
+    assert (result.returncode, result.stderr) == (1, f"error:{code}: {fifo}: not a regular file\n")
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def tiny_trace(tmp_path_factory):
     out = tmp_path_factory.mktemp("tiny")

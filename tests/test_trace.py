@@ -4,6 +4,7 @@ import hashlib
 import io
 import math
 import os
+import signal
 import tracemalloc
 
 import numpy as np
@@ -377,6 +378,23 @@ class TestTraceFile:
     def test_rejects_a_file_that_is_not_regular(self):
         with pytest.raises(TraceFormatError, match="not a regular file"):
             read_trace(os.devnull)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    def test_rejects_a_fifo_without_waiting_for_a_writer(self, tmp_path):
+        path = tmp_path / "trace.satr"
+        os.mkfifo(path)
+
+        def hung(signum, frame):
+            raise AssertionError("read_trace waited for a writer")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(5)
+        try:
+            with pytest.raises(TraceFormatError, match="not a regular file"):
+                read_trace(path)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_read_array_is_writable(self, tmp_path, small_trace):
         path = tmp_path / "trace.satr"

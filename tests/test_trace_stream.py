@@ -54,6 +54,8 @@ def comparable(result):
     if hasattr(result, "kept"):
         return (result.sparsity.tolist(), result.error.tolist(), result.kept.tolist(),
                 result.blocks)
+    if hasattr(result, "token_iou"):
+        return [values.tolist() for values in result]
     return result
 
 
