@@ -7,9 +7,10 @@ directory.  For that tree and for the working tree's ``src/``, each
 perfbench workload's trace at seeds 3 and 11 goes through
 ``python -m satool.cli``: ``gen-trace``, ``analyze``, ``calibrate`` with
 the fft and the mse error, ``run`` on both tables and again at
-``--tau 0.9 --gate-lo 0 --gate-hi 1`` without one, and ``perturb`` at the
-default and at ``--alpha 0 --steps 1,3``.  The flags are the workloads'
-in ``perfbench/run.py`` (``WORKLOADS`` and ``command_args``).
+``--tau 0.9 --gate-lo 0 --gate-hi 1`` without one, ``perturb`` at the
+default and at ``--alpha 0 --steps 1,3``, and ``footprint --out`` at the
+trace's ``--layers/--heads/--tokens/--head-dim``.  The flags are the
+workloads' in ``perfbench/run.py`` (``WORKLOADS`` and ``command_args``).
 
 Every file that differs, or exists in one tree only, is printed, and the
 exit status is 1 if there is any.  Each differing file gets a note: for a
@@ -61,7 +62,11 @@ def command_lines(workload, trace_seed: int) -> list[list[str]]:
         "--tau", "0.9", "--gate-lo", "0", "--gate-hi", "1"]
     perturb_steps = replaced(perturb, "--out", "perturb-steps") + [
         "--alpha", "0", "--steps", "1,3"]
-    return [gen, analyze, calibrate, mse, run, run_mse, run_open, perturb, perturb_steps]
+    footprint = ["footprint", "--out", "footprint"]
+    for option in ("--layers", "--heads", "--tokens", "--head-dim"):
+        footprint += [option, gen[gen.index(option) + 1]]
+    return [gen, analyze, calibrate, mse, run, run_mse, run_open, perturb, perturb_steps,
+            footprint]
 
 
 def run_tree(src: Path, out: Path) -> None:

@@ -79,13 +79,6 @@ class BlockMask:
         return np.packbits(self.retained.astype(np.uint8)).tobytes().hex()
 
 
-def mask_from_hex(text: str, size: int) -> BlockMask:
-    bits = np.unpackbits(np.frombuffer(bytes.fromhex(text), dtype=np.uint8))
-    if bits.size < size:
-        raise ShapeMismatch(f"hex bitset too short for {size} blocks")
-    return BlockMask(retained=bits[:size].astype(bool))
-
-
 def block_score_values(q: np.ndarray, k: np.ndarray, grid: BlockGrid) -> np.ndarray:
     """Normalized block scores for Q/K of shape (..., tokens, D); returns (..., M).
 

@@ -250,13 +250,10 @@ def _measure_step(pipeline: ForwardPipeline, step: int, layers: np.ndarray, head
     (head, threshold) row.  A row that keeps every block has error exactly
     0; the others share one batched ``preactivation_changes`` pass and one
     error pass against the dense field: ``fft`` is the weighted four-band
-    error, ``mse`` the mean squared difference.
+    error, ``mse`` the mean squared difference.  ``_measure`` has checked
+    the thresholds, and reading the trace checks the step.
     """
     trace, grid = pipeline.trace, pipeline.grid
-    trace.check_step(step)
-    # Sorted like np.unique (NaN last), which would import numpy.ma.
-    for tau in np.sort(taus).tolist():
-        check_tau(tau)
     n, k, blocks = len(heads), taus.size, grid.total_blocks
     scores = BlockScores(block_score_values(trace.q(step, layers, heads),
                                             trace.k(step, layers, heads), grid))
@@ -290,6 +287,9 @@ def _measure(pipeline: ForwardPipeline, layers, heads, taus, steps, weights: Ban
         raise DomainError(f"objective must be 'fft' or 'mse', got {objective!r}")
     if not steps:
         raise DomainError("need at least one sampled step")
+    # Sorted like np.unique (NaN last), which would import numpy.ma.
+    for tau in np.sort(taus).tolist():
+        check_tau(tau)
     layers, heads = np.asarray(layers), np.asarray(heads)
     per_step = [_measure_step(pipeline, step, layers, heads, taus, weights, objective)
                 for step in steps]

@@ -53,6 +53,9 @@ def tool_command(fn):
         except OSError as exc:
             click.echo(f"error:io: {exc}", err=True)
             sys.exit(1)
+        except MemoryError as exc:
+            click.echo(f"error:memory: {exc}", err=True)
+            sys.exit(1)
 
     return wrapper
 
@@ -282,7 +285,8 @@ def cmd_run(trace_path, out, table_path, tau, delta, gate_lo, gate_hi):
                 with open(regular_file_fd(table_path, DomainError)) as fh:
                     payload = json.load(fh)
                 table = table_from_json_dict(payload)
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError,
+                    RecursionError) as exc:
                 raise DomainError(f"invalid calibration table {table_path}: {exc}") from exc
             taus = table.tau_grid(cfg.layers, cfg.heads)
         else:
@@ -365,12 +369,8 @@ def cmd_perturb(trace_path, out, alpha, seeds, steps):
 def cmd_footprint(layers, heads, tokens, head_dim, bytes_per_scalar, branches,
                   block_align, out):
     """Reuse-cache memory for full-token versus mean-pooled query/key state."""
-    result = {}
-    for mode in ("full_token", "mean_pooled"):
-        result[f"{mode}_bytes"] = cache_footprint(
-            layers, heads, tokens, head_dim, bytes_per_scalar, branches, mode,
-            block_align=block_align,
-        )
+    result = cache_footprint(layers, heads, tokens, head_dim, bytes_per_scalar, branches,
+                             block_align=block_align)
     text = json.dumps(result, sort_keys=True, indent=2)
     click.echo(text)
     if out:

@@ -10,7 +10,6 @@ refreshes (predicts a new mask, resetting the anchor) otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -67,30 +66,34 @@ def mean_pool_drift(qbar_a: np.ndarray, qbar_b: np.ndarray,
     )
 
 
-def layer_gate(refresh_flags: Sequence[bool], gate_lo: float, gate_hi: float) -> list[bool]:
-    """Force whole-layer reuse/refresh when the refreshing fraction leaves [lo, hi]."""
+def layer_gate(refresh_flags: np.ndarray, gate_lo: float, gate_hi: float) -> np.ndarray:
+    """Force whole-layer reuse/refresh when the refreshing fraction leaves [lo, hi].
+
+    Takes and returns a bool array of head flags; within the band the flags
+    come back as given.
+    """
     if gate_lo > gate_hi:
         raise DomainError(f"gate_lo ({gate_lo}) must not exceed gate_hi ({gate_hi})")
-    flags = list(bool(f) for f in refresh_flags)
-    if not flags:
+    flags = np.asarray(refresh_flags, dtype=bool)
+    if not flags.size:
         raise DomainError("layer gate needs at least one head flag")
-    fraction = sum(flags) / len(flags)
+    fraction = flags.sum() / flags.size
     if fraction < gate_lo:
-        return [False] * len(flags)
+        return np.zeros_like(flags)
     if fraction > gate_hi:
-        return [True] * len(flags)
+        return np.ones_like(flags)
     return flags
 
 
 def cache_footprint(layers: int, heads: int, tokens: int, head_dim: int,
-                    bytes_per_scalar: int, branches: int, mode: str,
-                    block_align: int = DEFAULT_BLOCK_ALIGN) -> int:
+                    bytes_per_scalar: int, branches: int,
+                    block_align: int = DEFAULT_BLOCK_ALIGN) -> dict[str, int]:
     """Bytes needed to cache query/key reuse state for every head and branch.
 
-    ``full_token`` keeps the full (tokens x head_dim) Q and K per head, with the
-    token count padded up to ``block_align`` (cached features are laid out in
-    kernel-block multiples); ``mean_pooled`` keeps one pooled Q and K vector per
-    head and is independent of the token count.
+    ``full_token_bytes`` keeps the full (tokens x head_dim) Q and K per head,
+    with the token count padded up to ``block_align`` (cached features are
+    laid out in kernel-block multiples); ``mean_pooled_bytes`` keeps one
+    pooled Q and K vector per head and is independent of the token count.
     """
     values = {"layers": layers, "heads": heads, "tokens": tokens, "head_dim": head_dim,
               "bytes_per_scalar": bytes_per_scalar, "block_align": block_align}
@@ -100,12 +103,8 @@ def cache_footprint(layers: int, heads: int, tokens: int, head_dim: int,
     if branches < 1:
         raise DomainError(f"branches must be >= 1, got {branches}")
     per_entry = layers * heads * head_dim * 2 * bytes_per_scalar * branches
-    if mode == "mean_pooled":
-        return per_entry
-    if mode == "full_token":
-        padded = ((tokens + block_align - 1) // block_align) * block_align
-        return per_entry * padded
-    raise DomainError(f"mode must be 'full_token' or 'mean_pooled', got {mode!r}")
+    padded = ((tokens + block_align - 1) // block_align) * block_align
+    return {"full_token_bytes": per_entry * padded, "mean_pooled_bytes": per_entry}
 
 
 @dataclass
@@ -181,7 +180,7 @@ def simulate(pipeline, taus: np.ndarray, delta: float,
             # Step 0 is the cold start: every head proposes a refresh, a
             # fraction of 1.0 that no band (lo <= 1) turns into reuse.
             proposed = (drift > delta) | (step == 0)
-            refresh = np.array(layer_gate(proposed, gate[0], gate[1]))
+            refresh = layer_gate(proposed, gate[0], gate[1])
             gate_forced += int((refresh != proposed).sum())
             fresh = np.flatnonzero(refresh)
             changed = np.zeros(cfg.heads)

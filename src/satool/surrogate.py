@@ -76,12 +76,11 @@ def masked_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
     """Attention output under tile masks, from one dense softmax per head.
 
     Q, K and V are (..., tokens, D); without ``allow`` this is
-    ``attention_probs(q, k) @ v``.  ``allow`` holds (side, side) tile masks,
-    side dividing tokens: tile (r, c) lets the r-th run of tokens / side
-    query rows see the c-th run of keys, so a token mask is side = tokens.
-    Its leading axes are Q's; with ``heads``, mask ``i`` of the (M, side,
-    side) ``allow`` applies to head ``heads[i]`` of the flattened leading
-    axes instead, and the result is (M, tokens, D).  ``dense_out``, shaped
+    ``attention_probs(q, k) @ v``.  ``allow`` holds (M, side, side) tile
+    masks, side dividing tokens: tile (r, c) lets the r-th run of tokens /
+    side query rows see the c-th run of keys, so a token mask is side =
+    tokens.  Mask ``i`` applies to head ``heads[i]`` of Q's flattened
+    leading axes, and the result is (M, tokens, D).  ``dense_out``, shaped
     like V, receives the dense output ``p @ v`` of every head as well.
 
     A mask changes which logits count, not their values.  So with ``p`` the
@@ -93,29 +92,25 @@ def masked_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
     KEPT_MASS_FLOOR is recomputed by ``attention_probs`` over its kept keys.
     Each row's bits depend only on its own head and mask.
     """
-    p = attention_probs(q, k)
     if allow is None:
-        return np.matmul(p, v, out=dense_out)
+        return np.matmul(attention_probs(q, k), v, out=dense_out)
     tokens, side = q.shape[-2], allow.shape[-1]
-    if allow.ndim < 2 or allow.shape[-2] != side or side == 0 or tokens % side:
+    if allow.ndim != 3 or allow.shape[1] != side or side == 0 or tokens % side:
         raise ShapeMismatch(f"tile masks of shape {allow.shape} do not tile {tokens} tokens")
     n = math.prod(q.shape[:-2])
     if heads is None:
-        if allow.shape[:-2] != q.shape[:-2]:
-            raise ShapeMismatch(f"mask shape {allow.shape} does not match queries {q.shape}")
-        heads = np.arange(n)
-    else:
-        heads = np.asarray(heads, dtype=int)
-        if allow.ndim != 3 or heads.shape != allow.shape[:1] or (
-                heads.size and not 0 <= heads.min() <= heads.max() < n):
-            raise ShapeMismatch(f"{allow.shape} masks need one head in [0, {n}) each")
+        raise ShapeMismatch(f"{allow.shape} masks need the head of each mask")
+    heads = np.asarray(heads, dtype=int)
+    if heads.shape != allow.shape[:1] or (heads.size and not 0 <= heads.min() <= heads.max() < n):
+        raise ShapeMismatch(f"{allow.shape} masks need one head in [0, {n}) each")
+    p = attention_probs(q, k)
     p3, v3 = p.reshape(n, tokens, tokens), v.reshape(n, tokens, -1)
     if dense_out is not None:
         np.matmul(p, v, out=dense_out)
-    tiles, width = allow.reshape(-1, side, side), tokens // side
-    keep = np.repeat(tiles, width, axis=1)  # (masks, tokens, side): each row's blocks
+    width = tokens // side
+    keep = np.repeat(allow, width, axis=1)  # (masks, tokens, side): each row's blocks
     # Each query block's kept keys, as factors that zero the dropped blocks.
-    keys = np.repeat(tiles, width, axis=2).astype(p.dtype)[:, :, None]
+    keys = np.repeat(allow, width, axis=2).astype(p.dtype)[:, :, None]
     mass = np.einsum("htcw->htc", p3.reshape(n, tokens, side, width))  # l
     kept = (mass[heads] * keep).sum(axis=-1)
     full, empty = keep.all(axis=-1), ~keep.any(axis=-1)
@@ -143,7 +138,7 @@ def masked_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
         rows = np.flatnonzero(low[i])
         probs = attention_probs(q3[heads[i]], k3[heads[i]], np.repeat(keep[i], width, axis=-1))
         out[i, rows] = probs[rows] @ v3[heads[i]]
-    return out.reshape(allow.shape[:-2] + v3.shape[1:])
+    return out
 
 
 def _check_mask_size(mask: BlockMask, grid: BlockGrid) -> None:
@@ -237,21 +232,17 @@ class SurrogateModel:
         """The velocity field for a pre-activation ``W f + b``; leading axes are batches."""
         return np.tanh(preactivation).reshape(*preactivation.shape[:-1], *self.velocity_shape)
 
-    def project(self, features: np.ndarray,
-                preactivation: np.ndarray | None = None) -> np.ndarray:
-        """Map summed per-layer head features (tokens, heads*head_dim) to a field.
-
-        When ``preactivation`` is given, ``W f + b`` is also written into it.
-        """
+    def project(self, features: np.ndarray) -> np.ndarray:
+        """The pre-activation ``W f + b`` of summed head features (tokens, heads*head_dim)."""
         if features.ndim != 2 or features.size != self.fan_in or features.shape[1] % self.heads:
             raise ShapeMismatch(
                 f"features of shape {features.shape} do not fit a projection of fan-in "
                 f"{self.fan_in} over {self.heads} heads"
             )
         head_major = features.reshape(features.shape[0], self.heads, -1).swapaxes(0, 1)
-        pre = np.matmul(self.weight, head_major.reshape(-1), out=preactivation)
+        pre = self.weight @ head_major.reshape(-1)
         pre += self.bias
-        return self.field(pre)
+        return pre
 
 
 class ForwardPipeline:
@@ -328,9 +319,7 @@ class ForwardPipeline:
             by_head = features.reshape(c.tokens, c.heads, c.head_dim)
             for layer_out in out:
                 by_head += layer_out.swapaxes(0, 1)
-            pre = np.empty_like(self.model.bias)
-            self.model.project(features, preactivation=pre)
-            self._dense = (step, pre, out)
+            self._dense = (step, self.model.project(features), out)
         return changes
 
     def _held(self, step: int) -> bool:
@@ -351,24 +340,20 @@ class ForwardPipeline:
         self.last_dense_cached = self._held(step)
         return self.model.field(self._state(step)[1])
 
-    def sparse_forward(self, step: int, masks: Mapping[tuple[int, int], BlockMask | None]) -> np.ndarray:
-        """Forward with the listed heads masked; heads absent (or None) stay dense.
+    def sparse_forward(self, step: int, masks: Mapping[tuple[int, int], BlockMask]) -> np.ndarray:
+        """Forward with the listed heads masked; heads left out stay dense.
 
         The field after the sum, in ``masks`` order, of the
         ``preactivation_changes`` rows of every head whose mask is not full.
         """
         self.trace.check_step(step)
-        keys: list[tuple[int, int]] = []
-        given: list[np.ndarray] = []
         for (layer, head), mask in masks.items():
             self.check_head(layer, head)
-            if mask is not None:
-                _check_mask_size(mask, self.grid)
-                keys.append((layer, head))
-                given.append(mask.retained)
-        retained = np.array(given, dtype=bool).reshape(len(given), self.grid.total_blocks)
+            _check_mask_size(mask, self.grid)
+        retained = np.array([mask.retained for mask in masks.values()],
+                            dtype=bool).reshape(len(masks), self.grid.total_blocks)
         partial = ~retained.all(axis=-1)
-        layers, heads = np.array(keys, dtype=int).reshape(-1, 2)[partial].T
+        layers, heads = np.array(list(masks), dtype=int).reshape(-1, 2)[partial].T
         changes = self.preactivation_changes(step, layers, heads, retained[partial])
         return self.field_after(step, changes.sum(axis=0))
 

@@ -16,7 +16,6 @@ from satool.blocksparse import (
     block_scores,
     changed_block_ratio,
     cumulative_prefix_mask,
-    mask_from_hex,
     mask_iou,
     top_p_mask,
     top_p_select,
@@ -509,5 +508,7 @@ class TestHexRoundTrip:
         for size in (1, 7, 8, 64, 130):
             retained = rng.random(size) < 0.5
             mask = BlockMask(retained=retained)
-            back = mask_from_hex(mask.to_hex(), size)
-            np.testing.assert_array_equal(back.retained, retained)
+            bits = np.unpackbits(np.frombuffer(bytes.fromhex(mask.to_hex()), dtype=np.uint8))
+            assert bits.size == -(-size // 8) * 8
+            np.testing.assert_array_equal(bits[:size].astype(bool), retained)
+            assert not bits[size:].any()

@@ -576,7 +576,7 @@ class TestMeasureHead:
         for idx in kept:
             r, c = divmod(idx, 2)
             allow[2 * r:2 * r + 2, 2 * c:2 * c + 2] = True
-        out = masked_attention(q, k, v, allow)
+        out = masked_attention(q, k, v, allow[None], [0])[0]
         dense_out = masked_attention(q, k, v)
         model = pipe.model
         y_sparse = np.tanh(model.weight @ out.reshape(-1) + model.bias).reshape((2, 2, 2))

@@ -377,11 +377,9 @@ class TestRun:
         ])
         assert result.exit_code == 0, result.output
         summary = json.loads((out / "summary.json").read_text())
-        from satool.blocksparse import mask_from_hex
-
         for head in summary["heads"]:
-            mask = mask_from_hex(head["anchor_mask"]["bits"], head["anchor_mask"]["m"])
-            assert mask.count >= 1
+            packed = np.frombuffer(bytes.fromhex(head["anchor_mask"]["bits"]), dtype=np.uint8)
+            assert np.unpackbits(packed)[:head["anchor_mask"]["m"]].sum() >= 1
 
     def test_run_csv_columns(self, trace_dir, tmp_path, runner):
         out = tmp_path / "runcsv"
@@ -767,6 +765,64 @@ def test_a_fifo_input_fails_without_waiting_for_a_writer(trace_dir, tmp_path, co
                             capture_output=True, text=True, env=env, timeout=60)
     assert (result.returncode, result.stderr) == (1, f"error:{code}: {fifo}: not a regular file\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("payload", [
+    "[" * 100_000 + "]" * 100_000,
+    '{"heads": ' + "[" * 100_000 + "]" * 100_000 + "}",
+], ids=["top-level", "in-heads"])
+def test_a_deeply_nested_table_fails_cleanly(trace_dir, tmp_path, payload):
+    # json's decoder gives up on such nesting with a RecursionError.
+    table, out = tmp_path / "deep.json", tmp_path / "out"
+    table.write_text(payload)
+    env = {**os.environ, "PYTHONPATH": str(Path(satool.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-m", "satool.cli", "run", "--trace",
+                             str(trace_dir / "trace.satr"), "--table", str(table),
+                             "--out", str(out)],
+                            capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 1
+    assert result.stderr.startswith(f"error:domain: invalid calibration table {table}: ")
+    assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
+    assert not out.exists()
+
+
+# A cap on the child's address space, so that allocations of tens of GiB
+# fail at once instead of being attempted.
+ADDRESS_SPACE_LIMIT = 3 << 30
+TINY_HEADS = ["--heads", "1", "--head-dim", "1", "--velocity-shape", "1,1,1"]
+
+
+def capped_cli(args, cwd):
+    """``python -m satool.cli *args`` in a child whose address space is capped."""
+    resource = pytest.importorskip("resource")
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    limit = ADDRESS_SPACE_LIMIT if hard == resource.RLIM_INFINITY else min(
+        ADDRESS_SPACE_LIMIT, hard)
+    env = {**os.environ, "PYTHONPATH": str(Path(satool.__file__).parents[1]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.run(
+        [sys.executable, "-m", "satool.cli", *args], cwd=cwd, env=env, capture_output=True,
+        text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+
+
+@pytest.mark.parametrize("command", ["perturb", "gen-trace"])
+def test_an_allocation_numpy_refuses_fails_cleanly(tmp_path, command):
+    # perturb: one 65536-token head's logits take 32 GiB; gen-trace: 4e9
+    # layers' head parameters take 29.8 GiB.
+    if command == "perturb":
+        made = capped_cli(["gen-trace", "--out", "trace", *TINY_HEADS, "--layers", "1",
+                           "--tokens", "65536", "--steps", "2", "--block-size", "65536"], tmp_path)
+        assert made.returncode == 0, made.stderr
+        args = ["perturb", "--trace", "trace/trace.satr"]
+    else:
+        args = ["gen-trace", *TINY_HEADS, "--layers", "4000000000", "--tokens", "1",
+                "--steps", "1", "--block-size", "1"]
+    result = capped_cli([*args, "--out", "out"], tmp_path)
+    assert result.returncode == 1
+    assert result.stderr.startswith("error:memory: Unable to allocate ")
+    assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
+    assert not (tmp_path / "out" / "manifest.json").exists()
 
 
 @pytest.fixture(scope="module")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satool import surrogate
 from satool.blocksparse import changed_block_ratio, top_p_select
@@ -85,56 +87,88 @@ class TestDriftStatistics:
             assert float(pooled[index]).hex() == single_pooled.hex()
 
 
+def list_gate(flags, lo, hi):
+    """The list rule ``layer_gate`` replaced, kept as a reference."""
+    fraction = sum(flags) / len(flags)
+    if fraction < lo:
+        return [False] * len(flags)
+    if fraction > hi:
+        return [True] * len(flags)
+    return list(flags)
+
+
+def gate(flags, lo, hi):
+    """``layer_gate`` on a bool array of ``flags``, checked to return one, as a list."""
+    out = layer_gate(np.array(flags, dtype=bool), lo, hi)
+    assert isinstance(out, np.ndarray) and out.dtype == bool and out.shape == (len(flags),)
+    return out.tolist()
+
+
+@st.composite
+def gate_bounds(draw, flags):
+    """A gate bound: an exact fraction k/n, k/len(flags) among them, or a random float."""
+    n = draw(st.sampled_from([len(flags), draw(st.integers(1, 64))]))
+    return draw(st.one_of(st.integers(0, n).map(lambda k: k / n),
+                          st.floats(-0.5, 1.5, allow_nan=False)))
+
+
 class TestLayerGate:
     def test_all_false_stays(self):
-        assert layer_gate([False] * 4, 0.2, 0.8) == [False] * 4
+        assert gate([False] * 4, 0.2, 0.8) == [False] * 4
 
     def test_majority_forces_full_refresh(self):
         flags = [True, True, True, True, True, False]
-        assert layer_gate(flags, 0.2, 0.7) == [True] * 6
+        assert gate(flags, 0.2, 0.7) == [True] * 6
 
     def test_minority_forces_full_reuse(self):
         flags = [True, False, False, False, False, False, False, False, False, False]
-        assert layer_gate(flags, 0.2, 0.8) == [False] * 10
+        assert gate(flags, 0.2, 0.8) == [False] * 10
 
     def test_middle_band_unchanged(self):
         flags = [True, True, True, False, False, False]
-        assert layer_gate(flags, 0.2, 0.8) == flags
+        assert gate(flags, 0.2, 0.8) == flags
 
     def test_bad_bounds(self):
         with pytest.raises(DomainError):
-            layer_gate([True], 0.9, 0.1)
+            layer_gate(np.array([True]), 0.9, 0.1)
         with pytest.raises(DomainError):
-            layer_gate([], 0.1, 0.9)
+            layer_gate(np.array([], dtype=bool), 0.1, 0.9)
+
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data(), flags=st.lists(st.booleans(), min_size=1, max_size=64))
+    def test_matches_the_list_rule(self, data, flags):
+        lo, hi = sorted((data.draw(gate_bounds(flags)), data.draw(gate_bounds(flags))))
+        assert gate(flags, lo, hi) == list_gate(flags, lo, hi)
 
 
 class TestCacheFootprint:
     def test_reference_configuration(self):
         kwargs = dict(layers=30, heads=12, tokens=32760, head_dim=128,
                       bytes_per_scalar=2, branches=2)
-        assert cache_footprint(mode="mean_pooled", **kwargs) == 368_640
-        assert cache_footprint(mode="full_token", **kwargs) == 12_079_595_520
+        assert cache_footprint(**kwargs) == {"full_token_bytes": 12_079_595_520,
+                                             "mean_pooled_bytes": 368_640}
 
     def test_single_branch_halves(self):
         kwargs = dict(layers=30, heads=12, tokens=32760, head_dim=128, bytes_per_scalar=2)
-        for mode in ("full_token", "mean_pooled"):
-            double = cache_footprint(branches=2, mode=mode, **kwargs)
-            single = cache_footprint(branches=1, mode=mode, **kwargs)
-            assert double == 2 * single
+        double = cache_footprint(branches=2, **kwargs)
+        single = cache_footprint(branches=1, **kwargs)
+        assert double.keys() == single.keys() == {"full_token_bytes", "mean_pooled_bytes"}
+        for key in double:
+            assert double[key] == 2 * single[key]
 
     def test_alignment_pads_token_count(self):
-        aligned = cache_footprint(1, 1, 100, 4, 2, 1, "full_token", block_align=128)
+        aligned = cache_footprint(1, 1, 100, 4, 2, 1, block_align=128)["full_token_bytes"]
         assert aligned == 1 * 1 * 128 * 4 * 2 * 2 * 1
-        exact = cache_footprint(1, 1, 100, 4, 2, 1, "full_token", block_align=1)
+        exact = cache_footprint(1, 1, 100, 4, 2, 1, block_align=1)["full_token_bytes"]
         assert exact == 1 * 1 * 100 * 4 * 2 * 2 * 1
 
     def test_invalid_inputs(self):
         with pytest.raises(DomainError):
-            cache_footprint(0, 1, 1, 1, 1, 1, "full_token")
+            cache_footprint(0, 1, 1, 1, 1, 1)
         with pytest.raises(DomainError):
-            cache_footprint(1, 1, 1, 1, 1, 0, "full_token")
+            cache_footprint(1, 1, 1, 1, 1, 0)
         with pytest.raises(DomainError):
-            cache_footprint(1, 1, 1, 1, 1, 1, "bogus")
+            cache_footprint(1, 1, 1, 1, 1, 1, block_align=0)
 
 
 @pytest.fixture(scope="module")

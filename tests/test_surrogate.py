@@ -71,12 +71,10 @@ def reference_sparse(pipe: ForwardPipeline, step: int, masks) -> np.ndarray:
 
     def edit(features):
         for (layer, head), mask in masks.items():
-            if mask is None:
-                continue
             out = masked_attention(
                 pipe.trace.q(step, layer, head), pipe.trace.k(step, layer, head),
-                pipe.trace.v(step, layer, head), allow=expand_block_mask(mask, pipe.grid),
-            )
+                pipe.trace.v(step, layer, head), expand_block_mask(mask, pipe.grid)[None], [0],
+            )[0]
             cols = slice(head * c.head_dim, (head + 1) * c.head_dim)
             features[:, cols] += out - dense_attention(pipe, step, layer, head)
 
@@ -125,8 +123,8 @@ class TestHeadMajorWeight:
         weight = token_major_weight(model, CONFIG)
         features = rng.standard_normal((CONFIG.tokens, CONFIG.heads * CONFIG.head_dim))
         expected = np.tanh(weight @ features.reshape(-1) + model.bias)
-        pre = np.empty_like(model.bias)
-        field = model.project(features, preactivation=pre)
+        pre = model.project(features)
+        field = model.field(pre)
         np.testing.assert_allclose(field.reshape(-1), expected, rtol=RTOL, atol=ATOL)
         np.testing.assert_array_equal(np.tanh(pre).reshape(CONFIG.velocity_shape), field)
 
@@ -173,7 +171,7 @@ def mask_strategy():
         lambda b: BlockMask(np.array(b, dtype=bool))
     )
     return st.one_of(
-        st.just("absent"), st.none(), bits,
+        st.just("absent"), bits,
         st.just(BlockMask(np.ones(BLOCKS, dtype=bool))),
         st.just(BlockMask(np.zeros(BLOCKS, dtype=bool))),
     )
@@ -223,9 +221,9 @@ class TestIncrementalForward:
             with pytest.raises(ShapeMismatch):
                 pipeline.field_after(1, bad)
 
-    def test_full_none_and_absent_masks_equal_dense_bitwise(self, pipeline):
-        masks = {key: (BlockMask(np.ones(BLOCKS, dtype=bool)) if i % 2 else None)
-                 for i, key in enumerate(HEADS[:-2])}
+    def test_full_and_absent_masks_equal_dense_bitwise(self, pipeline):
+        masks = {key: BlockMask(np.ones(BLOCKS, dtype=bool))
+                 for i, key in enumerate(HEADS[:-2]) if i % 2}
         for step in range(CONFIG.steps):
             field = pipeline.sparse_forward(step, masks)
             np.testing.assert_array_equal(field, pipeline.dense_forward(step))
@@ -364,10 +362,14 @@ class TestBatchedAttention:
     @given(batch=attention_batches())
     def test_batched_equals_per_head_loop_bitwise(self, batch):
         q, k, v, allow = batch
-        masked, dense = masked_attention(q, k, v, allow), masked_attention(q, k, v)
-        for index in np.ndindex(q.shape[:-2]):
+        lead, tokens = q.shape[:-2], q.shape[-2]
+        masked = masked_attention(q, k, v, allow.reshape(-1, tokens, tokens),
+                                  np.arange(math.prod(lead))).reshape(v.shape)
+        dense = masked_attention(q, k, v)
+        for index in np.ndindex(lead):
             head = (q[index], k[index], v[index])
-            np.testing.assert_array_equal(masked[index], masked_attention(*head, allow[index]))
+            np.testing.assert_array_equal(masked[index],
+                                          masked_attention(*head, allow[index][None], [0])[0])
             np.testing.assert_array_equal(dense[index], masked_attention(*head))
             np.testing.assert_allclose(masked[index], live_rows_reference(*head, allow[index]),
                                        rtol=1e-13, atol=1e-15)
@@ -381,14 +383,21 @@ class TestBatchedAttention:
         heads = PROB_CHUNK_ELEMENTS // (tokens * tokens) + 3
         q, k, v = (rng.standard_normal((heads, tokens, dim)) for _ in range(3))
         allow = np.repeat(np.repeat(rng.random((heads, 8, 8)) < 0.4, 8, axis=1), 8, axis=2)
-        out = masked_attention(q, k, v, allow)
+        out = masked_attention(q, k, v, allow, np.arange(heads))
         for i in range(heads):
-            np.testing.assert_array_equal(out[i], masked_attention(q[i], k[i], v[i], allow[i]))
+            np.testing.assert_array_equal(
+                out[i], masked_attention(q[i], k[i], v[i], allow[i][None], [0])[0])
 
     def test_mask_shape_checked(self, rng):
         q = rng.standard_normal((2, 4, 3))
         with pytest.raises(ShapeMismatch):
-            masked_attention(q, q, q, np.ones((2, 4, 5), dtype=bool))
+            masked_attention(q, q, q, np.ones((2, 4, 5), dtype=bool), [0, 1])
+
+    def test_masks_without_heads_rejected(self, rng):
+        q = rng.standard_normal((2, 4, 3))
+        for allow in (np.ones((2, 4, 4), dtype=bool), np.ones((4, 4), dtype=bool)):
+            with pytest.raises(ShapeMismatch):
+                masked_attention(q, q, q, allow)
 
     @pytest.mark.parametrize("heads_per_call", [1, 2, 4])
     def test_forwards_do_not_depend_on_the_chunk_cap(self, pipeline, monkeypatch,
@@ -484,7 +493,7 @@ class TestTileMaskKernel:
             assert not out[i, empty].any()
             # A row's bits are its own: the mask alone on its head gives them.
             np.testing.assert_array_equal(
-                out[i], masked_attention(q[head], k[head], v[head], tiles[i]))
+                out[i], masked_attention(q[head], k[head], v[head], tiles[i][None], [0])[0])
             mass = (probs[head] * np.repeat(keep, width, axis=1)).sum(axis=1)
             underflow |= bool((mass[~full & ~empty] < surrogate.KEPT_MASS_FLOOR).any())
         assert bool(recomputed) == underflow
