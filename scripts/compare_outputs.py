@@ -6,9 +6,10 @@
 directory.  For that tree and for the working tree's ``src/``, each
 perfbench workload's trace at seeds 3 and 11 goes through
 ``python -m satool.cli``: ``gen-trace``, ``analyze``, ``calibrate`` with
-the fft and the mse error, ``run`` on both tables and again at
-``--tau 0.9 --gate-lo 0 --gate-hi 1`` without one, ``perturb`` at the
-default and at ``--alpha 0 --steps 1,3``, and ``footprint --out`` at the
+the fft and the mse error, ``run`` on both tables and again without
+one, at ``--tau 0.9 --gate-lo 0 --gate-hi 1`` and at ``--tau 1.0``
+(every mask full), ``perturb`` at the default and at ``--alpha 0
+--steps 1,3``, and ``footprint --out`` at the
 trace's ``--layers/--heads/--tokens/--head-dim``.  The flags are the
 workloads' in ``perfbench/run.py`` (``WORKLOADS`` and ``command_args``).
 
@@ -60,13 +61,14 @@ def command_lines(workload, trace_seed: int) -> list[list[str]]:
                        "--table", "calibrate-mse/calibration.json")
     run_open = replaced(replaced(run, "--out", "run-open"), "--table", None) + [
         "--tau", "0.9", "--gate-lo", "0", "--gate-hi", "1"]
+    run_full = replaced(replaced(run, "--out", "run-full"), "--table", None) + ["--tau", "1.0"]
     perturb_steps = replaced(perturb, "--out", "perturb-steps") + [
         "--alpha", "0", "--steps", "1,3"]
     footprint = ["footprint", "--out", "footprint"]
     for option in ("--layers", "--heads", "--tokens", "--head-dim"):
         footprint += [option, gen[gen.index(option) + 1]]
-    return [gen, analyze, calibrate, mse, run, run_mse, run_open, perturb, perturb_steps,
-            footprint]
+    return [gen, analyze, calibrate, mse, run, run_mse, run_open, run_full, perturb,
+            perturb_steps, footprint]
 
 
 def run_tree(src: Path, out: Path) -> None:

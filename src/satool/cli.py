@@ -8,6 +8,7 @@ directory receives exactly one manifest pinning inputs and produced files.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import dataclasses
 import functools
@@ -135,9 +136,19 @@ def cmd_gen_trace(out, layers, heads, tokens, head_dim, steps, block_size,
         block_size=block_size, kappa_range=(kappa_min, kappa_max),
         scale_range=(scale_min, scale_max), velocity_shape=tuple(dims), seed=seed,
     )
-    out_dir = _ensure_out(out)
+    out_dir = Path(out)
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
+    out_dir.mkdir(parents=True, exist_ok=True)
     trace_path = out_dir / "trace.satr"
-    write_trace(config, trace_path)
+    try:
+        write_trace(config, trace_path)
+    except BaseException:
+        # The failed write left no file; remove the directories made for it,
+        # innermost first.  One that is not empty stays, and so do its parents.
+        for directory in made:
+            with contextlib.suppress(OSError):
+                directory.rmdir()
+        raise
     write_manifest(out_dir, "gen-trace", dataclasses.asdict(config), inputs=[],
                    outputs=[trace_path])
     click.echo(str(trace_path))

@@ -125,7 +125,6 @@ class RunResult:
     reuse_rate: float
     mean_sparsity: float
     mean_velocity_rel_l2: float
-    taus: np.ndarray
     gate_forced: int
     # Final anchor per head: refresh step (L, H), pooled Q/K (L, H, 2, D)
     # and retained blocks (L, H, M).
@@ -142,11 +141,11 @@ def simulate(pipeline, taus: np.ndarray, delta: float,
     are collected before any mask prediction runs, then the gate may force the
     whole layer to reuse or refresh.  The band ``(0, 1)`` never forces.
 
-    Each step makes one float64 copy of every head's Q and K; each layer then
-    takes one pass over its heads as arrays: pooled drift against the
-    anchors, one gate call, and block scores plus top-p selection for the
-    refreshing heads together.  Decisions, masks and drifts are bitwise those
-    of scoring and selecting each head on its own.
+    Each step makes one float64 copy of every head's Q and K, then takes one
+    decision pass over every (layer, head) as arrays: pooled drift against
+    the anchors, one gate call per layer, and block scores plus top-p
+    selection for all refreshing heads together.  Decisions, masks and
+    drifts are bitwise those of scoring and selecting each head on its own.
     """
     cfg = pipeline.trace.config
     taus = np.asarray(taus, dtype=np.float64)
@@ -174,33 +173,34 @@ def simulate(pipeline, taus: np.ndarray, delta: float,
     for step in range(cfg.steps):
         qk = pipeline.trace.step(step)[:, :, :2].astype(np.float64)
         pooled = qk.mean(axis=-2)
-        for layer in range(cfg.layers):
-            drift = mean_pool_drift(anchor_pooled[layer, :, 0], pooled[layer, :, 0],
-                                    anchor_pooled[layer, :, 1], pooled[layer, :, 1])
-            # Step 0 is the cold start: every head proposes a refresh, a
-            # fraction of 1.0 that no band (lo <= 1) turns into reuse.
-            proposed = (drift > delta) | (step == 0)
-            refresh = layer_gate(proposed, gate[0], gate[1])
-            gate_forced += int((refresh != proposed).sum())
-            fresh = np.flatnonzero(refresh)
-            changed = np.zeros(cfg.heads)
-            if fresh.size:
-                scores = block_score_values(qk[layer, fresh, 0], qk[layer, fresh, 1], grid)
-                keep = top_p_mask(scores, taus[layer, fresh])
-                changed[fresh] = changed_block_ratio(anchor_keep[layer, fresh], keep)
-                anchor_keep[layer, fresh] = keep
-                anchor_pooled[layer, fresh] = pooled[layer, fresh]
-                anchor_step[layer, fresh] = step
-                predictions += fresh.size
-            sparsity = 1.0 - anchor_keep[layer].sum(axis=-1) / blocks
-            for head, (is_fresh, d, s, c) in enumerate(zip(
-                    refresh.tolist(), drift.tolist(), sparsity.tolist(), changed.tolist())):
-                records.append(StepRecord(
-                    step=step, layer=layer, head=head,
-                    decision=COLD_START if step == 0 else REFRESH if is_fresh else REUSE,
-                    drift=None if step == 0 else d, sparsity=s,
-                    changed_ratio=None if step == 0 else c,
-                ))
+        drift = mean_pool_drift(anchor_pooled[:, :, 0], pooled[:, :, 0],
+                                anchor_pooled[:, :, 1], pooled[:, :, 1])
+        # Step 0 is the cold start: every head proposes a refresh, a
+        # fraction of 1.0 that no band (lo <= 1) turns into reuse.
+        proposed = (drift > delta) | (step == 0)
+        refresh = np.array([layer_gate(flags, gate[0], gate[1]) for flags in proposed])
+        gate_forced += int((refresh != proposed).sum())
+        layer_of, head_of = np.nonzero(refresh)
+        changed = np.zeros(shape)
+        if layer_of.size:
+            # Boolean indexing takes the refreshing heads in the same (layer, head) order.
+            scores = block_score_values(qk[layer_of, head_of, 0], qk[layer_of, head_of, 1], grid)
+            keep = top_p_mask(scores, taus[refresh])
+            changed[refresh] = changed_block_ratio(anchor_keep[refresh], keep)
+            anchor_keep[refresh] = keep
+            anchor_pooled[refresh] = pooled[refresh]
+            anchor_step[refresh] = step
+            predictions += layer_of.size
+        sparsity = 1.0 - anchor_keep.sum(axis=-1) / blocks
+        for (layer, head), is_fresh, d, s, c in zip(
+                np.ndindex(shape), refresh.ravel().tolist(), drift.ravel().tolist(),
+                sparsity.ravel().tolist(), changed.ravel().tolist()):
+            records.append(StepRecord(
+                step=step, layer=layer, head=head,
+                decision=COLD_START if step == 0 else REFRESH if is_fresh else REUSE,
+                drift=None if step == 0 else d, sparsity=s,
+                changed_ratio=None if step == 0 else c,
+            ))
         del qk  # the forward below makes its own float64 copies
         step_masks = {(layer, head): BlockMask(anchor_keep[layer, head])
                       for layer in range(cfg.layers) for head in range(cfg.heads)}
@@ -218,7 +218,6 @@ def simulate(pipeline, taus: np.ndarray, delta: float,
         reuse_rate=(total - predictions) / total,
         mean_sparsity=float(np.mean([r.sparsity for r in records])),
         mean_velocity_rel_l2=float(np.mean(velocity_errors)),
-        taus=taus,
         gate_forced=gate_forced,
         anchor_step=anchor_step,
         anchor_pooled=anchor_pooled,

@@ -70,18 +70,17 @@ def prob_chunks(count: int, tokens: int) -> list[slice]:
 KEPT_MASS_FLOOR = 2.0 ** -969
 
 
-def masked_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
-                     allow: np.ndarray | None = None, heads: np.ndarray | None = None,
-                     dense_out: np.ndarray | None = None) -> np.ndarray:
+def masked_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, allow: np.ndarray,
+                     heads: np.ndarray, dense_out: np.ndarray | None = None) -> np.ndarray:
     """Attention output under tile masks, from one dense softmax per head.
 
-    Q, K and V are (..., tokens, D); without ``allow`` this is
-    ``attention_probs(q, k) @ v``.  ``allow`` holds (M, side, side) tile
+    Q, K and V are (..., tokens, D).  ``allow`` holds (M, side, side) tile
     masks, side dividing tokens: tile (r, c) lets the r-th run of tokens /
     side query rows see the c-th run of keys, so a token mask is side =
     tokens.  Mask ``i`` applies to head ``heads[i]`` of Q's flattened
-    leading axes, and the result is (M, tokens, D).  ``dense_out``, shaped
-    like V, receives the dense output ``p @ v`` of every head as well.
+    leading axes, and the result is (M, tokens, D); M may be 0.
+    ``dense_out``, shaped like V, receives the dense output ``p @ v`` of
+    every head as well, with the bits of ``attention_probs(q, k) @ v``.
 
     A mask changes which logits count, not their values.  So with ``p`` the
     dense probabilities and ``l[t, c]`` the mass of row t in key block c, a
@@ -92,14 +91,10 @@ def masked_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
     KEPT_MASS_FLOOR is recomputed by ``attention_probs`` over its kept keys.
     Each row's bits depend only on its own head and mask.
     """
-    if allow is None:
-        return np.matmul(attention_probs(q, k), v, out=dense_out)
     tokens, side = q.shape[-2], allow.shape[-1]
     if allow.ndim != 3 or allow.shape[1] != side or side == 0 or tokens % side:
         raise ShapeMismatch(f"tile masks of shape {allow.shape} do not tile {tokens} tokens")
     n = math.prod(q.shape[:-2])
-    if heads is None:
-        raise ShapeMismatch(f"{allow.shape} masks need the head of each mask")
     heads = np.asarray(heads, dtype=int)
     if heads.shape != allow.shape[:1] or (heads.size and not 0 <= heads.min() <= heads.max() < n):
         raise ShapeMismatch(f"{allow.shape} masks need one head in [0, {n}) each")
@@ -107,6 +102,8 @@ def masked_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
     p3, v3 = p.reshape(n, tokens, tokens), v.reshape(n, tokens, -1)
     if dense_out is not None:
         np.matmul(p, v, out=dense_out)
+    if not heads.size:
+        return np.empty((0,) + v3.shape[1:])
     width = tokens // side
     keep = np.repeat(allow, width, axis=1)  # (masks, tokens, side): each row's blocks
     # Each query block's kept keys, as factors that zero the dropped blocks.
@@ -253,13 +250,13 @@ class ForwardPipeline:
     for another step, it computes that step's in its place, with the same
     bits.  Every attention call goes through ``_changes``, in batched
     chunks of at most PROB_CHUNK_ELEMENTS logits, and each chunk computes
-    one softmax per head: masked rows asked for with a step that is not
-    held share it with the step's dense outputs.  Every other field is
-    ``field_after`` a pre-activation change on the held step:
-    ``preactivation_changes`` gives one per masked head, and a sparse
-    forward is ``field_after`` the sum of its heads' changes.  Heads whose
-    mask keeps every block are skipped, so an all-full forward returns the
-    dense field bit for bit.
+    one softmax per head: every masked row is computed with its step's
+    dense outputs, even at the held step, which is then computed again.
+    Every other field is ``field_after`` a pre-activation change on the
+    held step: ``preactivation_changes`` gives one per masked head, and a
+    sparse forward is ``field_after`` the sum of its heads' changes.  Heads
+    whose mask keeps every block are skipped, so an all-full forward
+    returns the dense field bit for bit.
     """
 
     def __init__(self, trace: DenoiseTrace, model: SurrogateModel | None = None):
@@ -283,43 +280,32 @@ class ForwardPipeline:
         Row ``i`` masks head ``flat[i]`` (``layer * heads + head``) with the
         tile mask ``tiles[i]``, one tile per block; its masked attention
         output minus the dense one is projected by
-        ``SurrogateModel.head_changes``.  Heads go through
-        ``masked_attention`` in chunks, each gathering its heads' Q, K and V
-        from the trace once and projecting its own rows.  If ``step`` is
-        not held, every head's dense output is computed in the same calls
-        and the step is held, so a head's dense and masked rows share one
-        softmax.
+        ``SurrogateModel.head_changes``.  The whole step is computed and
+        held: heads go through ``masked_attention`` in chunks, each
+        gathering its heads' Q, K and V from the trace once, filling their
+        dense outputs and projecting its own rows, which may be none.  So a
+        head's dense and masked rows share one softmax.
         """
         c = self.trace.config
-        held = self._held(step)
-        if held:
-            dense = self._dense[2].reshape(-1, c.tokens, c.head_dim)
-            distinct = np.unique(flat)
-        else:
-            self._dense = None  # drop the old step before the new one is computed
-            dense = np.empty((c.layers * c.heads, c.tokens, c.head_dim))
-            distinct = np.arange(c.layers * c.heads)
-        owner = np.searchsorted(distinct, flat)
+        n = c.layers * c.heads
+        self._dense = None  # drop the old step before the new one is computed
+        dense = np.empty((n, c.tokens, c.head_dim))
         changes = np.empty((flat.size, self.model.bias.size))
-        for window in prob_chunks(distinct.size, c.tokens):
-            at = np.divmod(distinct[window], c.heads)
+        for window in prob_chunks(n, c.tokens):
+            at = np.divmod(np.arange(n)[window], c.heads)
             qkv = (self.trace.q(step, *at), self.trace.k(step, *at), self.trace.v(step, *at))
-            rows = np.flatnonzero((owner >= window.start) & (owner < window.stop))
-            if not rows.size:
-                dense[window] = masked_attention(*qkv)
-                continue
-            masked = masked_attention(*qkv, tiles[rows], owner[rows] - window.start,
-                                      dense_out=None if held else dense[window])
+            rows = np.flatnonzero((flat >= window.start) & (flat < window.stop))
+            masked = masked_attention(*qkv, tiles[rows], flat[rows] - window.start,
+                                      dense_out=dense[window])
             masked -= dense[flat[rows]]
             changes[rows] = self.model.head_changes(flat[rows] % c.heads, masked)
-        if not held:
-            # The head outputs' sum over layers goes through one projection.
-            out = dense.reshape(c.layers, c.heads, c.tokens, c.head_dim)
-            features = np.zeros((c.tokens, c.heads * c.head_dim), dtype=np.float64)
-            by_head = features.reshape(c.tokens, c.heads, c.head_dim)
-            for layer_out in out:
-                by_head += layer_out.swapaxes(0, 1)
-            self._dense = (step, self.model.project(features), out)
+        # The head outputs' sum over layers goes through one projection.
+        out = dense.reshape(c.layers, c.heads, c.tokens, c.head_dim)
+        features = np.zeros((c.tokens, c.heads * c.head_dim), dtype=np.float64)
+        by_head = features.reshape(c.tokens, c.heads, c.head_dim)
+        for layer_out in out:
+            by_head += layer_out.swapaxes(0, 1)
+        self._dense = (step, self.model.project(features), out)
         return changes
 
     def _held(self, step: int) -> bool:
@@ -365,9 +351,9 @@ class ForwardPipeline:
         bitset ``retained[i]``.  Its masked attention minus the held dense
         output is projected by ``SurrogateModel.head_changes``, so each row
         has the bits of asking for it alone.  A full mask gives an exactly
-        zero change, so callers save its attention by leaving it out.  When
-        ``step`` is not held, the rows and the step's dense state are
-        computed in one pass.
+        zero change, so callers save its attention by leaving it out.  The
+        rows and the step's dense state are computed in one pass, and the
+        step is held afterwards.
         """
         self.trace.check_step(step)
         layers, heads = np.asarray(layers, dtype=int), np.asarray(heads, dtype=int)

@@ -31,7 +31,7 @@ from satool.spectral import (
     band_perturbation,
     weighted_error,
 )
-from satool.surrogate import ForwardPipeline, masked_attention
+from satool.surrogate import ForwardPipeline, attention_probs
 from satool.trace import TraceConfig, generate_trace
 
 
@@ -241,8 +241,8 @@ def test_criterion_9_additive_surrogate_scaling(default_pipeline):
     rng = np.random.default_rng(np.random.SeedSequence([0, 505]))
     noise = rng.standard_normal((len(heads), cfg.tokens, cfg.head_dim))
     for row, (layer, head) in enumerate(zip(layers.tolist(), heads.tolist())):
-        reference = masked_attention(trace.q(step, layer, head), trace.k(step, layer, head),
-                                     trace.v(step, layer, head))
+        probs = attention_probs(trace.q(step, layer, head), trace.k(step, layer, head))
+        reference = probs @ trace.v(step, layer, head)
         noise[row] *= 1e-3 * np.linalg.norm(reference) / np.linalg.norm(noise[row])
     base = pipe.model.head_changes(heads, noise)
     scales = (1.0, 0.5, 0.25)

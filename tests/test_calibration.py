@@ -25,7 +25,7 @@ from satool.calibration import (
 )
 from satool.errors import DomainError, InfeasibleBudget, ShapeMismatch
 from satool.spectral import band_energy_ratios, band_partition, weighted_error
-from satool.surrogate import ForwardPipeline, masked_attention
+from satool.surrogate import ForwardPipeline, attention_probs, masked_attention
 from satool.trace import TraceConfig, generate_trace
 
 
@@ -577,7 +577,7 @@ class TestMeasureHead:
             r, c = divmod(idx, 2)
             allow[2 * r:2 * r + 2, 2 * c:2 * c + 2] = True
         out = masked_attention(q, k, v, allow[None], [0])[0]
-        dense_out = masked_attention(q, k, v)
+        dense_out = attention_probs(q, k) @ v
         model = pipe.model
         y_sparse = np.tanh(model.weight @ out.reshape(-1) + model.bias).reshape((2, 2, 2))
         y_dense = np.tanh(model.weight @ dense_out.reshape(-1) + model.bias).reshape((2, 2, 2))
@@ -691,17 +691,23 @@ class TestBatchedMeasurementOracle:
         sizes = []
         original = surrogate.masked_attention
 
-        def spy(q, k, v, allow=None, heads=None, dense_out=None):
-            if allow is not None:
+        def spy(q, k, v, allow, heads, dense_out=None):
+            if len(allow):
                 sizes.append(q.shape[0])
                 assert 0 < len(allow) <= 3 * q.shape[0]
                 assert 0 <= heads.min() <= heads.max() < q.shape[0]
             return original(q, k, v, allow, heads, dense_out)
 
-        monkeypatch.setattr(surrogate, "masked_attention", spy)
         for objective in ("fft", "mse"):
             check_against_oracle(dict(config=cfg, taus=[0.7, 1.0, 0.9], intervals=3, seed=2,
                                       objective=objective, chunk_heads=4, budget_share=0.5))
+            # The sizes are those of the batched measurement; the oracle's
+            # one-head forwards compute whole steps without the cap.
+            with monkeypatch.context() as mp:
+                mp.setattr(surrogate, "PROB_CHUNK_ELEMENTS", 4 * cfg.tokens ** 2)
+                mp.setattr(surrogate, "masked_attention", spy)
+                build_problem(ForwardPipeline(generate_trace(cfg)), [0.7, 1.0, 0.9], 3,
+                              budget=0.0, seed=2, objective=objective)
         assert max(sizes) == 4 and any(0 < size < 4 for size in sizes)
 
 

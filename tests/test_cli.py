@@ -825,6 +825,21 @@ def test_an_allocation_numpy_refuses_fails_cleanly(tmp_path, command):
     assert not (tmp_path / "out" / "manifest.json").exists()
 
 
+def test_a_failed_gen_trace_removes_the_directories_it_made(tmp_path):
+    # The 4e9-layer config fails with error:memory after the directories are
+    # made; "kept" existed before and stays, empty.
+    (tmp_path / "kept").mkdir()
+    args = ["gen-trace", *TINY_HEADS, "--layers", "4000000000", "--tokens", "1",
+            "--steps", "1", "--block-size", "1"]
+    for out in ("g", "kept/new/g"):
+        result = capped_cli([*args, "--out", out], tmp_path)
+        assert result.returncode == 1
+        assert result.stderr.startswith("error:memory: ") and result.stderr.count("\n") == 1
+        assert "Traceback" not in result.stderr
+    assert [path.name for path in tmp_path.iterdir()] == ["kept"]
+    assert not any((tmp_path / "kept").iterdir())
+
+
 @pytest.fixture(scope="module")
 def tiny_trace(tmp_path_factory):
     out = tmp_path_factory.mktemp("tiny")
@@ -900,6 +915,57 @@ def test_numeric_flags_exit_cleanly(tiny_trace, data):
                 (args, result.exception)
             assert re.match(r"error:[a-z-]+: ", result.output), (args, result.output)
             assert not out.exists(), args
+
+
+def stderr_runner():
+    """A CliRunner whose results keep stderr apart: click 8.1 needs mix_stderr=False, 8.2 removed it."""
+    try:
+        return CliRunner(mix_stderr=False)
+    except TypeError:
+        return CliRunner()
+
+
+# Text that parses as a number, or nearly: signs, nan/inf spellings, overflow.
+NUMBER_TEXT = st.one_of(
+    st.sampled_from(["0", "-0", "+1", "-1", "1", "0.5", "nan", "-nan", "inf", "+inf", "-inf",
+                     "Infinity", "1e999", "-1e999", "5e-324", " 0.9 ", "1_0"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-10 ** 20, 10 ** 20).map(str),
+)
+JUNK_TEXT = st.one_of(st.sampled_from(["", " ", "x", "-", "+", ".", "e5", "0x10", "1e", "1,",
+                                       ",1", "1..2", "shared:"]), st.text(max_size=4))
+LIST_TEXT = st.lists(NUMBER_TEXT | JUNK_TEXT, max_size=5).map(",".join)
+# One strategy per flag.  Flags click types as numbers get number text only:
+# click rejects anything else with its own usage error before satool runs.
+BAD_VALUES = {
+    ("run", "--delta"): NUMBER_TEXT | JUNK_TEXT,
+    ("calibrate", "--taus"): LIST_TEXT,
+    ("calibrate", "--weights"): LIST_TEXT,
+    ("calibrate", "--budget"): NUMBER_TEXT | JUNK_TEXT | NUMBER_TEXT.map("shared:".__add__),
+    ("calibrate", "--intervals"): st.integers(-10 ** 20, 10 ** 20).map(str),
+    ("analyze", "--token-p"): NUMBER_TEXT,
+    ("analyze", "--tau"): NUMBER_TEXT,
+    ("perturb", "--alpha"): NUMBER_TEXT,
+    ("perturb", "--seeds"): LIST_TEXT,
+    ("perturb", "--steps"): LIST_TEXT,
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_a_bad_flag_value_fails_with_one_error_line(tiny_trace, data):
+    """One flag at a time: exit 0, or exit 1 with one ``error:`` line on stderr and no traceback."""
+    command, flag = data.draw(st.sampled_from(sorted(BAD_VALUES)), label="flag")
+    value = data.draw(BAD_VALUES[command, flag], label="value")
+    with tempfile.TemporaryDirectory() as tmp:
+        args = [command, "--trace", str(tiny_trace), f"{flag}={value}", "--out", tmp + "/out"]
+        result = stderr_runner().invoke(main, args)
+    if result.exit_code:
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit), \
+            (args, result.exception)
+        assert "Traceback" not in result.stderr
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), (args, result.stderr)
 
 
 NO_MA_SCRIPT = """

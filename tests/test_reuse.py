@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from satool import surrogate
+from satool import reuse, surrogate
 from satool.blocksparse import changed_block_ratio, top_p_select
 from satool.errors import DomainError, ShapeMismatch, StateError
 from satool.reuse import (
@@ -252,6 +252,38 @@ class TestSimulate:
         assert len(calls) == cfg.steps * chunks
         assert all(allow is None for _, allow in calls)
         assert sum(heads for heads, _ in calls) == cfg.steps * cfg.layers * cfg.heads
+
+    def test_one_decision_pass_per_step_on_sixty_four_heads(self, monkeypatch):
+        cfg = TraceConfig(layers=4, heads=16, tokens=32, head_dim=8, steps=8, block_size=4,
+                          velocity_shape=(4, 4, 4), seed=7)
+        events = []
+        for name in ("mean_pool_drift", "layer_gate", "block_score_values", "top_p_mask",
+                     "changed_block_ratio"):
+            def wrapper(*args, _name=name, _original=getattr(reuse, name), **kwargs):
+                events.append((_name, args))
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(reuse, name, wrapper)
+        result = simulate(ForwardPipeline(generate_trace(cfg)),
+                          np.full((cfg.layers, cfg.heads), 0.9), 4.0)
+        assert 0 < result.reuse_rate < 1 and result.gate_forced > 0
+        # Each step opens with its one drift call over every (layer, head).
+        assert events[0][0] == "mean_pool_drift"
+        per_step = []
+        for name, args in events:
+            if name == "mean_pool_drift":
+                assert args[0].shape == (cfg.layers, cfg.heads, cfg.head_dim)
+                per_step.append([])
+            per_step[-1].append((name, args))
+        assert len(per_step) == cfg.steps
+        for calls in per_step:
+            names = [name for name, _ in calls]
+            gates = [args[0] for name, args in calls if name == "layer_gate"]
+            assert len(gates) == cfg.layers and all(g.shape == (cfg.heads,) for g in gates)
+            assert names.count("block_score_values") <= 1
+            assert names.count("top_p_mask") == names.count("block_score_values")
+            assert names.count("changed_block_ratio") == names.count("block_score_values")
+        assert any("top_p_mask" in [name for name, _ in calls] for calls in per_step[1:])
 
     def test_taus_shape_checked(self, sim_pipeline):
         with pytest.raises(ShapeMismatch):

@@ -21,6 +21,7 @@ from satool.surrogate import (
     PROB_CHUNK_ELEMENTS,
     ForwardPipeline,
     SurrogateModel,
+    attention_probs,
     expand_block_mask,
     masked_attention,
 )
@@ -49,8 +50,8 @@ def token_major_weight(model: SurrogateModel, config: TraceConfig) -> np.ndarray
 
 def dense_attention(pipe: ForwardPipeline, step: int, layer: int, head: int) -> np.ndarray:
     trace = pipe.trace
-    return masked_attention(trace.q(step, layer, head), trace.k(step, layer, head),
-                            trace.v(step, layer, head))
+    probs = attention_probs(trace.q(step, layer, head), trace.k(step, layer, head))
+    return probs @ trace.v(step, layer, head)
 
 
 def reference_from_features(pipe: ForwardPipeline, step: int, edit) -> np.ndarray:
@@ -275,6 +276,12 @@ class TestHeldStep:
         moved.dense_forward(2)
         np.testing.assert_array_equal(moved.preactivation_changes(1, layers, heads, retained),
                                       fresh.preactivation_changes(1, layers, heads, retained))
+        # Rows asked for on the held step itself: it is computed again, with the same bits.
+        held = [array.copy() for array in moved._state(1)[1:]]
+        np.testing.assert_array_equal(moved.preactivation_changes(1, layers, heads, retained),
+                                      fresh.preactivation_changes(1, layers, heads, retained))
+        for before, after in zip(held, moved._state(1)[1:]):
+            np.testing.assert_array_equal(after, before)
 
 
 class TestSingleHeadResiduals:
@@ -365,12 +372,12 @@ class TestBatchedAttention:
         lead, tokens = q.shape[:-2], q.shape[-2]
         masked = masked_attention(q, k, v, allow.reshape(-1, tokens, tokens),
                                   np.arange(math.prod(lead))).reshape(v.shape)
-        dense = masked_attention(q, k, v)
+        dense = attention_probs(q, k) @ v
         for index in np.ndindex(lead):
             head = (q[index], k[index], v[index])
             np.testing.assert_array_equal(masked[index],
                                           masked_attention(*head, allow[index][None], [0])[0])
-            np.testing.assert_array_equal(dense[index], masked_attention(*head))
+            np.testing.assert_array_equal(dense[index], attention_probs(*head[:2]) @ head[2])
             np.testing.assert_allclose(masked[index], live_rows_reference(*head, allow[index]),
                                        rtol=1e-13, atol=1e-15)
         dead = ~allow.any(axis=-1)
@@ -396,8 +403,16 @@ class TestBatchedAttention:
     def test_masks_without_heads_rejected(self, rng):
         q = rng.standard_normal((2, 4, 3))
         for allow in (np.ones((2, 4, 4), dtype=bool), np.ones((4, 4), dtype=bool)):
-            with pytest.raises(ShapeMismatch):
+            with pytest.raises(TypeError):
                 masked_attention(q, q, q, allow)
+
+    def test_zero_masks_fill_the_dense_output(self, rng):
+        q, k, v = (rng.standard_normal((2, 3, 8, 2)) for _ in range(3))
+        filled = np.empty_like(v)
+        out = masked_attention(q, k, v, np.ones((0, 4, 4), dtype=bool), np.empty(0, int),
+                               dense_out=filled)
+        assert out.shape == (0, 8, 2)
+        np.testing.assert_array_equal(filled, attention_probs(q, k) @ v)
 
     @pytest.mark.parametrize("heads_per_call", [1, 2, 4])
     def test_forwards_do_not_depend_on_the_chunk_cap(self, pipeline, monkeypatch,
@@ -479,7 +494,8 @@ class TestTileMaskKernel:
             mp.setattr(surrogate, "attention_probs", spy)
             out = masked_attention(q, k, v, tiles, owner, dense_out=filled)
         assert out.shape == (len(owner),) + v.shape[1:] and np.isfinite(out).all()
-        dense, probs = masked_attention(q, k, v), surrogate.attention_probs(q, k)
+        probs = surrogate.attention_probs(q, k)
+        dense = probs @ v
         np.testing.assert_array_equal(filled, dense)
         width = q.shape[1] // tiles.shape[1]
         underflow = False
