@@ -7,8 +7,10 @@
 # its table.  One calibrate also runs the brute-force oracle over all 729
 # assignments of the 2x3 heads and fails unless the solver picks its
 # selection; its outputs must equal the plain calibrate's.  The last good
-# run is the ungated band.  Last, `run` on a copy of the trace with one NaN
-# payload value must exit 1 with error:trace-format and write nothing.
+# run is the ungated band.  Then `run` on a copy of the trace with one NaN
+# payload value must exit 1 with error:trace-format and write nothing, and
+# last `analyze --tau x`, a value click cannot convert, must exit 1 with
+# error:domain and write nothing.
 #
 #   scripts/quickstart.sh [OUT_DIR]      (default: qs)
 #
@@ -53,5 +55,12 @@ status=0
 $satool run       --trace "$bad" --out "$out/nan-run" 2>"$out/nan.err" || status=$?
 if [ "$status" -ne 1 ] || ! grep -q '^error:trace-format: ' "$out/nan.err" || [ -e "$out/nan-run" ]; then
     echo "quickstart: a NaN payload value gave exit $status: $(cat "$out/nan.err")" >&2
+    exit 1
+fi
+
+status=0
+$satool analyze   --trace "$trace" --out "$out/bad-tau" --tau x 2>"$out/bad-tau.err" || status=$?
+if [ "$status" -ne 1 ] || ! grep -q '^error:domain: ' "$out/bad-tau.err" || [ -e "$out/bad-tau" ]; then
+    echo "quickstart: analyze --tau x gave exit $status: $(cat "$out/bad-tau.err")" >&2
     exit 1
 fi

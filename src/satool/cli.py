@@ -11,7 +11,6 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import dataclasses
-import functools
 import json
 import math
 import sys
@@ -39,38 +38,34 @@ from .surrogate import ForwardPipeline
 from .trace import TraceConfig, read_trace, write_trace
 
 
-def _fail(exc: ToolkitError) -> None:
-    click.echo(f"error:{exc.code}: {exc}", err=True)
-    sys.exit(1)
+class ToolGroup(click.Group):
+    """Every failure of a command, flag conversion included, is one ``error:<code>:`` line.
 
+    ``Group.invoke`` parses the command's flags and runs it, so a value click
+    cannot convert is caught here as ``domain``, with click's message.  A
+    missing or unknown option stays click's usage error, with exit 2.
+    """
 
-def tool_command(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+    def invoke(self, ctx: click.Context):
         try:
-            return fn(*args, **kwargs)
+            return super().invoke(ctx)
+        except click.BadParameter as exc:
+            if isinstance(exc, click.MissingParameter):
+                raise
+            code, message = "domain", exc.format_message()
         except ToolkitError as exc:
-            _fail(exc)
+            code, message = exc.code, str(exc)
         except OSError as exc:
-            click.echo(f"error:io: {exc}", err=True)
-            sys.exit(1)
+            code, message = "io", str(exc)
         except MemoryError as exc:
-            click.echo(f"error:memory: {exc}", err=True)
-            sys.exit(1)
+            code, message = "memory", str(exc)
+        click.echo(f"error:{code}: {message}", err=True)
+        sys.exit(1)
 
-    return wrapper
 
-
-def _parse_floats(text: str, what: str) -> list[float]:
+def _parse_numbers(text: str, kind: type, what: str) -> list:
     try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError as exc:
-        raise DomainError(f"could not parse {what} from {text!r}") from exc
-
-
-def _parse_ints(text: str, what: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
+        return [kind(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
         raise DomainError(f"could not parse {what} from {text!r}") from exc
 
@@ -102,7 +97,7 @@ def _keep_temporaries_on_heap() -> None:
     mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
 
 
-@click.group()
+@click.group(cls=ToolGroup)
 @click.version_option()
 def main():
     """Head-wise sparse-attention control on synthetic denoising traces."""
@@ -124,11 +119,10 @@ def main():
 @click.option("--velocity-shape", default="8,8,8", show_default=True,
               help="Velocity field dims as T,H,W.")
 @click.option("--seed", default=0, show_default=True, type=int)
-@tool_command
 def cmd_gen_trace(out, layers, heads, tokens, head_dim, steps, block_size,
                   kappa_min, kappa_max, scale_min, scale_max, velocity_shape, seed):
     """Generate a seeded synthetic denoising trace."""
-    dims = _parse_ints(velocity_shape, "velocity shape")
+    dims = _parse_numbers(velocity_shape, int, "velocity shape")
     if len(dims) != 3:
         raise DomainError(f"velocity shape needs three dims, got {velocity_shape!r}")
     config = TraceConfig(
@@ -161,7 +155,6 @@ def cmd_gen_trace(out, layers, heads, tokens, head_dim, steps, block_size,
               help="Cumulative mass for per-row token masks.")
 @click.option("--tau", default=0.95, show_default=True, type=float,
               help="Top-p threshold for the block masks under comparison.")
-@tool_command
 def cmd_analyze(trace_path, out, token_p, tau):
     """Adjacent-step mask stability report at prompt/layer/head granularity."""
     with read_trace(trace_path) as trace:
@@ -230,12 +223,11 @@ def _resolve_budget(budget_text: str, taus):
 @click.option("--check-oracle", is_flag=True,
               help="Also run the brute-force oracle and verify agreement.")
 @click.option("--seed", default=0, show_default=True, type=int)
-@tool_command
 def cmd_calibrate(trace_path, out, budget, taus, intervals, weights, objective,
                   check_oracle, seed):
     """Select one measured operating point per head under a sparsity budget."""
-    tau_list = check_candidates(_parse_floats(taus, "thresholds"))
-    weight_list = _parse_floats(weights, "band weights")
+    tau_list = check_candidates(_parse_numbers(taus, float, "thresholds"))
+    weight_list = _parse_numbers(weights, float, "band weights")
     if len(weight_list) != 4:
         raise DomainError(f"need four band weights, got {weights!r}")
     band_weights = BandWeights(*weight_list)
@@ -282,7 +274,6 @@ def cmd_calibrate(trace_path, out, budget, taus, intervals, weights, objective,
               help="Reuse threshold; accepts inf for the always-reuse endpoint.")
 @click.option("--gate-lo", default=DEFAULT_GATE[0], show_default=True, type=float)
 @click.option("--gate-hi", default=DEFAULT_GATE[1], show_default=True, type=float)
-@tool_command
 def cmd_run(trace_path, out, table_path, tau, delta, gate_lo, gate_hi):
     """Simulate the full denoising run with per-head temporal mask reuse."""
     try:
@@ -345,11 +336,10 @@ def cmd_run(trace_path, out, table_path, tau, delta, gate_lo, gate_hi):
 @click.option("--alpha", default=0.1, show_default=True, type=float)
 @click.option("--seeds", default="0,1,2,3", show_default=True)
 @click.option("--steps", default=None, help="Comma-separated step subset; default all.")
-@tool_command
 def cmd_perturb(trace_path, out, alpha, seeds, steps):
     """Equal-relative-magnitude in-band perturbation study over the four regions."""
-    seed_list = _parse_ints(seeds, "seeds")
-    step_list = _parse_ints(steps, "steps") if steps else None
+    seed_list = _parse_numbers(seeds, int, "seeds")
+    step_list = _parse_numbers(steps, int, "steps") if steps else None
     with read_trace(trace_path) as trace:
         rows = perturbation_study(ForwardPipeline(trace), alpha, seed_list, steps=step_list)
     out_dir = _ensure_out(out)
@@ -376,7 +366,6 @@ def cmd_perturb(trace_path, out, alpha, seeds, steps):
 @click.option("--block-align", default=128, show_default=True, type=int,
               help="Token-count alignment for full-token caches.")
 @click.option("--out", default=None, help="Optional directory for footprint.json.")
-@tool_command
 def cmd_footprint(layers, heads, tokens, head_dim, bytes_per_scalar, branches,
                   block_align, out):
     """Reuse-cache memory for full-token versus mean-pooled query/key state."""

@@ -131,37 +131,35 @@ def weighted_error(ratios, weights: BandWeights | None = None):
     return float(total) if r.ndim == 1 else total
 
 
-def band_perturbation(reference: np.ndarray, region: str, alpha: float, seed,
+def band_perturbation(reference: np.ndarray, region: str, alpha: float, seeds,
                       partition: BandPartition | None = None) -> np.ndarray:
     """Seeded real-valued perturbations confined to one frequency region.
 
-    ``reference`` is one (T, H, W) field with an int ``seed``, or a stack
-    (n, T, H, W) with one seed per field.  Each field's seeded white noise
-    is restricted to the region by one batched transform, each field's bits
-    those of transforming it alone, and rescaled so its L2 norm is exactly
-    alpha times its reference's norm.
+    ``reference`` is a stack (n, T, H, W) of fields with one seed per field.
+    Each field's seeded white noise is restricted to the region by one
+    batched transform, each field's bits those of transforming it alone, and
+    rescaled so its L2 norm is exactly alpha times its reference's norm.
     """
     if alpha < 0:
         raise DomainError(f"alpha must be nonnegative, got {alpha}")
     reference = np.asarray(reference)
     if partition is None:
         partition = band_partition(reference.shape[-3:])
-    if reference.ndim not in (3, 4) or reference.shape[-3:] != partition.shape:
+    if reference.ndim != 4 or reference.shape[1:] != partition.shape:
         raise ShapeMismatch(
             f"reference shape {reference.shape} does not match partition {partition.shape}"
         )
-    seeds = [seed] if reference.ndim == 3 else list(seed)
-    fields = reference.reshape(-1, *partition.shape)
-    if len(seeds) != len(fields):
-        raise ShapeMismatch(f"{len(fields)} reference fields need as many seeds, got {seeds}")
+    seeds = list(seeds)
+    if len(seeds) != len(reference):
+        raise ShapeMismatch(f"{len(reference)} reference fields need as many seeds, got {seeds}")
     if region not in REGIONS:
         raise DomainError(f"region must be one of {REGIONS}, got {region!r}")
     if alpha == 0.0:
         return np.zeros(reference.shape)
-    ref_norms = [float(np.linalg.norm(field)) for field in fields]
+    ref_norms = [float(np.linalg.norm(field)) for field in reference]
     if 0.0 in ref_norms:
         raise DomainError("relative perturbation is undefined for an all-zero reference")
-    noise = np.empty(fields.shape)
+    noise = np.empty(reference.shape)
     for row, field_seed in zip(noise, seeds):
         rng = np.random.default_rng(
             np.random.SeedSequence([int(field_seed), _PERTURB_STREAM, REGIONS.index(region)]))
@@ -176,7 +174,7 @@ def band_perturbation(reference: np.ndarray, region: str, alpha: float, seed,
         if norm == 0.0:
             raise DomainError(f"region {region} produced a degenerate perturbation")
         row *= alpha * ref_norm / norm
-    return delta.reshape(reference.shape)
+    return delta
 
 
 def psnr(a: np.ndarray, b: np.ndarray, peak: float) -> float:

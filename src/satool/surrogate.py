@@ -157,7 +157,7 @@ class SurrogateModel:
 
     ``weight`` is (velocity values, fan-in) with head-major columns: column
     ``h * tokens * head_dim + t * head_dim + d`` multiplies feature
-    ``(t, h * head_dim + d)`` of the token-major features ``project`` takes.
+    ``(h, t, d)`` of the head-major features ``project`` takes.
     """
 
     def __init__(self, weight: np.ndarray, bias: np.ndarray,
@@ -230,14 +230,13 @@ class SurrogateModel:
         return np.tanh(preactivation).reshape(*preactivation.shape[:-1], *self.velocity_shape)
 
     def project(self, features: np.ndarray) -> np.ndarray:
-        """The pre-activation ``W f + b`` of summed head features (tokens, heads*head_dim)."""
-        if features.ndim != 2 or features.size != self.fan_in or features.shape[1] % self.heads:
+        """The pre-activation ``W f + b`` of summed head features (heads, tokens, head_dim)."""
+        if features.ndim != 3 or features.size != self.fan_in or features.shape[0] != self.heads:
             raise ShapeMismatch(
                 f"features of shape {features.shape} do not fit a projection of fan-in "
                 f"{self.fan_in} over {self.heads} heads"
             )
-        head_major = features.reshape(features.shape[0], self.heads, -1).swapaxes(0, 1)
-        pre = self.weight @ head_major.reshape(-1)
+        pre = self.weight @ features.reshape(-1)
         pre += self.bias
         return pre
 
@@ -245,13 +244,13 @@ class SurrogateModel:
 class ForwardPipeline:
     """Dense/sparse forwards of a trace through the surrogate, holding one dense step.
 
-    The pipeline holds the dense state of the latest step asked for: its
-    pre-activation ``W f + b`` and every head's attention output.  Asked
-    for another step, it computes that step's in its place, with the same
-    bits.  Every attention call goes through ``_changes``, in batched
-    chunks of at most PROB_CHUNK_ELEMENTS logits, and each chunk computes
-    one softmax per head: every masked row is computed with its step's
-    dense outputs, even at the held step, which is then computed again.
+    The pipeline holds the dense pre-activation ``W f + b`` of the latest
+    step asked for.  Asked for another step, it computes that step's in its
+    place, with the same bits.  Every attention call goes through
+    ``_changes``, in batched chunks of at most PROB_CHUNK_ELEMENTS logits,
+    and each chunk computes one softmax per head: every masked row is
+    computed with its step's dense outputs, even at the held step, which is
+    then computed again.
     Every other field is ``field_after`` a pre-activation change on the
     held step: ``preactivation_changes`` gives one per masked head, and a
     sparse forward is ``field_after`` the sum of its heads' changes.  Heads
@@ -267,7 +266,7 @@ class ForwardPipeline:
             raise ShapeMismatch("surrogate fan-in or head count does not match the trace config")
         self.grid = c.grid
         self.last_dense_cached = False
-        self._dense: tuple[int, np.ndarray, np.ndarray] | None = None
+        self._dense: tuple[int, np.ndarray] | None = None
 
     def check_head(self, layer: int, head: int) -> None:
         c = self.trace.config
@@ -281,10 +280,10 @@ class ForwardPipeline:
         tile mask ``tiles[i]``, one tile per block; its masked attention
         output minus the dense one is projected by
         ``SurrogateModel.head_changes``.  The whole step is computed and
-        held: heads go through ``masked_attention`` in chunks, each
-        gathering its heads' Q, K and V from the trace once, filling their
-        dense outputs and projecting its own rows, which may be none.  So a
-        head's dense and masked rows share one softmax.
+        held as its pre-activation: heads go through ``masked_attention`` in
+        chunks, each gathering its heads' Q, K and V from the trace once,
+        filling their dense outputs and projecting its own rows, which may
+        be none.  So a head's dense and masked rows share one softmax.
         """
         c = self.trace.config
         n = c.layers * c.heads
@@ -299,32 +298,28 @@ class ForwardPipeline:
                                       dense_out=dense[window])
             masked -= dense[flat[rows]]
             changes[rows] = self.model.head_changes(flat[rows] % c.heads, masked)
-        # The head outputs' sum over layers goes through one projection.
-        out = dense.reshape(c.layers, c.heads, c.tokens, c.head_dim)
-        features = np.zeros((c.tokens, c.heads * c.head_dim), dtype=np.float64)
-        by_head = features.reshape(c.tokens, c.heads, c.head_dim)
-        for layer_out in out:
-            by_head += layer_out.swapaxes(0, 1)
-        self._dense = (step, self.model.project(features), out)
+        # The head outputs' sum over layers, in layer order, goes through one
+        # projection.
+        features = np.zeros((c.heads, c.tokens, c.head_dim))
+        for layer_out in dense.reshape(c.layers, c.heads, c.tokens, c.head_dim):
+            features += layer_out
+        self._dense = (step, self.model.project(features))
         return changes
 
     def _held(self, step: int) -> bool:
         return self._dense is not None and self._dense[0] == step
 
-    def _state(self, step: int) -> tuple[int, np.ndarray, np.ndarray]:
-        """The held ``(step, pre-activation, head outputs)``, computed if ``step`` is another.
-
-        Head outputs are (layers, heads, tokens, head_dim).
-        """
+    def _preactivation(self, step: int) -> np.ndarray:
+        """The dense pre-activation of ``step``, computed and held if it is not the held one."""
         if not self._held(step):
             side = self.grid.blocks_per_side
             self._changes(step, np.empty(0, dtype=int), np.empty((0, side, side), dtype=bool))
-        return self._dense
+        return self._dense[1]
 
     def dense_forward(self, step: int) -> np.ndarray:
         self.trace.check_step(step)
         self.last_dense_cached = self._held(step)
-        return self.model.field(self._state(step)[1])
+        return self.model.field(self._preactivation(step))
 
     def sparse_forward(self, step: int, masks: Mapping[tuple[int, int], BlockMask]) -> np.ndarray:
         """Forward with the listed heads masked; heads left out stay dense.
@@ -380,7 +375,7 @@ class ForwardPipeline:
                 f"pre-activation changes of shape {changes.shape} do not end in "
                 f"the {self.model.bias.size} velocity values"
             )
-        return self.model.field(self._state(step)[1] + changes)
+        return self.model.field(self._preactivation(step) + changes)
 
     def scores(self, step: int, layer: int, head: int) -> BlockScores:
         self.trace.check_step(step)

@@ -187,7 +187,7 @@ def test_criterion_7_spectral_suite():
 
     alpha = 0.1
     for region in REGIONS:
-        delta = band_perturbation(ref, region, alpha, seed=8, partition=partition)
+        delta = band_perturbation(ref[None], region, alpha, [8], partition)[0]
         power = np.abs(np.fft.fftn(delta)) ** 2
         leak = power[partition.labels != REGIONS.index(region)].sum()
         assert leak <= 1e-10 * power.sum()

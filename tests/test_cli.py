@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import click
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -934,38 +935,114 @@ NUMBER_TEXT = st.one_of(
 )
 JUNK_TEXT = st.one_of(st.sampled_from(["", " ", "x", "-", "+", ".", "e5", "0x10", "1e", "1,",
                                        ",1", "1..2", "shared:"]), st.text(max_size=4))
-LIST_TEXT = st.lists(NUMBER_TEXT | JUNK_TEXT, max_size=5).map(",".join)
-# One strategy per flag.  Flags click types as numbers get number text only:
-# click rejects anything else with its own usage error before satool runs.
+TEXT = NUMBER_TEXT | JUNK_TEXT
+LIST_TEXT = st.lists(TEXT, max_size=5).map(",".join)
+# gen-trace's counts never draw NUMBER_TEXT: a count such as 10**8 passes the
+# u32 check and asks for gigabytes.
+GEN_COUNT = COUNT_VALUES | JUNK_TEXT
+# One strategy per flag: every value flag of the six commands but the paths.
 BAD_VALUES = {
-    ("run", "--delta"): NUMBER_TEXT | JUNK_TEXT,
+    **{("gen-trace", flag): GEN_COUNT for flag in (
+        "--layers", "--heads", "--tokens", "--head-dim", "--steps", "--block-size")},
+    ("gen-trace", "--velocity-shape"): st.lists(GEN_COUNT, max_size=4).map(",".join),
+    **{("gen-trace", flag): TEXT for flag in (
+        "--kappa-min", "--kappa-max", "--scale-min", "--scale-max", "--seed")},
+    ("analyze", "--token-p"): TEXT,
+    ("analyze", "--tau"): TEXT,
     ("calibrate", "--taus"): LIST_TEXT,
     ("calibrate", "--weights"): LIST_TEXT,
-    ("calibrate", "--budget"): NUMBER_TEXT | JUNK_TEXT | NUMBER_TEXT.map("shared:".__add__),
-    ("calibrate", "--intervals"): st.integers(-10 ** 20, 10 ** 20).map(str),
-    ("analyze", "--token-p"): NUMBER_TEXT,
-    ("analyze", "--tau"): NUMBER_TEXT,
-    ("perturb", "--alpha"): NUMBER_TEXT,
+    ("calibrate", "--budget"): TEXT | NUMBER_TEXT.map("shared:".__add__),
+    ("calibrate", "--intervals"): TEXT,
+    ("calibrate", "--error"): st.sampled_from(["fft", "mse"]) | JUNK_TEXT,
+    ("calibrate", "--seed"): TEXT,
+    ("run", "--tau"): TEXT,
+    ("run", "--delta"): TEXT,
+    ("run", "--gate-lo"): TEXT,
+    ("run", "--gate-hi"): TEXT,
+    ("perturb", "--alpha"): TEXT,
     ("perturb", "--seeds"): LIST_TEXT,
     ("perturb", "--steps"): LIST_TEXT,
+    **{("footprint", flag): TEXT for flag in (
+        "--layers", "--heads", "--tokens", "--head-dim", "--bytes-per-scalar", "--branches",
+        "--block-align")},
 }
 
 
-@settings(max_examples=100, deadline=None)
+def command_input(command, trace):
+    """The flags a command needs besides ``--out``: a tiny shape, the trace, or none."""
+    return {"gen-trace": GEN_BASE, "footprint": []}.get(command, ["--trace", str(trace)])
+
+
+def value_flags(command):
+    return {opt.opts[0] for opt in main.commands[command].params
+            if not opt.is_flag and opt.opts[0] not in ("--out", "--trace", "--table")}
+
+
+def test_bad_values_cover_every_value_flag():
+    assert set(BAD_VALUES) == {(command, flag) for command in main.commands
+                               for flag in value_flags(command)}
+
+
+def assert_one_error_line(result, args, prefix="error:"):
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit), \
+        (args, result.exception)
+    assert "Traceback" not in result.stderr
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(prefix), (args, result.stderr)
+
+
+@settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_a_bad_flag_value_fails_with_one_error_line(tiny_trace, data):
     """One flag at a time: exit 0, or exit 1 with one ``error:`` line on stderr and no traceback."""
     command, flag = data.draw(st.sampled_from(sorted(BAD_VALUES)), label="flag")
     value = data.draw(BAD_VALUES[command, flag], label="value")
     with tempfile.TemporaryDirectory() as tmp:
-        args = [command, "--trace", str(tiny_trace), f"{flag}={value}", "--out", tmp + "/out"]
+        args = [command, *command_input(command, tiny_trace), f"{flag}={value}",
+                "--out", tmp + "/out"]
         result = stderr_runner().invoke(main, args)
     if result.exit_code:
-        assert result.exit_code == 1 and isinstance(result.exception, SystemExit), \
-            (args, result.exception)
-        assert "Traceback" not in result.stderr
-        lines = result.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:"), (args, result.stderr)
+        assert_one_error_line(result, args)
+
+
+# Flags click converts itself: every value flag not typed as text.
+CLICK_TYPED = sorted((command, opt.opts[0]) for command in main.commands
+                     for opt in main.commands[command].params
+                     if not opt.is_flag and not isinstance(opt.type, click.types.StringParamType))
+
+
+def test_twenty_seven_flags_are_click_typed():
+    # 26 typed int or float, and calibrate --error, a Choice.
+    assert len(CLICK_TYPED) == 27 and ("calibrate", "--error") in CLICK_TYPED
+
+
+@pytest.mark.parametrize("command, flag", CLICK_TYPED)
+def test_a_value_click_cannot_convert_is_a_domain_error(tiny_trace, tmp_path, command, flag):
+    value = "foo" if flag == "--error" else "x"
+    out = tmp_path / "out"
+    args = [command, *command_input(command, tiny_trace), flag, value, "--out", str(out)]
+    result = stderr_runner().invoke(main, args)
+    assert_one_error_line(result, args, f"error:domain: Invalid value for '{flag}'")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["analyze"],
+    ["analyze", "--trace", "t.satr", "--bogus", "1"],
+    ["footprint", "--tau", "x"],
+], ids=["missing-trace", "unknown-option", "unknown-typed-option"])
+def test_usage_errors_stay_clicks(tmp_path, args):
+    result = stderr_runner().invoke(main, [*args, "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("Usage: ") and "error:" not in result.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_help_exits_zero():
+    result = CliRunner().invoke(main, ["analyze", "--help"])
+    assert result.exit_code == 0, result.output
+    assert result.output.startswith("Usage: ") and "--tau" in result.output
 
 
 NO_MA_SCRIPT = """

@@ -197,14 +197,14 @@ class TestBandPerturbation:
     def test_alpha_zero_is_zero_field(self, partition, rng):
         ref = rng.standard_normal((8, 8, 8))
         np.testing.assert_array_equal(
-            band_perturbation(ref, "LL", 0.0, seed=0, partition=partition),
+            band_perturbation(ref[None], "LL", 0.0, [0], partition)[0],
             np.zeros((8, 8, 8)),
         )
 
     def test_norm_ratio_and_confinement(self, partition, rng):
         ref = rng.standard_normal((8, 8, 8))
         for region in REGIONS:
-            delta = band_perturbation(ref, region, 0.1, seed=3, partition=partition)
+            delta = band_perturbation(ref[None], region, 0.1, [3], partition)[0]
             ratio = np.linalg.norm(delta) / np.linalg.norm(ref)
             assert ratio == pytest.approx(0.1, abs=1e-6)
             power = np.abs(np.fft.fftn(delta)) ** 2
@@ -226,7 +226,7 @@ class TestBandPerturbation:
         ref = rng.standard_normal((8, 8, 8))
         for seed in range(32):
             deltas = {
-                r: band_perturbation(ref, r, 0.2, seed=seed, partition=partition)
+                r: band_perturbation(ref[None], r, 0.2, [seed], partition)[0]
                 for r in REGIONS
             }
             for i, ra in enumerate(REGIONS):
@@ -237,7 +237,7 @@ class TestBandPerturbation:
 
     def test_zero_reference_rejected(self, partition):
         with pytest.raises(DomainError):
-            band_perturbation(np.zeros((8, 8, 8)), "LL", 0.1, seed=0, partition=partition)
+            band_perturbation(np.zeros((1, 8, 8, 8)), "LL", 0.1, [0], partition)
 
 
 class TestPsnr:
@@ -294,7 +294,7 @@ class FieldPipeline:
 
 
 def reference_study(pipeline, alpha, seeds, steps):
-    """The study one field at a time through ``band_perturbation``."""
+    """The study one field at a time, each a one-field ``band_perturbation`` stack."""
     partition = band_partition(pipeline.trace.config.velocity_shape)
     dense = [pipeline.dense_forward(t) for t in steps]
     reference = np.sum(dense, axis=0)
@@ -310,8 +310,8 @@ def reference_study(pipeline, alpha, seeds, steps):
                 if alpha == 0.0:
                     ratios.append(0.0)
                     continue
-                delta = band_perturbation(field, region, alpha, seed=seed * 1_000_003 + t,
-                                          partition=partition)
+                delta = band_perturbation(field[None], region, alpha,
+                                          [seed * 1_000_003 + t], partition)[0]
                 ratios.append(float(np.linalg.norm(delta) / np.linalg.norm(field)))
                 total_delta += delta
             rows.append(StudyRow(

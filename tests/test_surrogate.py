@@ -54,6 +54,15 @@ def dense_attention(pipe: ForwardPipeline, step: int, layer: int, head: int) -> 
     return probs @ trace.v(step, layer, head)
 
 
+def dense_preactivation(pipe: ForwardPipeline, step: int) -> np.ndarray:
+    """The projection of every head's ``dense_attention``, summed over layers in layer order."""
+    c = pipe.trace.config
+    features = np.zeros((c.heads, c.tokens, c.head_dim))
+    for layer in range(c.layers):
+        features += [dense_attention(pipe, step, layer, head) for head in range(c.heads)]
+    return pipe.model.project(features)
+
+
 def reference_from_features(pipe: ForwardPipeline, step: int, edit) -> np.ndarray:
     c = pipe.trace.config
     features = np.zeros((c.tokens, c.heads * c.head_dim))
@@ -124,7 +133,8 @@ class TestHeadMajorWeight:
         weight = token_major_weight(model, CONFIG)
         features = rng.standard_normal((CONFIG.tokens, CONFIG.heads * CONFIG.head_dim))
         expected = np.tanh(weight @ features.reshape(-1) + model.bias)
-        pre = model.project(features)
+        pre = model.project(
+            features.reshape(CONFIG.tokens, CONFIG.heads, CONFIG.head_dim).swapaxes(0, 1))
         field = model.field(pre)
         np.testing.assert_allclose(field.reshape(-1), expected, rtol=RTOL, atol=ATOL)
         np.testing.assert_array_equal(np.tanh(pre).reshape(CONFIG.velocity_shape), field)
@@ -133,7 +143,11 @@ class TestHeadMajorWeight:
         with pytest.raises(ShapeMismatch):
             pipeline.model.project(np.zeros(CONFIG.feature_count))
         with pytest.raises(ShapeMismatch):
-            pipeline.model.project(np.zeros((CONFIG.tokens, CONFIG.heads * CONFIG.head_dim + 1)))
+            pipeline.model.project(np.zeros((CONFIG.tokens, CONFIG.heads * CONFIG.head_dim)))
+        with pytest.raises(ShapeMismatch):
+            pipeline.model.project(np.zeros((CONFIG.tokens, CONFIG.heads, CONFIG.head_dim)))
+        with pytest.raises(ShapeMismatch):
+            pipeline.model.project(np.zeros((CONFIG.heads, CONFIG.tokens, CONFIG.head_dim + 1)))
 
     @settings(max_examples=100, deadline=None)
     @given(heads=st.integers(1, 4), width=st.sampled_from([1, 6, 33, 128]),
@@ -240,12 +254,10 @@ class TestIncrementalForward:
             pipeline.sparse_forward(0, {(0, 0): BlockMask(np.ones(BLOCKS + 1, dtype=bool))})
 
     def test_dense_head_outputs_are_per_head_attention(self, pipeline):
-        # The held dense head outputs equal attention on the per-head float64
-        # copies, so an all-true mask changes nothing, exactly.
-        outputs = pipeline._state(2)[2]
-        for layer, head in HEADS:
-            np.testing.assert_array_equal(outputs[layer, head],
-                                          dense_attention(pipeline, 2, layer, head))
+        # The held pre-activation projects attention on the per-head float64
+        # copies, and an all-true mask changes nothing, exactly.
+        np.testing.assert_array_equal(pipeline._preactivation(2),
+                                      dense_preactivation(pipeline, 2))
         layers, heads = np.array(HEADS).T
         full = np.ones((len(HEADS), BLOCKS), dtype=bool)
         assert not pipeline.preactivation_changes(2, layers, heads, full).any()
@@ -272,16 +284,15 @@ class TestHeldStep:
         moved.dense_forward(1)
         moved.dense_forward(2)
         fresh = ForwardPipeline(pipeline.trace, pipeline.model)
-        np.testing.assert_array_equal(moved._state(1)[2], fresh._state(1)[2])
+        np.testing.assert_array_equal(moved._preactivation(1), fresh._preactivation(1))
         moved.dense_forward(2)
         np.testing.assert_array_equal(moved.preactivation_changes(1, layers, heads, retained),
                                       fresh.preactivation_changes(1, layers, heads, retained))
         # Rows asked for on the held step itself: it is computed again, with the same bits.
-        held = [array.copy() for array in moved._state(1)[1:]]
+        held = moved._preactivation(1).copy()
         np.testing.assert_array_equal(moved.preactivation_changes(1, layers, heads, retained),
                                       fresh.preactivation_changes(1, layers, heads, retained))
-        for before, after in zip(held, moved._state(1)[1:]):
-            np.testing.assert_array_equal(after, before)
+        np.testing.assert_array_equal(moved._preactivation(1), held)
 
 
 class TestSingleHeadResiduals:
@@ -428,7 +439,8 @@ class TestBatchedAttention:
         for step, (dense, sparse) in zip(steps, expected):
             np.testing.assert_array_equal(chunked.dense_forward(step), dense)
             np.testing.assert_array_equal(chunked.sparse_forward(step, masks), sparse)
-            np.testing.assert_array_equal(chunked._state(step)[2], pipeline._state(step)[2])
+            np.testing.assert_array_equal(chunked._preactivation(step),
+                                          dense_preactivation(pipeline, step))
 
 
 

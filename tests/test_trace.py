@@ -507,8 +507,8 @@ class TestSurrogateModel:
         bound = np.linalg.norm(model.weight, 2)
         cfg = small_config
         for _ in range(20):
-            a = rng.standard_normal((cfg.tokens, cfg.heads * cfg.head_dim))
-            b = rng.standard_normal((cfg.tokens, cfg.heads * cfg.head_dim))
+            a = rng.standard_normal((cfg.heads, cfg.tokens, cfg.head_dim))
+            b = rng.standard_normal((cfg.heads, cfg.tokens, cfg.head_dim))
             lhs = np.linalg.norm(model.field(model.project(a)) - model.field(model.project(b)))
             rhs = bound * np.linalg.norm(a - b)
             assert lhs <= rhs + 1e-12
